@@ -62,13 +62,13 @@ def main():
          f"range [{co.min():.4f}, {co.max():.4f}] inside [0, 2]")
 
     fwd, bwd = out.plans
-    show("forward plan", fwd.t.data,
+    show("forward plan", fwd.data,
          "rows should sum to theta")
-    print("row sums  :", fwd.t.data.sum(axis=1))
+    print("row sums  :", fwd.data.sum(axis=1))
     print("theta     :", theta)
-    show("backward plan", bwd.t.data,
+    show("backward plan", bwd.data,
          "columns should sum to beta")
-    print("column sums:", bwd.t.data.sum(axis=0))
+    print("column sums:", bwd.data.sum(axis=0))
     print("beta       :", beta)
 
     attn = out.attention.data

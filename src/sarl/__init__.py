@@ -14,7 +14,7 @@ from .metrics import (MetricReport, PredictionSet, average_precision,
 from .representation import EncoderConfig, FeatureMap
 from .tensor import Tape, Tensor
 from .training import (TrainConfig, adamw_step, ema_update, evaluate,
-                       export_attention, preset, train)
+                       export_attention, train)
 
 __all__ = [
     "Tape", "Tensor",
@@ -26,6 +26,6 @@ __all__ = [
     "mean_ap",
     "EncoderConfig", "FeatureMap",
     "TrainConfig", "adamw_step", "ema_update", "evaluate",
-    "export_attention", "preset", "train",
+    "export_attention", "train",
 ]
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .data import (SyntheticConfig, generate, load_dataset, save_dataset,
 from .head import load_checkpoint
 from .metrics import format_report, report_entries, write_predictions
 from .training import (TrainConfig, config_from_file, evaluate,
-                       export_attention, preset, synthetic_config, train)
+                       export_attention, synthetic_config, train)
 
 
 def _flag(name):
@@ -53,15 +53,13 @@ def _apply_flags(cfg, args, config_cls):
 
 
 def _check_dataset(ds, cfg: TrainConfig, name):
-    if ds.kind != "images":
-        raise SystemExit(f"{name}: expected an image dataset, got {ds.kind}")
-    n, h, w, c = ds.payload.shape
-    if ds.num_classes != cfg.num_classes or h != cfg.image_size \
-            or w != cfg.image_size or c != cfg.channels:
+    dims = ds.payload.shape[1:]
+    want = (cfg.image_size, cfg.image_size, cfg.channels)
+    if ds.num_classes != cfg.num_classes or dims != want:
         raise SystemExit(
-            f"{name}: dataset is {h}x{w}x{c} with {ds.num_classes} classes, "
-            f"config wants {cfg.image_size}x{cfg.image_size}x{cfg.channels} "
-            f"with {cfg.num_classes}")
+            f"{name}: dataset is {'x'.join(map(str, dims))} with "
+            f"{ds.num_classes} classes, config wants "
+            f"{'x'.join(map(str, want))} with {cfg.num_classes}")
 
 
 def cmd_gen_data(args):
@@ -84,7 +82,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = TrainConfig() if args.preset is None else preset(args.preset)
+    cfg = TrainConfig()
     if args.config is not None:
         cfg = config_from_file(args.config, base=cfg)
     cfg = _apply_flags(cfg, args, TrainConfig)
@@ -113,11 +111,8 @@ def cmd_train(args):
 def cmd_eval(args):
     model = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    report, preds = evaluate(model, ds)
-    if args.threshold != 0.5 or args.top_k != 3:
-        from .metrics import compute_report
-        report = compute_report(preds, threshold=args.threshold,
-                                top_k=args.top_k)
+    report, preds = evaluate(model, ds, threshold=args.threshold,
+                             top_k=args.top_k)
     print(format_report(report))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
@@ -163,7 +158,6 @@ def build_parser():
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--preset", choices=("voc2007", "ms-coco"))
     p.add_argument("--train-data", help="dataset file (default: synthetic)")
     p.add_argument("--test-data")
     p.add_argument("--quiet", action="store_true")

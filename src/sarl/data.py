@@ -8,8 +8,9 @@ noise is off) but not trivial, which is what a trainable stand-in for a
 real detection-style dataset needs.
 
 Files are deliberately simple: a fixed magic, little-endian u32 header
-words, a float32 payload, then one byte per label. A key=value manifest
-accompanies splits so statistics can be read without the payload.
+words, a float32 image payload, then one byte per label. A key=value
+manifest accompanies splits so statistics can be read without the
+payload.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ __all__ = [
 
 MAGIC = b"SARL"
 FORMAT_VERSION = 1
-KIND_IMAGES = 0
-KIND_FEATURES = 1
+KIND_IMAGES = 0  # the header's kind word; images are the only payload
 BLOB_SIZE = 3
 
 
@@ -72,21 +72,18 @@ class SyntheticConfig:
 
 @dataclass
 class Dataset:
-    """Payload rows plus binary labels; kind says how to read the payload.
-
-    "images": payload is (N, H, W, channels). "features": payload is
-    (N, P, d_v) precomputed patch grids.
-    """
+    """Images (N, H, W, channels) plus binary labels (N, C)."""
 
     payload: np.ndarray
     labels: np.ndarray
-    kind: str = "images"
 
     def __post_init__(self):
         if self.payload.shape[0] != self.labels.shape[0]:
             raise ValueError("payload and labels disagree on sample count")
-        if self.kind not in ("images", "features"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+        bad = np.flatnonzero(((self.labels != 0) & (self.labels != 1)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: labels must be 0 or 1, "
+                             f"got {self.labels[bad[0]].tolist()}")
 
     def __len__(self):
         return self.payload.shape[0]
@@ -136,7 +133,7 @@ def _render_split(rng, cfg: SyntheticConfig, n: int, blobs) -> Dataset:
                 cfg.signal * blobs[c]
             labels[i, c] = 1
         images[i] = img.astype(np.float32)
-    return Dataset(images, labels, kind="images")
+    return Dataset(images, labels)
 
 
 def generate(cfg: SyntheticConfig):
@@ -149,11 +146,10 @@ def generate(cfg: SyntheticConfig):
 
 
 def save_dataset(path, ds: Dataset):
-    kind = KIND_IMAGES if ds.kind == "images" else KIND_FEATURES
     dims = ds.payload.shape[1:]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<5I", FORMAT_VERSION, kind, len(ds),
+        fh.write(struct.pack("<5I", FORMAT_VERSION, KIND_IMAGES, len(ds),
                              ds.num_classes, len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         fh.write(ds.payload.astype("<f4").tobytes())
@@ -179,8 +175,9 @@ def load_dataset(path) -> Dataset:
             "<5I", _read_exact(fh, 20, "header"))
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported format version {version} at byte 4")
-        if kind not in (KIND_IMAGES, KIND_FEATURES):
-            raise FormatError(f"unknown payload kind {kind} at byte 8")
+        if kind != KIND_IMAGES:
+            raise FormatError(
+                f"payload kind {kind} at byte 8, expected {KIND_IMAGES} (images)")
         dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
         per_sample = int(np.prod(dims, dtype=np.int64)) if dims else 1
         payload = np.frombuffer(
@@ -192,8 +189,10 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"trailing data at offset {fh.tell() - 1}")
     payload = payload.reshape((n,) + dims).copy()
     labels = labels.reshape(n, num_classes).copy()
-    kind_name = "images" if kind == KIND_IMAGES else "features"
-    return Dataset(payload, labels, kind=kind_name)
+    try:
+        return Dataset(payload, labels)
+    except ValueError as exc:
+        raise FormatError(f"label bytes: {exc}") from None
 
 
 def stats(ds: Dataset) -> DatasetStats:

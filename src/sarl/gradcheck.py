@@ -117,7 +117,6 @@ def run_suite(verbose=True):
     check("softmax", lambda: T.sum_(T.pow_const(T.softmax(a, axis=1), 2)), [a])
     check("mean", lambda: T.mean(T.pow_const(a, 2)), [a])
     check("max", lambda: T.sum_(T.pow_const(T.max_reduce(a, axis=0), 2)), [a])
-    check("topk", lambda: T.sum_(T.pow_const(T.topk(a, 2, axis=1)[0], 2)), [a])
     img = rt(6, 6, 2)
     kern, kb = rt(18, 3, scale=0.5), rt(3, scale=0.1)
     check("conv2d", lambda: T.sum_(T.pow_const(T.conv2d(img, kern, kb), 2)),

@@ -24,10 +24,10 @@ from . import tensor as T
 from .data import FormatError
 from .losses import AslConfig, LossWeights, classification_loss, semantic_map_loss, total_loss
 from .representation import (ConfigError, EncoderConfig, EncoderParams,
-                             FeatureMap, FusionParams, LabelEmbeddings,
-                             SelfAttentionParams, encode, fuse_semantic,
-                             global_spatial_pool, init_encoder, init_fusion,
-                             init_label_embeddings, init_self_attention,
+                             FeatureMap, FusionParams, SelfAttentionParams,
+                             encode, fuse_semantic, global_spatial_pool,
+                             init_encoder, init_fusion, init_label_embeddings,
+                             init_self_attention, self_attention,
                              xavier_uniform)
 from .tensor import Tensor
 from .transport import (BilinearParams, backward_plan, bilinear_mass,
@@ -50,6 +50,8 @@ __all__ = [
 
 CKPT_MAGIC = b"SARLCKPT"
 CKPT_VERSION = 1
+# a fixed manifest line: the conv encoder is the only encoder
+ENCODER_MODE = "tiny-conv"
 
 
 @dataclass
@@ -113,7 +115,7 @@ class ModelBundle:
 
     config: ModelConfig
     encoder: EncoderParams
-    labels: LabelEmbeddings
+    labels: Tensor
     attention: SelfAttentionParams
     fusion: FusionParams
     map_weights: Tensor
@@ -127,7 +129,7 @@ class ModelBundle:
                                              self.encoder.biases)):
             named[f"encoder.kernel{i}"] = kern
             named[f"encoder.bias{i}"] = bias
-        named["labels.table"] = self.labels.l
+        named["labels.table"] = self.labels
         named["attention.w_q"] = self.attention.w_q
         named["attention.w_k"] = self.attention.w_k
         named["attention.w_v"] = self.attention.w_v
@@ -150,10 +152,7 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float64) -> ModelBundle:
         raise ConfigError("model config needs an encoder config")
     rng = np.random.default_rng(seed)
     d_v = cfg.feature_dim
-    if cfg.encoder.mode == "tiny-conv":
-        enc = init_encoder(rng, cfg.encoder, dtype)
-    else:
-        enc = EncoderParams([], [])
+    enc = init_encoder(rng, cfg.encoder, dtype)
     labels = init_label_embeddings(rng, cfg.num_classes, cfg.label_dim,
                                    dtype=dtype)
     attention = init_self_attention(rng, d_v, cfg.n_heads, dtype)
@@ -185,8 +184,7 @@ def region_score_aggregate(f_r: Tensor, cls: ClassifierParams) -> Tensor:
 def forward(x, model: ModelBundle, labels=None, train=False) -> ForwardOutput:
     """Run one sample through the full head.
 
-    x is an (H, W, channels) image or a precomputed patch grid,
-    whichever the encoder config says. Training mode needs the sample's
+    x is an (H, W, channels) image. Training mode needs the sample's
     binary label vector for the source and target distributions.
     """
     cfg = model.config
@@ -195,7 +193,7 @@ def forward(x, model: ModelBundle, labels=None, train=False) -> ForwardOutput:
 
     fm = encode(x, cfg.encoder, model.encoder)
     if not cfg.disable_self_attn:
-        fm = self_attention_step(fm, model)
+        fm = self_attention(fm, model.attention)
 
     if cfg.disable_gsp_fusion:
         f_g = Tensor(np.zeros(cfg.feature_dim, dtype=fm.f.dtype))
@@ -224,11 +222,6 @@ def forward(x, model: ModelBundle, labels=None, train=False) -> ForwardOutput:
         out.plans = (fwd, bwd)
         out.transport_cost = ct_loss(fwd, bwd, out.cost)
     return out
-
-
-def self_attention_step(fm: FeatureMap, model: ModelBundle) -> FeatureMap:
-    from .representation import self_attention
-    return self_attention(fm, model.attention)
 
 
 def sample_losses(out: ForwardOutput, labels, asl_cfg: AslConfig,
@@ -264,7 +257,7 @@ def _manifest_text(cfg: ModelConfig) -> str:
         ("encoder.grid_h", enc.grid_h),
         ("encoder.grid_w", enc.grid_w),
         ("encoder.conv_blocks", enc.conv_blocks),
-        ("encoder.mode", enc.mode),
+        ("encoder.mode", ENCODER_MODE),
     ]
     return "".join(f"{k}={v}\n" for k, v in pairs)
 
@@ -276,13 +269,16 @@ def _config_from_manifest(text: str) -> ModelConfig:
             key, _, value = line.partition("=")
             entries[key] = value
     try:
+        if entries["encoder.mode"] != ENCODER_MODE:
+            raise FormatError(
+                f"checkpoint manifest key 'encoder.mode' is "
+                f"{entries['encoder.mode']!r}, expected {ENCODER_MODE!r}")
         encoder = EncoderConfig(
             in_channels=int(entries["encoder.in_channels"]),
             grid_h=int(entries["encoder.grid_h"]),
             grid_w=int(entries["encoder.grid_w"]),
             feature_dim=int(entries["feature_dim"]),
             conv_blocks=int(entries["encoder.conv_blocks"]),
-            mode=entries["encoder.mode"],
         )
         return ModelConfig(
             num_classes=int(entries["num_classes"]),
@@ -350,11 +346,15 @@ def load_checkpoint(path) -> ModelBundle:
     if count != len(params):
         raise FormatError(
             f"checkpoint has {count} tensors, model wants {len(params)}")
+    seen = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         name = take(name_len, "name").decode()
         if name not in params:
             raise FormatError(f"unknown tensor {name!r} in checkpoint")
+        if name in seen:
+            raise FormatError(f"tensor {name!r} appears twice in checkpoint")
+        seen.add(name)
         (ndim,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape")) if ndim else ()
         want = params[name].data.shape

@@ -193,7 +193,8 @@ def report_entries(report: MetricReport) -> dict:
                "top_k": report.top_k}
     for c, ap in enumerate(report.per_class_ap):
         entries[f"AP.class{c}"] = "skipped" if ap is None else ap
-    for tag, block in (("all", report.all_mode), ("top3", report.topk_mode)):
+    for tag, block in (("all", report.all_mode),
+                       (f"top{report.top_k}", report.topk_mode)):
         entries[f"CP.{tag}"] = block.class_precision
         entries[f"CR.{tag}"] = block.class_recall
         entries[f"CF1.{tag}"] = block.class_f1

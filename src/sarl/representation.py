@@ -1,11 +1,10 @@
 """Patch features, global pooling, label embeddings, and semantic fusion.
 
 One image becomes a grid of patch features F (P x d_v) through a small
-strided conv encoder, or arrives as a precomputed P x d_v grid. Global
-spatial pooling compresses F into a single vector F_G, and fusing F_G
-with a learnable label-embedding table gives one semantic-related
-feature row per class, F_S (C x d_v). F, F_G and F_S are everything the
-transport stage downstream needs.
+strided conv encoder. Global spatial pooling compresses F into a single
+vector F_G, and fusing F_G with a learnable label-embedding table gives
+one semantic-related feature row per class, F_S (C x d_v). F, F_G and
+F_S are everything the transport stage downstream needs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "FeatureMap",
-    "LabelEmbeddings",
     "SelfAttentionParams",
     "FusionParams",
     "xavier_uniform",
@@ -44,7 +42,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class EncoderConfig:
-    """Settings for the tiny conv encoder (or the passthrough mode).
+    """Settings for the tiny conv encoder.
 
     Each conv block is a 3x3 stride-2 convolution, so ``conv_blocks``
     halves the input resolution that many times; the result must land
@@ -56,15 +54,12 @@ class EncoderConfig:
     grid_w: int
     feature_dim: int
     conv_blocks: int = 2
-    mode: str = "tiny-conv"
 
     def __post_init__(self):
         if self.grid_h < 1 or self.grid_w < 1:
             raise ConfigError(f"patch grid {self.grid_h}x{self.grid_w} must be >= 1x1")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim {self.feature_dim} must be >= 1")
-        if self.mode not in ("tiny-conv", "precomputed"):
-            raise ConfigError(f"unknown encoder mode {self.mode!r}")
 
     @property
     def num_patches(self) -> int:
@@ -95,14 +90,6 @@ class FeatureMap:
         if self.f.shape[0] != self.h * self.w:
             raise ConfigError(
                 f"{self.f.shape[0]} patch rows cannot tile a {self.h}x{self.w} grid")
-
-
-@dataclass
-class LabelEmbeddings:
-    """One learnable d_t-dimensional row per class."""
-
-    l: Tensor
-    learnable: bool = True
 
 
 @dataclass
@@ -144,9 +131,10 @@ def init_encoder(rng, cfg: EncoderConfig, dtype=np.float64) -> EncoderParams:
 
 
 def init_label_embeddings(rng, num_classes, label_dim, sigma=0.02,
-                          dtype=np.float64) -> LabelEmbeddings:
-    table = rng.normal(0.0, sigma, size=(num_classes, label_dim)).astype(dtype)
-    return LabelEmbeddings(Tensor(table))
+                          dtype=np.float64) -> Tensor:
+    """The label table: one learnable label_dim row per class."""
+    table = rng.normal(0.0, sigma, size=(num_classes, label_dim))
+    return Tensor(table.astype(dtype))
 
 
 def init_self_attention(rng, d_v, n_heads=8, dtype=np.float64) -> SelfAttentionParams:
@@ -165,17 +153,8 @@ def init_fusion(rng, d_v, label_dim, dtype=np.float64) -> FusionParams:
     )
 
 
-def encode(x, cfg: EncoderConfig, params: EncoderParams = None) -> FeatureMap:
-    """Turn an (H, W, C) image, or a precomputed P x d_v grid, into patch features."""
-    if cfg.mode == "precomputed":
-        f = x if isinstance(x, Tensor) else Tensor(x)
-        want = (cfg.num_patches, cfg.feature_dim)
-        if f.shape != want:
-            raise ConfigError(f"precomputed features {f.shape}, expected {want}")
-        return FeatureMap(f, cfg.grid_h, cfg.grid_w)
-
-    if params is None:
-        raise ConfigError("tiny-conv mode needs encoder params")
+def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
+    """Turn an (H, W, C) image into patch features."""
     h = x if isinstance(x, Tensor) else Tensor(x)
     if h.shape[-1] != cfg.in_channels:
         raise ConfigError(
@@ -230,13 +209,12 @@ def global_spatial_pool(fm: FeatureMap, mode="avg") -> Tensor:
     raise ConfigError(f"unknown pooling mode {mode!r}")
 
 
-def fuse_semantic(f_g: Tensor, emb, p: FusionParams) -> Tensor:
+def fuse_semantic(f_g: Tensor, table: Tensor, p: FusionParams) -> Tensor:
     """Per-class affine fusion: row c = Linear(concat(F_G, l_c)).
 
     F_G acts as a shared prompt prepended to every label row; the output
     is the semantic-related feature table F_S (C x d_v).
     """
-    table = emb.l if isinstance(emb, LabelEmbeddings) else emb
     num_classes = table.shape[0]
     stacked = T.concat([T.tile_rows(f_g, num_classes), table], axis=1)
     return T.add(T.matmul(stacked, p.weight), p.bias)

@@ -41,9 +41,7 @@ __all__ = [
     "sum_",
     "mean",
     "max_reduce",
-    "topk",
     "conv2d",
-    "zeros",
 ]
 
 
@@ -508,25 +506,6 @@ def max_reduce(a, axis):
     return _make(out_data, "max", (at,), backward_fn)
 
 
-def topk(a, k, axis=-1):
-    """Largest k entries along an axis, ties broken by ascending index.
-
-    Returns (values, indices); gradients flow to the selected entries
-    only, never through the indices themselves.
-    """
-    ad, at = _lift(a)
-    order = np.argsort(-ad, axis=axis, kind="stable")
-    idx = np.take(order, np.arange(k), axis=axis)
-    out_data = np.take_along_axis(ad, idx, axis=axis)
-
-    def backward_fn(g):
-        gz = np.zeros_like(ad)
-        np.put_along_axis(gz, idx, g, axis=axis)
-        _accumulate(at, gz)
-
-    return _make(out_data, "topk", (at,), backward_fn), idx
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -577,6 +556,3 @@ def conv2d(image, kernel, bias, kernel_size=3, stride=2, padding=1):
 
     return _make(out_data, "conv2d", (xt, kt, bt), backward_fn)
 
-
-def zeros(shape, dtype=np.float64):
-    return Tensor(np.zeros(shape, dtype=dtype))

@@ -31,7 +31,6 @@ __all__ = [
     "OptimizerState",
     "TrainingError",
     "TrainResult",
-    "preset",
     "config_from_file",
     "config_entries",
     "synthetic_config",
@@ -97,20 +96,6 @@ class TrainConfig:
             raise ValueError("lr, batch_size and epochs must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
-
-
-PRESETS = {
-    # batch sizes and learning rates quoted from the source protocols;
-    # the synthetic task and model sizes stay at desk scale
-    "voc2007": dict(lr=9e-5, batch_size=64, lambda1=0.04, lambda2=0.5),
-    "ms-coco": dict(lr=5e-5, batch_size=52, lambda1=0.2, lambda2=0.5),
-}
-
-
-def preset(name: str) -> TrainConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}, have {sorted(PRESETS)}")
-    return replace(TrainConfig(), **PRESETS[name])
 
 
 def _parse_field(value: str, current):
@@ -326,7 +311,7 @@ def shadow_model(model: ModelBundle, shadow: dict) -> ModelBundle:
     return twin
 
 
-def evaluate(model: ModelBundle, ds: Dataset):
+def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
     """Score every sample (inference mode) and build the metric report."""
     n = len(ds)
     num_c = model.config.num_classes
@@ -338,7 +323,7 @@ def evaluate(model: ModelBundle, ds: Dataset):
         out = forward(ds.payload[i], model)
         scores[i] = T.sigmoid(out.logits).data
     preds = PredictionSet(scores, ds.labels.astype(np.uint8))
-    return compute_report(preds), preds
+    return compute_report(preds, threshold=threshold, top_k=top_k), preds
 
 
 def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
@@ -351,7 +336,7 @@ def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
         raise ValueError(f"class {class_id} out of range")
     out = forward(x, model)
     grid_h, grid_w = out.features.h, out.features.w
-    m = semantic_map(out.features, model.map_weights).data[:, class_id]
+    m = semantic_map(out.features.f, model.map_weights).data[:, class_id]
     write_pgm(map_path, m.reshape(grid_h, grid_w))
     if out.attention is None:
         raise ValueError("transport is disabled; no attention to export")

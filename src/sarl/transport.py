@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .representation import FeatureMap
+from .representation import xavier_uniform
 from .tensor import Tensor
 
 __all__ = [
     "BilinearParams",
-    "TransportPlan",
     "init_bilinear",
     "semantic_map",
     "cost_matrix",
@@ -59,21 +58,7 @@ class BilinearParams:
     score: Tensor
 
 
-@dataclass
-class TransportPlan:
-    """A (P x C) plan plus which marginal it satisfies.
-
-    Forward plans have row sums equal to the source distribution theta;
-    backward plans have column sums equal to the target distribution
-    beta. Entries are nonnegative either way.
-    """
-
-    t: Tensor
-    direction: str
-
-
 def init_bilinear(rng, d_v, d1, d2, dtype=np.float64) -> BilinearParams:
-    from .representation import xavier_uniform
     return BilinearParams(
         xavier_uniform(rng, d_v, d1, dtype),
         xavier_uniform(rng, d_v, d1, dtype),
@@ -83,22 +68,17 @@ def init_bilinear(rng, d_v, d1, d2, dtype=np.float64) -> BilinearParams:
     )
 
 
-def _rows(f):
-    return f.f if isinstance(f, FeatureMap) else f
-
-
-def semantic_map(f, weights: Tensor) -> Tensor:
+def semantic_map(f: Tensor, weights: Tensor) -> Tensor:
     """Patch-level class logits M = F W, shape (P x C)."""
-    return T.matmul(_rows(f), weights)
+    return T.matmul(f, weights)
 
 
-def cost_matrix(f, f_s) -> Tensor:
+def cost_matrix(f: Tensor, f_s: Tensor) -> Tensor:
     """Cosine distance between every patch row and every class row.
 
     co[p, c] = 1 - <f_p, s_c> / ((|f_p| + eps)(|s_c| + eps)), always in
     [0, 2]; the eps keeps zero rows finite (their cost is near 1).
     """
-    f = _rows(f)
     sim = T.matmul(f, T.transpose(f_s))
     fn = T.sqrt(T.sum_(T.pow_const(f, 2), axis=1))
     sn = T.sqrt(T.sum_(T.pow_const(f_s, 2), axis=1))
@@ -126,12 +106,11 @@ def target_distribution(y) -> Tensor:
     return T.softmax(Tensor(np.asarray(y, dtype=float)), axis=0)
 
 
-def bilinear_mass(f, f_s, p: BilinearParams) -> Tensor:
+def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:
     """Transport scores A (P x C), one bilinear form per (patch, class).
 
     Computed through a (P x C x d1) broadcast rather than a pair loop.
     """
-    f = _rows(f)
     fu = T.matmul(f, p.u)
     sv = T.matmul(f_s, p.v)
     num_p, d1 = fu.shape
@@ -142,29 +121,31 @@ def bilinear_mass(f, f_s, p: BilinearParams) -> Tensor:
     return T.reshape(scores, (num_p, num_c))
 
 
-def forward_plan(mass: Tensor, theta) -> TransportPlan:
-    """Plan rows: t[p, :] = theta_p * softmax_c(A[p, :])."""
+def forward_plan(mass: Tensor, theta) -> Tensor:
+    """Plan rows: t[p, :] = theta_p * softmax_c(A[p, :]).
+
+    The (P x C) plan is nonnegative and its row sums equal theta.
+    """
     num_p = mass.shape[0]
-    t = T.mul(T.reshape(theta, (num_p, 1)), T.softmax(mass, axis=1))
-    return TransportPlan(t, "forward")
+    return T.mul(T.reshape(theta, (num_p, 1)), T.softmax(mass, axis=1))
 
 
-def backward_plan(mass: Tensor, beta) -> TransportPlan:
-    """Plan columns: t[:, c] = beta_c * softmax_p(A[:, c])."""
+def backward_plan(mass: Tensor, beta) -> Tensor:
+    """Plan columns: t[:, c] = beta_c * softmax_p(A[:, c]).
+
+    The (P x C) plan is nonnegative and its column sums equal beta.
+    """
     num_c = mass.shape[1]
-    t = T.mul(T.reshape(beta, (1, num_c)), T.softmax(mass, axis=0))
-    return TransportPlan(t, "backward")
+    return T.mul(T.reshape(beta, (1, num_c)), T.softmax(mass, axis=0))
 
 
-def ct_loss(fwd: TransportPlan, bwd: TransportPlan, co: Tensor) -> Tensor:
+def ct_loss(fwd: Tensor, bwd: Tensor, co: Tensor) -> Tensor:
     """Total transported cost, summed over both directions.
 
     Nonnegative because plans are nonnegative and costs sit in [0, 2];
     each plan carries total mass 1, so constant cost k gives exactly 2k.
     """
-    fwd_t = fwd.t if isinstance(fwd, TransportPlan) else fwd
-    bwd_t = bwd.t if isinstance(bwd, TransportPlan) else bwd
-    return T.add(T.sum_(T.mul(fwd_t, co)), T.sum_(T.mul(bwd_t, co)))
+    return T.add(T.sum_(T.mul(fwd, co)), T.sum_(T.mul(bwd, co)))
 
 
 def semantic_attention(mass: Tensor) -> Tensor:

@@ -132,9 +132,9 @@ class TestAcceptance:
                 mass = bilinear_mass(f, f_s, init_bilinear(rng, d_v, 5, 4))
                 fwd = forward_plan(mass, theta)
                 bwd = backward_plan(mass, beta)
-                assert_allclose(fwd.t.data.sum(axis=1), theta.data,
+                assert_allclose(fwd.data.sum(axis=1), theta.data,
                                 atol=1e-9)
-                assert_allclose(bwd.t.data.sum(axis=0), beta.data,
+                assert_allclose(bwd.data.sum(axis=0), beta.data,
                                 atol=1e-9)
                 co = cost_matrix(f, f_s).data
                 assert co.min() >= 0.0 and co.max() <= 2.0

@@ -119,6 +119,21 @@ class TestEvalVerb:
         first = load_predictions(run / "predictions.txt")
         np.testing.assert_array_equal(again.scores, first.scores)
 
+    def test_top_k_names_its_block(self, tmp_path):
+        six = ["--num-classes", "6"]
+        data = gen(tmp_path, extra=six)
+        run = tmp_path / "run"
+        main(["train", "--out", str(run),
+              "--train-data", str(data / "train.bin"),
+              "--test-data", str(data / "test.bin"), *TINY_TRAIN, *six])
+        rc = main(["eval", "--checkpoint", str(run / "model.ckpt"),
+                   "--data", str(data / "test.bin"), "--top-k", "5",
+                   "--threshold", "0.3", "--out", str(tmp_path / "evalout")])
+        assert rc == 0
+        entries = read_manifest(tmp_path / "evalout" / "metrics.txt")
+        assert entries["top_k"] == "5" and entries["threshold"] == "0.3"
+        assert "OF1.top5" in entries and "OF1.top3" not in entries
+
 
 class TestExportVerb:
     def test_writes_both_pgms(self, tmp_path):

@@ -74,20 +74,37 @@ class TestDatasetFile:
         path = tmp_path / "train.bin"
         save_dataset(path, train)
         loaded = load_dataset(path)
-        assert loaded.kind == "images"
+        assert struct.unpack_from("<I", path.read_bytes(), 8) == (0,)
         np.testing.assert_array_equal(loaded.payload, train.payload)
         np.testing.assert_array_equal(loaded.labels, train.labels)
 
-    def test_features_kind_roundtrip(self, tmp_path):
+    def test_features_kind_rejected(self, tmp_path):
+        # kind word 1: 5 samples of 4x8 patch features, 3 classes
         rng = np.random.default_rng(11)
-        ds = Dataset(rng.normal(size=(5, 4, 8)).astype(np.float32),
-                     (rng.random((5, 3)) < 0.5).astype(np.uint8),
-                     kind="features")
+        raw = b"SARL" + struct.pack("<5I", 1, 1, 5, 3, 2)
+        raw += struct.pack("<2I", 4, 8)
+        raw += rng.normal(size=(5, 4, 8)).astype("<f4").tobytes()
+        raw += (rng.random((5, 3)) < 0.5).astype(np.uint8).tobytes()
         path = tmp_path / "feat.bin"
-        save_dataset(path, ds)
-        loaded = load_dataset(path)
-        assert loaded.kind == "features"
-        np.testing.assert_array_equal(loaded.payload, ds.payload)
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="kind 1 at byte 8"):
+            load_dataset(path)
+
+    def test_label_byte_other_than_0_1_rejected(self, tmp_path):
+        train, _ = generate(SyntheticConfig(seed=14, n_train=6, n_test=1))
+        path = tmp_path / "train.bin"
+        save_dataset(path, train)
+        raw = bytearray(path.read_bytes())
+        num_c = train.num_classes
+        raw[len(raw) - len(train) * num_c + 3 * num_c + 1] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="row 3"):
+            load_dataset(path)
+
+    def test_in_memory_labels_must_be_binary(self):
+        labels = np.array([[1, 0], [0, 1], [1, 2]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="row 2"):
+            Dataset(np.zeros((3, 4, 4, 1), dtype=np.float32), labels)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

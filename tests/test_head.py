@@ -9,7 +9,7 @@ from sarl import tensor as T
 from sarl.data import FormatError
 from sarl.head import (ClassifierParams, ModelConfig, build_model, forward,
                        load_checkpoint, region_score_aggregate, save_checkpoint)
-from sarl.representation import EncoderConfig
+from sarl.representation import EncoderConfig, encode
 from sarl.tensor import Tensor
 
 
@@ -18,12 +18,17 @@ def np_softmax(a, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def encoder_output(x, model):
+    return encode(Tensor(x), model.config.encoder, model.encoder).f.data
+
+
 def forward_oracle(x, model, y):
-    """Straight-line numpy transcription of the whole forward pass."""
+    """Straight-line numpy transcription of everything after the encoder."""
     cfg = model.config
     p = {k: t.data for k, t in model.parameters().items()}
     d = cfg.feature_dim // cfg.n_heads
-    q, k, v = x @ p["attention.w_q"], x @ p["attention.w_k"], x @ p["attention.w_v"]
+    e = encoder_output(x, model)
+    q, k, v = e @ p["attention.w_q"], e @ p["attention.w_k"], e @ p["attention.w_v"]
     heads = []
     for h in range(cfg.n_heads):
         sl = slice(h * d, (h + 1) * d)
@@ -63,15 +68,7 @@ def forward_oracle(x, model, y):
 
 
 def tiny_config(**overrides):
-    enc = EncoderConfig(in_channels=0, grid_h=2, grid_w=2, feature_dim=8,
-                        mode="precomputed")
-    base = dict(num_classes=3, feature_dim=8, label_dim=6, bilinear_dim=4,
-                bilinear_out=4, n_heads=2, encoder=enc)
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
-def conv_config(**overrides):
+    """8x8x2 images -> 2x2 patch grid of width 8, 3 classes."""
     enc = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, feature_dim=8)
     base = dict(num_classes=3, feature_dim=8, label_dim=6, bilinear_dim=4,
                 bilinear_out=4, n_heads=2, encoder=enc)
@@ -155,14 +152,14 @@ class TestForward:
         for t in model.parameters().values():
             t.data = np.zeros_like(t.data)
         rng = np.random.default_rng(7)
-        out = forward(rng.normal(size=(4, 8)), model)
+        out = forward(rng.normal(size=(8, 8, 2)), model)
         np.testing.assert_array_equal(out.logits.data, np.zeros(3))
 
     def test_matches_straight_line_oracle(self):
         for seed in range(3):
             model = build_model(tiny_config(), seed=seed)
             rng = np.random.default_rng(100 + seed)
-            x = rng.normal(size=(4, 8))
+            x = rng.normal(size=(8, 8, 2))
             y = np.array([1.0, 0.0, 1.0])
             out = forward(x, model, labels=y, train=True)
             z, l_ot = forward_oracle(x, model, y)
@@ -172,21 +169,21 @@ class TestForward:
     def test_train_mode_invariants(self):
         model = build_model(tiny_config(), seed=8)
         rng = np.random.default_rng(9)
-        out = forward(rng.normal(size=(4, 8)), model,
+        out = forward(rng.normal(size=(8, 8, 2)), model,
                       labels=np.array([0.0, 1.0, 1.0]), train=True)
         theta, beta = out.theta.data, out.beta.data
         assert theta.min() >= 0 and beta.min() >= 0
         np.testing.assert_allclose(theta.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(beta.sum(), 1.0, atol=1e-9)
         fwd, bwd = out.plans
-        np.testing.assert_allclose(fwd.t.data.sum(axis=1), theta, atol=1e-9)
-        np.testing.assert_allclose(bwd.t.data.sum(axis=0), beta, atol=1e-9)
+        np.testing.assert_allclose(fwd.data.sum(axis=1), theta, atol=1e-9)
+        np.testing.assert_allclose(bwd.data.sum(axis=0), beta, atol=1e-9)
         co = out.cost.data
         assert co.min() >= 0.0 and co.max() <= 2.0
         np.testing.assert_allclose(out.attention.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self):
-        model = build_model(conv_config(), seed=10)
+        model = build_model(tiny_config(), seed=10)
         rng = np.random.default_rng(11)
         img = rng.normal(size=(8, 8, 2))
         a = forward(img, model).logits.data
@@ -196,11 +193,11 @@ class TestForward:
     def test_train_requires_labels(self):
         model = build_model(tiny_config(), seed=12)
         with pytest.raises(ValueError):
-            forward(np.zeros((4, 8)), model, train=True)
+            forward(np.zeros((8, 8, 2)), model, train=True)
 
     def test_infer_needs_no_labels(self):
         model = build_model(tiny_config(), seed=13)
-        out = forward(np.random.default_rng(14).normal(size=(4, 8)), model)
+        out = forward(np.random.default_rng(14).normal(size=(8, 8, 2)), model)
         assert out.logits.shape == (3,)
         assert out.transport_cost is None
         assert out.semantic_map is None
@@ -210,7 +207,7 @@ class TestAblations:
     def test_disable_ot_bypasses_transport(self):
         model = build_model(tiny_config(disable_ot=True), seed=15)
         rng = np.random.default_rng(16)
-        x = rng.normal(size=(4, 8))
+        x = rng.normal(size=(8, 8, 2))
         out = forward(x, model, labels=np.array([1.0, 0.0, 0.0]), train=True)
         assert out.attention is None
         assert out.transport_cost is None
@@ -222,15 +219,16 @@ class TestAblations:
     def test_disable_self_attn_keeps_encoder_output(self):
         model = build_model(tiny_config(disable_self_attn=True), seed=17)
         rng = np.random.default_rng(18)
-        x = rng.normal(size=(4, 8))
+        x = rng.normal(size=(8, 8, 2))
         out = forward(x, model)
-        np.testing.assert_array_equal(out.features.f.data, x)
+        np.testing.assert_array_equal(out.features.f.data,
+                                      encoder_output(x, model))
 
     def test_disable_gsp_fusion_uses_zero_global_feature(self):
         from sarl.representation import fuse_semantic
         model = build_model(tiny_config(disable_gsp_fusion=True), seed=19)
         rng = np.random.default_rng(20)
-        out = forward(rng.normal(size=(4, 8)), model)
+        out = forward(rng.normal(size=(8, 8, 2)), model)
         expect = fuse_semantic(Tensor(np.zeros(8)), model.labels, model.fusion)
         np.testing.assert_allclose(out.semantic_features.data, expect.data,
                                    atol=1e-12)
@@ -244,21 +242,21 @@ class TestCheckpoint:
         return model, load_checkpoint(path)
 
     def test_parameters_roundtrip_bit_exact(self, tmp_path):
-        model, loaded = self.roundtrip(tmp_path, conv_config())
+        model, loaded = self.roundtrip(tmp_path, tiny_config())
         for name, tensor in model.parameters().items():
             got = loaded.parameters()[name]
             assert got.data.dtype == np.float32
             np.testing.assert_array_equal(got.data, tensor.data)
 
     def test_forward_after_roundtrip_is_identical(self, tmp_path):
-        model, loaded = self.roundtrip(tmp_path, conv_config())
+        model, loaded = self.roundtrip(tmp_path, tiny_config())
         img = np.random.default_rng(22).normal(size=(8, 8, 2)).astype(np.float32)
         a = forward(img, model).logits.data
         b = forward(img, loaded).logits.data
         np.testing.assert_array_equal(a, b)
 
     def test_config_flags_roundtrip(self, tmp_path):
-        cfg = conv_config(disable_ot=True, disable_gsp_fusion=True,
+        cfg = tiny_config(disable_ot=True, disable_gsp_fusion=True,
                           gsp_mode="max")
         _, loaded = self.roundtrip(tmp_path, cfg)
         assert loaded.config.disable_ot is True
@@ -274,7 +272,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncation_rejected(self, tmp_path):
-        model = build_model(conv_config(), seed=23, dtype=np.float32)
+        model = build_model(tiny_config(), seed=23, dtype=np.float32)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         raw = path.read_bytes()
@@ -283,9 +281,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_trailing_data_rejected(self, tmp_path):
-        model = build_model(conv_config(), seed=24, dtype=np.float32)
+        model = build_model(tiny_config(), seed=24, dtype=np.float32)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # w_q written twice and w_k left out: same name length, same shape
+        model = build_model(tiny_config(), seed=25, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        assert raw.count(b"attention.w_k") == 1
+        path.write_bytes(raw.replace(b"attention.w_k", b"attention.w_q"))
+        with pytest.raises(FormatError, match="'attention.w_q' appears twice"):
             load_checkpoint(path)

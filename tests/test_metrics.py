@@ -250,6 +250,12 @@ class TestReport:
         assert text.startswith("mAP ")
         assert "top-3" in text
 
+    def test_entries_name_the_top_k_block(self):
+        entries = report_entries(compute_report(self.seeded(), top_k=2))
+        assert entries["top_k"] == 2
+        assert "CP.top2" in entries and "OF1.top2" in entries
+        assert not any(key.endswith(".top3") for key in entries)
+
 
 class TestPredictionFile:
     def test_roundtrip_is_exact(self, tmp_path):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from sarl import tensor as T
+from sarl.data import FormatError
 from sarl.gradcheck import check_gradients
+from sarl.head import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from sarl.representation import (ConfigError, EncoderConfig, FeatureMap,
-                                 FusionParams, LabelEmbeddings,
-                                 SelfAttentionParams, encode, fuse_semantic,
+                                 FusionParams, SelfAttentionParams, encode, fuse_semantic,
                                  global_spatial_pool, init_encoder,
                                  self_attention)
 from sarl.tensor import Tensor
@@ -48,20 +49,6 @@ def feature_map(arr, h, w):
 
 
 class TestEncode:
-    def test_precomputed_is_identity(self):
-        cfg = EncoderConfig(in_channels=0, grid_h=2, grid_w=3, feature_dim=5,
-                            mode="precomputed")
-        grid = Tensor(np.arange(30.0).reshape(6, 5))
-        fm = encode(grid, cfg)
-        assert fm.f is grid
-        assert (fm.h, fm.w) == (2, 3)
-
-    def test_precomputed_shape_mismatch(self):
-        cfg = EncoderConfig(in_channels=0, grid_h=2, grid_w=2, feature_dim=5,
-                            mode="precomputed")
-        with pytest.raises(ConfigError):
-            encode(np.zeros((5, 5)), cfg)
-
     def test_zero_image_zero_weights_gives_zero_features(self):
         cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=4)
         rng = np.random.default_rng(0)
@@ -93,10 +80,19 @@ class TestEncode:
         with pytest.raises(ConfigError):
             encode(np.zeros((8, 8, 2)), cfg, params)
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=5,
-                          mode="resnet")
+    def test_bad_mode_rejected(self, tmp_path):
+        # the mode survives only as the fixed checkpoint line encoder.mode
+        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=8)
+        model = build_model(ModelConfig(num_classes=2, feature_dim=8,
+                                        n_heads=2, encoder=cfg))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        assert b"\nencoder.mode=tiny-conv\n" in raw
+        path.write_bytes(raw.replace(b"encoder.mode=tiny-conv",
+                                     b"encoder.mode=resnet-18"))
+        with pytest.raises(FormatError, match="'encoder.mode' is 'resnet-18'"):
+            load_checkpoint(path)
 
 
 class TestSelfAttention:
@@ -223,7 +219,7 @@ class TestFuseSemantic:
             weight = rng.normal(size=(14, 8))
             bias = rng.normal(size=8)
             p = FusionParams(Tensor(weight), Tensor(bias))
-            out = fuse_semantic(Tensor(f_g), LabelEmbeddings(Tensor(table)), p)
+            out = fuse_semantic(Tensor(f_g), Tensor(table), p)
             np.testing.assert_allclose(
                 out.data, fusion_oracle(f_g, table, weight, bias), atol=1e-12)
 

@@ -142,7 +142,6 @@ class TestPrimitiveGradients:
         ("transpose", lambda x: T.sum_(T.pow_const(T.transpose(x), 2))),
         ("reshape", lambda x: T.sum_(T.pow_const(T.reshape(x, (4, 3)), 2))),
         ("slice", lambda x: T.sum_(T.pow_const(T.slice_axis(x, 1, 1, 3), 2))),
-        ("topk", lambda x: T.sum_(T.pow_const(T.topk(x, 2, axis=1)[0], 2))),
     ])
     def test_unary(self, name, builder):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -220,13 +219,6 @@ class TestMaxReduce:
         x = Tensor(rng.normal(size=(4, 3)))  # distinct values, no ties
         assert check_gradients(lambda: T.sum_(T.pow_const(T.max_reduce(x, 0), 2)),
                                [x]) < 1e-4
-
-
-class TestTopk:
-    def test_values_and_indices(self):
-        vals, idx = T.topk(Tensor([[0.1, 0.9, 0.5, 0.9]]), 2, axis=1)
-        np.testing.assert_array_equal(vals.data, [[0.9, 0.9]])
-        np.testing.assert_array_equal(idx, [[1, 3]])  # tie -> ascending index
 
 
 class TestDeterminismAndDtype:

@@ -19,7 +19,7 @@ from sarl.tensor import Tensor
 from sarl.training import (TrainConfig, TrainingError, adamw_step,
                            config_entries, config_from_file, ema_update,
                            evaluate, export_attention, init_optimizer,
-                           model_config, preset, shadow_model,
+                           model_config, shadow_model,
                            synthetic_config, train, write_pgm)
 from sarl import training as Tr
 
@@ -128,16 +128,6 @@ class TestEma:
 
 
 class TestConfig:
-    def test_presets(self):
-        voc = preset("voc2007")
-        assert voc.lr == 9e-5 and voc.batch_size == 64
-        assert voc.lambda1 == 0.04 and voc.lambda2 == 0.5
-        coco = preset("ms-coco")
-        assert coco.lr == 5e-5 and coco.batch_size == 52
-        assert coco.lambda1 == 0.2 and coco.lambda2 == 0.5
-        with pytest.raises(ValueError):
-            preset("imagenet")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
@@ -158,7 +148,7 @@ class TestConfig:
     def test_file_overrides_base(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("lr=0.25\n")
-        cfg = config_from_file(path, base=preset("voc2007"))
+        cfg = config_from_file(path, base=TrainConfig(lr=9e-5, batch_size=64))
         assert cfg.lr == 0.25
         assert cfg.batch_size == 64
 

@@ -197,29 +197,27 @@ class TestPlans:
     def test_constant_mass_forward(self):
         theta = Tensor(np.array([0.5, 0.3, 0.2]))
         plan = forward_plan(Tensor(np.ones((3, 4))), theta)
-        np.testing.assert_allclose(plan.t.data,
+        np.testing.assert_allclose(plan.data,
                                    np.tile(theta.data[:, None] / 4.0, (1, 4)),
                                    atol=1e-12)
-        assert plan.direction == "forward"
 
     def test_forward_closed_form_row(self):
         mass = Tensor(np.array([[math.log(3.0), 0.0], [math.log(3.0), 0.0]]))
         plan = forward_plan(mass, Tensor(np.array([0.5, 0.5])))
-        np.testing.assert_allclose(plan.t.data, [[0.375, 0.125], [0.375, 0.125]],
+        np.testing.assert_allclose(plan.data, [[0.375, 0.125], [0.375, 0.125]],
                                    atol=1e-12)
 
     def test_constant_mass_backward(self):
         beta = Tensor(np.array([0.7, 0.3]))
         plan = backward_plan(Tensor(np.zeros((4, 2))), beta)
-        np.testing.assert_allclose(plan.t.data,
+        np.testing.assert_allclose(plan.data,
                                    np.tile(beta.data[None, :] / 4.0, (4, 1)),
                                    atol=1e-12)
-        assert plan.direction == "backward"
 
     def test_backward_closed_form_column(self):
         mass = Tensor(np.array([[math.log(3.0)], [0.0]]))
         plan = backward_plan(mass, Tensor(np.array([1.0])))
-        np.testing.assert_allclose(plan.t.data, [[0.75], [0.25]], atol=1e-12)
+        np.testing.assert_allclose(plan.data, [[0.75], [0.25]], atol=1e-12)
 
     def test_marginals(self):
         rng = np.random.default_rng(3)
@@ -227,8 +225,8 @@ class TestPlans:
             mass = Tensor(rng.normal(size=(5, 3)) * 2.0)
             theta = rng.dirichlet(np.ones(5))
             beta = rng.dirichlet(np.ones(3))
-            fwd = forward_plan(mass, Tensor(theta)).t.data
-            bwd = backward_plan(mass, Tensor(beta)).t.data
+            fwd = forward_plan(mass, Tensor(theta)).data
+            bwd = backward_plan(mass, Tensor(beta)).data
             assert fwd.min() >= 0.0 and bwd.min() >= 0.0
             np.testing.assert_allclose(fwd.sum(axis=1), theta, atol=1e-12)
             np.testing.assert_allclose(bwd.sum(axis=0), beta, atol=1e-12)
@@ -263,7 +261,7 @@ class TestCtLoss:
             rng = np.random.default_rng(seed)
             fwd, bwd, co = self.run_pipeline(rng)
             loss = ct_loss(fwd, bwd, co)
-            expect = ct_loss_oracle(fwd.t.data, bwd.t.data, co.data)
+            expect = ct_loss_oracle(fwd.data, bwd.data, co.data)
             np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
             assert loss.item() >= 0.0
 

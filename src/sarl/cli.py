@@ -110,6 +110,10 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = load_checkpoint(args.checkpoint)
+    num_c = model.config.num_classes
+    if not 1 <= args.top_k <= num_c:
+        raise SystemExit(f"--top-k {args.top_k} outside 1..{num_c}: "
+                         f"the model has {num_c} classes")
     ds = load_dataset(args.data)
     report, preds = evaluate(model, ds, threshold=args.threshold,
                              top_k=args.top_k)

@@ -98,12 +98,13 @@ def run_suite(verbose=True):
     check("div", lambda: T.sum_(T.div(a, d)), [a, d])
     m1, m2 = rt(3, 4), rt(4, 2)
     check("matmul", lambda: T.sum_(T.mul(T.matmul(m1, m2), T.matmul(m1, m2))), [m1, m2])
+    s1, s2 = rt(2, 3, 4), rt(2, 4, 5)
+    check("matmul_stacked", lambda: T.sum_(T.pow_const(T.matmul(s1, s2), 2)), [s1, s2])
     check("transpose", lambda: T.sum_(T.mul(T.transpose(m1), T.transpose(m1))), [m1])
+    check("transpose_axes",
+          lambda: T.sum_(T.pow_const(T.transpose(s1, (1, 2, 0)), 2)), [s1])
     check("reshape", lambda: T.sum_(T.pow_const(T.reshape(a, (4, 3)), 2)), [a])
     check("concat", lambda: T.sum_(T.pow_const(T.concat([a, b], axis=1), 2)), [a, b])
-    check("slice", lambda: T.sum_(T.pow_const(T.slice_axis(a, 1, 1, 3), 2)), [a])
-    v = rt(4)
-    check("tile_rows", lambda: T.sum_(T.pow_const(T.tile_rows(v, 3), 2)), [v])
     check("exp", lambda: T.sum_(T.exp(a)), [a])
     p = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)))
     check("log", lambda: T.sum_(T.log(p)), [p])

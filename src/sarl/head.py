@@ -80,7 +80,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.num_classes < 1:
-            raise ConfigError("need at least one class")
+            raise ConfigError(f"num_classes={self.num_classes} must be >= 1")
         if self.encoder is not None and self.encoder.feature_dim != self.feature_dim:
             raise ConfigError(
                 f"encoder feature_dim {self.encoder.feature_dim} != "
@@ -268,30 +268,38 @@ def _config_from_manifest(text: str) -> ModelConfig:
         if line:
             key, _, value = line.partition("=")
             entries[key] = value
+
+    def integer(key):
+        try:
+            return int(entries[key])
+        except ValueError:
+            raise FormatError(f"checkpoint manifest key {key!r} is "
+                              f"{entries[key]!r}, not an integer") from None
+
     try:
         if entries["encoder.mode"] != ENCODER_MODE:
             raise FormatError(
                 f"checkpoint manifest key 'encoder.mode' is "
                 f"{entries['encoder.mode']!r}, expected {ENCODER_MODE!r}")
         encoder = EncoderConfig(
-            in_channels=int(entries["encoder.in_channels"]),
-            grid_h=int(entries["encoder.grid_h"]),
-            grid_w=int(entries["encoder.grid_w"]),
-            feature_dim=int(entries["feature_dim"]),
-            conv_blocks=int(entries["encoder.conv_blocks"]),
+            in_channels=integer("encoder.in_channels"),
+            grid_h=integer("encoder.grid_h"),
+            grid_w=integer("encoder.grid_w"),
+            feature_dim=integer("feature_dim"),
+            conv_blocks=integer("encoder.conv_blocks"),
         )
         return ModelConfig(
-            num_classes=int(entries["num_classes"]),
-            feature_dim=int(entries["feature_dim"]),
-            label_dim=int(entries["label_dim"]),
-            bilinear_dim=int(entries["bilinear_dim"]),
-            bilinear_out=int(entries["bilinear_out"]),
-            n_heads=int(entries["n_heads"]),
+            num_classes=integer("num_classes"),
+            feature_dim=integer("feature_dim"),
+            label_dim=integer("label_dim"),
+            bilinear_dim=integer("bilinear_dim"),
+            bilinear_out=integer("bilinear_out"),
+            n_heads=integer("n_heads"),
             gsp_mode=entries["gsp_mode"],
             encoder=encoder,
-            disable_self_attn=bool(int(entries["disable_self_attn"])),
-            disable_ot=bool(int(entries["disable_ot"])),
-            disable_gsp_fusion=bool(int(entries["disable_gsp_fusion"])),
+            disable_self_attn=bool(integer("disable_self_attn")),
+            disable_ot=bool(integer("disable_ot")),
+            disable_gsp_fusion=bool(integer("disable_gsp_fusion")),
         )
     except KeyError as missing:
         raise FormatError(f"checkpoint manifest missing {missing}") from None
@@ -339,8 +347,13 @@ def load_checkpoint(path) -> ModelBundle:
     version, manifest_len = struct.unpack("<2I", take(8, "header"))
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    cfg = _config_from_manifest(take(manifest_len, "manifest").decode())
-    model = build_model(cfg, seed=0, dtype=np.float32)
+    manifest = take(manifest_len, "manifest").decode()
+    try:
+        model = build_model(_config_from_manifest(manifest), seed=0,
+                            dtype=np.float32)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint manifest describes no valid model: "
+                          f"{exc}") from None
     params = model.parameters()
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     if count != len(params):

@@ -127,8 +127,8 @@ def _predicted_matrix(preds: PredictionSet, mode, threshold, k):
         return preds.scores >= threshold
     if mode == "top-k":
         n, num_c = preds.scores.shape
-        if k > num_c:
-            raise ValueError(f"top-{k} impossible with {num_c} classes")
+        if not 1 <= k <= num_c:
+            raise ValueError(f"top-{k} needs 1 <= k <= {num_c} classes")
         predicted = np.zeros((n, num_c), dtype=bool)
         for i in range(n):
             order = np.argsort(-preds.scores[i], kind="stable")

@@ -57,9 +57,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.grid_h < 1 or self.grid_w < 1:
-            raise ConfigError(f"patch grid {self.grid_h}x{self.grid_w} must be >= 1x1")
+            raise ConfigError(f"grid_h={self.grid_h}, grid_w={self.grid_w} must be >= 1")
         if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim {self.feature_dim} must be >= 1")
+            raise ConfigError(f"feature_dim={self.feature_dim} must be >= 1")
 
     @property
     def num_patches(self) -> int:
@@ -103,8 +103,8 @@ class SelfAttentionParams:
 
     def __post_init__(self):
         d_v = self.w_q.shape[0]
-        if d_v % self.n_heads != 0:
-            raise ConfigError(f"d_v={d_v} not divisible by {self.n_heads} heads")
+        if self.n_heads < 1 or d_v % self.n_heads != 0:
+            raise ConfigError(f"n_heads={self.n_heads} must be >= 1 and divide d_v={d_v}")
 
 
 @dataclass
@@ -175,29 +175,24 @@ def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
 def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
     """Scaled dot-product self-attention over patches, heads concatenated.
 
-    Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads. There is
-    no output projection, residual, or layer norm; head outputs are
-    concatenated back to width d_v.
+    Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads; the heads
+    are an array axis. There is no output projection, residual, or layer
+    norm; head outputs are concatenated back to width d_v.
     """
     f = fm.f
-    d_v = f.shape[1]
+    num_p, d_v = f.shape
     if p.w_q.shape != (d_v, d_v):
         raise ConfigError(f"attention weights {p.w_q.shape} vs d_v={d_v}")
-    d = d_v // p.n_heads
-    q = T.matmul(f, p.w_q)
-    k = T.matmul(f, p.w_k)
-    v = T.matmul(f, p.w_v)
-    heads = []
-    for i in range(p.n_heads):
-        lo, hi = i * d, (i + 1) * d
-        qh = T.slice_axis(q, 1, lo, hi)
-        kh = T.slice_axis(k, 1, lo, hi)
-        vh = T.slice_axis(v, 1, lo, hi)
-        logits = T.div(T.matmul(qh, T.transpose(kh)), math.sqrt(d))
-        attn = T.softmax(logits, axis=1)
-        heads.append(T.matmul(attn, vh))
-    out = heads[0] if len(heads) == 1 else T.concat(heads, axis=1)
-    return FeatureMap(out, fm.h, fm.w)
+    split = (num_p, p.n_heads, d_v // p.n_heads)
+    # heads become the leading axis: Q and V are (H, P, d), K^T is (H, d, P);
+    # scaling the (P, d_v) queries is cheaper than scaling the (H, P, P) logits
+    q = T.mul(T.matmul(f, p.w_q), 1.0 / math.sqrt(split[2]))
+    q = T.transpose(T.reshape(q, split), (1, 0, 2))
+    k_t = T.transpose(T.reshape(T.matmul(f, p.w_k), split), (1, 2, 0))
+    v = T.transpose(T.reshape(T.matmul(f, p.w_v), split), (1, 0, 2))
+    attn = T.softmax(T.matmul(q, k_t), axis=2)
+    heads = T.transpose(T.matmul(attn, v), (1, 0, 2))  # back to (P, H, d)
+    return FeatureMap(T.reshape(heads, (num_p, d_v)), fm.h, fm.w)
 
 
 def global_spatial_pool(fm: FeatureMap, mode="avg") -> Tensor:
@@ -215,6 +210,6 @@ def fuse_semantic(f_g: Tensor, table: Tensor, p: FusionParams) -> Tensor:
     F_G acts as a shared prompt prepended to every label row; the output
     is the semantic-related feature table F_S (C x d_v).
     """
-    num_classes = table.shape[0]
-    stacked = T.concat([T.tile_rows(f_g, num_classes), table], axis=1)
+    rows = T.mul(np.ones((table.shape[0], 1), dtype=f_g.dtype), f_g)
+    stacked = T.concat([rows, table], axis=1)
     return T.add(T.matmul(stacked, p.weight), p.bias)

@@ -27,8 +27,6 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
-    "slice_axis",
-    "tile_rows",
     "exp",
     "log",
     "sqrt",
@@ -283,29 +281,36 @@ def neg(a):
 # linear algebra and shape ops
 
 def matmul(a, b):
+    """Matrix product of stacks: (..., m, k) @ (..., k, n), equal leading dims."""
     ad, at = _lift(a)
     bd, bt = _lift(b)
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"matmul needs (m,k)x(k,n), got {ad.shape} x {bd.shape}")
+    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise DimensionError(
+            f"matmul needs (...,m,k)x(...,k,n), got {ad.shape} x {bd.shape}")
 
     def backward_fn(g):
         if at is not None:
-            _accumulate(at, g @ bd.T)
+            _accumulate(at, g @ np.swapaxes(bd, -1, -2))
         if bt is not None:
-            _accumulate(bt, ad.T @ g)
+            _accumulate(bt, np.swapaxes(ad, -1, -2) @ g)
 
     return _make(ad @ bd, "matmul", (at, bt), backward_fn)
 
 
-def transpose(a):
+def transpose(a, axes=None):
+    """Permute axes; with ``axes=None``, transpose a matrix."""
     ad, at = _lift(a)
-    if ad.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {ad.shape}")
+    if axes is None:
+        if ad.ndim != 2:
+            raise DimensionError(f"transpose expects a matrix, got shape {ad.shape}")
+        axes = (1, 0)
+    inverse = np.argsort(axes)
 
     def backward_fn(g):
-        _accumulate(at, g.T)
+        _accumulate(at, g.transpose(inverse))
 
-    return _make(ad.T.copy(), "transpose", (at,), backward_fn)
+    return _make(ad.transpose(axes).copy(), "transpose", (at,), backward_fn)
 
 
 def reshape(a, shape):
@@ -330,32 +335,6 @@ def concat(parts, axis=0):
 
     return _make(np.concatenate(datas, axis=axis), "concat",
                  [t for _, t in lifted], backward_fn)
-
-
-def slice_axis(a, axis, start, stop):
-    ad, at = _lift(a)
-    index = [slice(None)] * ad.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-
-    def backward_fn(g):
-        gz = np.zeros_like(ad)
-        gz[index] = g
-        _accumulate(at, gz)
-
-    return _make(ad[index].copy(), "slice", (at,), backward_fn)
-
-
-def tile_rows(v, n):
-    """Repeat a vector as the rows of an (n, d) matrix."""
-    vd, vt = _lift(v)
-    if vd.ndim != 1:
-        raise DimensionError(f"tile_rows expects a vector, got shape {vd.shape}")
-
-    def backward_fn(g):
-        _accumulate(vt, g.sum(axis=0))
-
-    return _make(np.tile(vd, (n, 1)), "tile_rows", (vt,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +435,16 @@ def clamp(a, lo, hi):
 def softmax(a, axis):
     """Numerically stable softmax: each slice along ``axis`` sums to 1."""
     ad, at = _lift(a)
-    shifted = ad - ad.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    # in place on buffers this op owns: attention logits are (H, P, P)
+    out_data = ad - ad.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(at, out_data * (g - inner))
+        d = g - inner
+        d *= out_data
+        _accumulate(at, d)
 
     return _make(out_data, "softmax", (at,), backward_fn)
 

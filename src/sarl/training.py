@@ -49,7 +49,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingError(RuntimeError):
-    """Training aborted; the message names the offending tensor."""
+    """Training aborted; the message names the offending rows or tensor."""
 
 
 @dataclass
@@ -245,6 +245,11 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     n = len(train_ds)
     images = train_ds.payload
     labels = train_ds.labels.astype(np.float64)
+    empty = np.flatnonzero(labels.sum(axis=1) == 0)
+    if empty.size:
+        rows = ", ".join(map(str, empty[:20])) + (", ..." if empty.size > 20 else "")
+        raise TrainingError(f"{empty.size} training rows have no positive "
+                            f"label: rows {rows}")
 
     for key, value in sorted(config_entries(cfg).items()):
         say(f"config {key}={value}")
@@ -318,6 +323,8 @@ def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
     if ds.num_classes != num_c:
         raise ValueError(
             f"dataset has {ds.num_classes} classes, model wants {num_c}")
+    if not 1 <= top_k <= num_c:
+        raise ValueError(f"top_k={top_k} needs 1 <= k <= {num_c} classes")
     scores = np.zeros((n, num_c))
     for i in range(n):
         out = forward(ds.payload[i], model)

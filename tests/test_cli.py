@@ -134,6 +134,17 @@ class TestEvalVerb:
         assert entries["top_k"] == "5" and entries["threshold"] == "0.3"
         assert "OF1.top5" in entries and "OF1.top3" not in entries
 
+    def test_top_k_beyond_class_count_rejected(self, tmp_path):
+        data = gen(tmp_path)
+        run = tmp_path / "run"
+        main(["train", "--out", str(run),
+              "--train-data", str(data / "train.bin"),
+              "--test-data", str(data / "test.bin"), *TINY_TRAIN])
+        for k in ("-1", "0", "5"):
+            with pytest.raises(SystemExit, match=f"^--top-k {k} outside 1..4"):
+                main(["eval", "--checkpoint", str(run / "model.ckpt"),
+                      "--data", str(data / "test.bin"), "--top-k", k])
+
 
 class TestExportVerb:
     def test_writes_both_pgms(self, tmp_path):

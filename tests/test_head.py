@@ -298,3 +298,24 @@ class TestCheckpoint:
         path.write_bytes(raw.replace(b"attention.w_k", b"attention.w_q"))
         with pytest.raises(FormatError, match="'attention.w_q' appears twice"):
             load_checkpoint(path)
+
+    def test_non_integer_manifest_value_rejected(self, tmp_path):
+        model = build_model(tiny_config(), seed=26, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        assert raw.count(b"num_classes=3\n") == 1
+        path.write_bytes(raw.replace(b"num_classes=3\n", b"num_classes=x\n"))
+        with pytest.raises(FormatError, match="'num_classes' is 'x'"):
+            load_checkpoint(path)
+
+    def test_invalid_model_in_manifest_rejected(self, tmp_path):
+        # 8 heads divide feature_dim 8; 3 heads do not
+        model = build_model(tiny_config(n_heads=8), seed=27, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        assert raw.count(b"\nn_heads=8\n") == 1
+        path.write_bytes(raw.replace(b"\nn_heads=8\n", b"\nn_heads=3\n"))
+        with pytest.raises(FormatError, match="n_heads=3"):
+            load_checkpoint(path)

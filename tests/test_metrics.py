@@ -216,8 +216,9 @@ class TestPrfMetrics:
 
     def test_bad_k_rejected(self):
         preds = PredictionSet(np.ones((2, 3)), np.ones((2, 3), dtype=int))
-        with pytest.raises(ValueError):
-            prf_metrics(preds, "top-k", k=4)
+        for k in (-1, 0, 4):
+            with pytest.raises(ValueError, match=f"top-{k} needs 1 <= k <= 3"):
+                prf_metrics(preds, "top-k", k=k)
 
     def test_unknown_mode_rejected(self):
         preds = PredictionSet(np.ones((2, 3)), np.ones((2, 3), dtype=int))

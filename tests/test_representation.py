@@ -13,7 +13,7 @@ from sarl.representation import (ConfigError, EncoderConfig, FeatureMap,
                                  FusionParams, SelfAttentionParams, encode, fuse_semantic,
                                  global_spatial_pool, init_encoder,
                                  self_attention)
-from sarl.tensor import Tensor
+from sarl.tensor import Tape, Tensor
 
 
 def attention_oracle(f, w_q, w_k, w_v, n_heads):
@@ -123,13 +123,26 @@ class TestSelfAttention:
         np.testing.assert_allclose(out.f.data, expect, atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            f = rng.normal(size=(4, 8))
-            p = self.params(rng, 8, 2)
-            out = self_attention(feature_map(f, 2, 2), p)
-            expect = attention_oracle(f, p.w_q.data, p.w_k.data, p.w_v.data, 2)
-            np.testing.assert_allclose(out.f.data, expect, atol=1e-10)
+        for num_p, d_v, n_heads in ((4, 8, 2), (16, 32, 8), (4, 8, 1), (16, 32, 1)):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                f = rng.normal(size=(num_p, d_v))
+                p = self.params(rng, d_v, n_heads)
+                out = self_attention(feature_map(f, num_p, 1), p)
+                expect = attention_oracle(f, p.w_q.data, p.w_k.data, p.w_v.data,
+                                          n_heads)
+                np.testing.assert_allclose(out.f.data, expect, atol=1e-12)
+
+    def test_record_count_independent_of_heads(self):
+        # the heads are an array axis, never a loop over tape records
+        rng = np.random.default_rng(15)
+        f = Tensor(rng.normal(size=(4, 8)))
+        counts = []
+        for n_heads in (1, 2, 8):
+            with Tape() as tape:
+                self_attention(FeatureMap(f, 2, 2), self.params(rng, 8, n_heads))
+            counts.append(len(tape))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_head_count_must_divide(self):
         rng = np.random.default_rng(6)

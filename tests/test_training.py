@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sarl.data import generate, load_dataset, read_manifest
-from sarl.head import forward, load_checkpoint
+from sarl.data import Dataset, generate, load_dataset, read_manifest
+from sarl.head import build_model, forward, load_checkpoint
 from sarl.metrics import load_predictions, compute_report
 from sarl.tensor import Tensor
 from sarl.training import (TrainConfig, TrainingError, adamw_step,
@@ -222,6 +222,18 @@ class TestTrainLoop:
             with pytest.raises(TrainingError, match="non-finite"):
                 train(cfg, train_ds, test_ds)
 
+    def test_row_without_positive_rejected_before_training(self):
+        cfg = tiny_config()
+        train_ds, test_ds = generate(synthetic_config(cfg))
+        assert len(train_ds) == 40
+        labels = train_ds.labels.copy()
+        labels[17] = 0
+        lines = []
+        with pytest.raises(TrainingError, match="no positive label: rows 17$"):
+            train(cfg, Dataset(train_ds.payload, labels), test_ds,
+                  log=lines.append)
+        assert lines == []
+
     def test_evaluate_matches_train_report(self):
         cfg = tiny_config(epochs=2)
         train_ds, test_ds = generate(synthetic_config(cfg))
@@ -272,6 +284,14 @@ class TestTrainLoop:
         res = train(cfg, train_ds, test_ds)
         with pytest.raises(ValueError, match="classes"):
             evaluate(res.model, other_train)
+
+    def test_top_k_outside_class_count_rejected(self):
+        cfg = tiny_config()
+        _, test_ds = generate(synthetic_config(cfg))
+        model = build_model(model_config(cfg), dtype=np.float32)
+        for k in (-1, 0, 5):
+            with pytest.raises(ValueError, match=f"top_k={k} needs 1 <= k <= 4"):
+                evaluate(model, test_ds, top_k=k)
 
 
 class TestPgmExport:

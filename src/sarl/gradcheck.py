@@ -98,11 +98,7 @@ def run_suite(verbose=True):
     check("div", lambda: T.sum_(T.div(a, d)), [a, d])
     m1, m2 = rt(3, 4), rt(4, 2)
     check("matmul", lambda: T.sum_(T.mul(T.matmul(m1, m2), T.matmul(m1, m2))), [m1, m2])
-    s1, s2 = rt(2, 3, 4), rt(2, 4, 5)
-    check("matmul_stacked", lambda: T.sum_(T.pow_const(T.matmul(s1, s2), 2)), [s1, s2])
     check("transpose", lambda: T.sum_(T.mul(T.transpose(m1), T.transpose(m1))), [m1])
-    check("transpose_axes",
-          lambda: T.sum_(T.pow_const(T.transpose(s1, (1, 2, 0)), 2)), [s1])
     check("reshape", lambda: T.sum_(T.pow_const(T.reshape(a, (4, 3)), 2)), [a])
     check("concat", lambda: T.sum_(T.pow_const(T.concat([a, b], axis=1), 2)), [a, b])
     check("exp", lambda: T.sum_(T.exp(a)), [a])
@@ -116,6 +112,11 @@ def run_suite(verbose=True):
     check("pow", lambda: T.sum_(T.pow_const(d, 2.0)), [d])
     check("clamp", lambda: T.sum_(T.pow_const(T.clamp(a, -0.5, 0.5), 2)), [a])
     check("softmax", lambda: T.sum_(T.pow_const(T.softmax(a, axis=1), 2)), [a])
+    for num_p, n_heads in ((5, 1), (5, 4), (1, 4)):
+        q, k, v = rt(num_p, 8), rt(num_p, 8), rt(num_p, 8)
+        check(f"attention_p{num_p}_h{n_heads}",
+              lambda: T.sum_(T.pow_const(T.attention(q, k, v, n_heads), 2)),
+              [q, k, v])
     check("mean", lambda: T.mean(T.pow_const(a, 2)), [a])
     check("max", lambda: T.sum_(T.pow_const(T.max_reduce(a, axis=0), 2)), [a])
     img = rt(6, 6, 2)

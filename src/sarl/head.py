@@ -81,6 +81,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ConfigError(f"num_classes={self.num_classes} must be >= 1")
+        if self.gsp_mode not in ("avg", "max"):
+            raise ConfigError(f"gsp_mode={self.gsp_mode!r} must be 'avg' or 'max'")
         if self.encoder is not None and self.encoder.feature_dim != self.feature_dim:
             raise ConfigError(
                 f"encoder feature_dim {self.encoder.feature_dim} != "
@@ -264,17 +266,27 @@ def _manifest_text(cfg: ModelConfig) -> str:
 
 def _config_from_manifest(text: str) -> ModelConfig:
     entries = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line:
             key, _, value = line.partition("=")
+            if key in entries:
+                raise FormatError(f"checkpoint manifest key {key!r} appears twice")
             entries[key] = value
 
     def integer(key):
-        try:
-            return int(entries[key])
-        except ValueError:
+        value = entries[key]
+        # int() would also take signs, spaces and underscores
+        if not (value.isascii() and value.isdigit()):
             raise FormatError(f"checkpoint manifest key {key!r} is "
-                              f"{entries[key]!r}, not an integer") from None
+                              f"{value!r}, not an integer")
+        return int(value)
+
+    def flag(key):
+        value = integer(key)
+        if value not in (0, 1):
+            raise FormatError(f"checkpoint manifest key {key!r} is "
+                              f"{entries[key]!r}, not 0 or 1")
+        return bool(value)
 
     try:
         if entries["encoder.mode"] != ENCODER_MODE:
@@ -297,9 +309,9 @@ def _config_from_manifest(text: str) -> ModelConfig:
             n_heads=integer("n_heads"),
             gsp_mode=entries["gsp_mode"],
             encoder=encoder,
-            disable_self_attn=bool(integer("disable_self_attn")),
-            disable_ot=bool(integer("disable_ot")),
-            disable_gsp_fusion=bool(integer("disable_gsp_fusion")),
+            disable_self_attn=flag("disable_self_attn"),
+            disable_ot=flag("disable_ot"),
+            disable_gsp_fusion=flag("disable_gsp_fusion"),
         )
     except KeyError as missing:
         raise FormatError(f"checkpoint manifest missing {missing}") from None
@@ -341,13 +353,22 @@ def load_checkpoint(path) -> ModelBundle:
                 f"{view.tell() - len(data)}, got {len(data)}")
         return data
 
+    def text(n, what):
+        start = view.tell()
+        data = take(n, what)
+        try:
+            return data.decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} is not UTF-8: byte {data[exc.start]:#04x} "
+                              f"at offset {start + exc.start}") from None
+
     magic = take(len(CKPT_MAGIC), "magic")
     if magic != CKPT_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0")
     version, manifest_len = struct.unpack("<2I", take(8, "header"))
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    manifest = take(manifest_len, "manifest").decode()
+    manifest = text(manifest_len, "manifest")
     try:
         model = build_model(_config_from_manifest(manifest), seed=0,
                             dtype=np.float32)
@@ -362,7 +383,7 @@ def load_checkpoint(path) -> ModelBundle:
     seen = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode()
+        name = text(name_len, "tensor name")
         if name not in params:
             raise FormatError(f"unknown tensor {name!r} in checkpoint")
         if name in seen:

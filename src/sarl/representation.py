@@ -175,24 +175,18 @@ def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
 def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
     """Scaled dot-product self-attention over patches, heads concatenated.
 
-    Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads; the heads
-    are an array axis. There is no output projection, residual, or layer
-    norm; head outputs are concatenated back to width d_v.
+    Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads, computed
+    by one :func:`sarl.tensor.attention` call. There is no output
+    projection, residual, or layer norm; head outputs are concatenated
+    back to width d_v.
     """
     f = fm.f
-    num_p, d_v = f.shape
+    d_v = f.shape[1]
     if p.w_q.shape != (d_v, d_v):
         raise ConfigError(f"attention weights {p.w_q.shape} vs d_v={d_v}")
-    split = (num_p, p.n_heads, d_v // p.n_heads)
-    # heads become the leading axis: Q and V are (H, P, d), K^T is (H, d, P);
-    # scaling the (P, d_v) queries is cheaper than scaling the (H, P, P) logits
-    q = T.mul(T.matmul(f, p.w_q), 1.0 / math.sqrt(split[2]))
-    q = T.transpose(T.reshape(q, split), (1, 0, 2))
-    k_t = T.transpose(T.reshape(T.matmul(f, p.w_k), split), (1, 2, 0))
-    v = T.transpose(T.reshape(T.matmul(f, p.w_v), split), (1, 0, 2))
-    attn = T.softmax(T.matmul(q, k_t), axis=2)
-    heads = T.transpose(T.matmul(attn, v), (1, 0, 2))  # back to (P, H, d)
-    return FeatureMap(T.reshape(heads, (num_p, d_v)), fm.h, fm.w)
+    heads = T.attention(T.matmul(f, p.w_q), T.matmul(f, p.w_k),
+                        T.matmul(f, p.w_v), p.n_heads)
+    return FeatureMap(heads, fm.h, fm.w)
 
 
 def global_spatial_pool(fm: FeatureMap, mode="avg") -> Tensor:

@@ -12,6 +12,8 @@ between steps instead of mutating buffers in place.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "pow_const",
     "clamp",
     "softmax",
+    "attention",
     "sum_",
     "mean",
     "max_reduce",
@@ -281,36 +284,29 @@ def neg(a):
 # linear algebra and shape ops
 
 def matmul(a, b):
-    """Matrix product of stacks: (..., m, k) @ (..., k, n), equal leading dims."""
     ad, at = _lift(a)
     bd, bt = _lift(b)
-    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
-            or ad.shape[-1] != bd.shape[-2]):
-        raise DimensionError(
-            f"matmul needs (...,m,k)x(...,k,n), got {ad.shape} x {bd.shape}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul needs (m,k)x(k,n), got {ad.shape} x {bd.shape}")
 
     def backward_fn(g):
         if at is not None:
-            _accumulate(at, g @ np.swapaxes(bd, -1, -2))
+            _accumulate(at, g @ bd.T)
         if bt is not None:
-            _accumulate(bt, np.swapaxes(ad, -1, -2) @ g)
+            _accumulate(bt, ad.T @ g)
 
     return _make(ad @ bd, "matmul", (at, bt), backward_fn)
 
 
-def transpose(a, axes=None):
-    """Permute axes; with ``axes=None``, transpose a matrix."""
+def transpose(a):
     ad, at = _lift(a)
-    if axes is None:
-        if ad.ndim != 2:
-            raise DimensionError(f"transpose expects a matrix, got shape {ad.shape}")
-        axes = (1, 0)
-    inverse = np.argsort(axes)
+    if ad.ndim != 2:
+        raise DimensionError(f"transpose expects a matrix, got shape {ad.shape}")
 
     def backward_fn(g):
-        _accumulate(at, g.transpose(inverse))
+        _accumulate(at, g.T)
 
-    return _make(ad.transpose(axes).copy(), "transpose", (at,), backward_fn)
+    return _make(ad.T.copy(), "transpose", (at,), backward_fn)
 
 
 def reshape(a, shape):
@@ -435,7 +431,7 @@ def clamp(a, lo, hi):
 def softmax(a, axis):
     """Numerically stable softmax: each slice along ``axis`` sums to 1."""
     ad, at = _lift(a)
-    # in place on buffers this op owns: attention logits are (H, P, P)
+    # in place on buffers this op owns
     out_data = ad - ad.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True)
@@ -447,6 +443,58 @@ def softmax(a, axis):
         _accumulate(at, d)
 
     return _make(out_data, "softmax", (at,), backward_fn)
+
+
+def attention(q, k, v, n_heads):
+    """Multi-head scaled dot-product attention over the rows of q, k, v.
+
+    q, k and v are (P, d_v); head h owns columns h*d to (h+1)*d with
+    d = d_v / n_heads and computes softmax(Q_h K_h^T / sqrt(d)) V_h. The
+    (P, d_v) result holds the heads side by side. One tape record: the
+    backward uses rowsum(dA * A) = rowsum(dO * O) (FlashAttention), so the
+    only (H, P, P) array kept is the unnormalised exp(logits).
+    """
+    qd, qt = _lift(q)
+    kd, kt = _lift(k)
+    vd, vt = _lift(v)
+    if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
+        raise DimensionError(
+            f"attention needs equal (P,d_v) q, k, v, got "
+            f"{qd.shape}, {kd.shape}, {vd.shape}")
+    num_p, d_v = qd.shape
+    if n_heads < 1 or d_v % n_heads:
+        raise DimensionError(f"n_heads={n_heads} must be >= 1 and divide d_v={d_v}")
+    d = d_v // n_heads
+    scale = 1.0 / math.sqrt(d)
+
+    def heads(x):  # (P, d_v) -> (H, P, d) view
+        return x.reshape(num_p, n_heads, d).transpose(1, 0, 2)
+
+    def merge(x):  # (H, P, d) -> (P, d_v) copy
+        return x.transpose(1, 0, 2).reshape(num_p, d_v)
+
+    qh, kh, vh = heads(qd * scale), heads(kd), heads(vd)
+    # in place on buffers this op owns: e is (H, P, P)
+    e = qh @ kh.transpose(0, 2, 1)
+    e -= e.max(axis=2, keepdims=True)
+    np.exp(e, out=e)
+    s = e.sum(axis=2, keepdims=True)
+    o = e @ vh
+    o /= s
+
+    def backward_fn(g):
+        go = heads(g) / s
+        if vt is not None:
+            _accumulate(vt, merge(e.transpose(0, 2, 1) @ go))
+        dp = go @ vh.transpose(0, 2, 1)
+        dp -= (go * o).sum(axis=2, keepdims=True)
+        dp *= e
+        if qt is not None:
+            _accumulate(qt, merge(dp @ kh) * scale)
+        if kt is not None:
+            _accumulate(kt, merge(dp.transpose(0, 2, 1) @ qh))
+
+    return _make(merge(o), "attention", (qt, kt, vt), backward_fn)
 
 
 def sum_(a, axis=None):

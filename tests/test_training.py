@@ -13,9 +13,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sarl.data import Dataset, generate, load_dataset, read_manifest
-from sarl.head import build_model, forward, load_checkpoint
+from sarl.head import build_model, forward, load_checkpoint, sample_losses
 from sarl.metrics import load_predictions, compute_report
-from sarl.tensor import Tensor
+from sarl.representation import ConfigError
+from sarl.tensor import Tape, Tensor
 from sarl.training import (TrainConfig, TrainingError, adamw_step,
                            config_entries, config_from_file, ema_update,
                            evaluate, export_attention, init_optimizer,
@@ -201,6 +202,20 @@ class TestTrainLoop:
         ckpt_b = (tmp_path / "b" / "model.ckpt").read_bytes()
         assert ckpt_a == ckpt_b
 
+    def test_default_sample_tape_records(self):
+        # one training sample of the default config, recorded as train() does
+        cfg = TrainConfig()
+        model = build_model(model_config(cfg), seed=cfg.seed, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        image = rng.normal(size=(cfg.image_size, cfg.image_size,
+                                 cfg.channels)).astype(np.float32)
+        labels = np.zeros(cfg.num_classes)
+        labels[[0, 2]] = 1.0
+        with Tape() as tape:
+            out = forward(image, model, labels=labels, train=True)
+            sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
+        assert len(tape) == 101
+
     def test_zero_weights_reduce_total_to_cls(self):
         cfg = tiny_config(lambda1=0.0, lambda2=0.0, epochs=2)
         train_ds, test_ds = generate(synthetic_config(cfg))
@@ -232,6 +247,14 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="no positive label: rows 17$"):
             train(cfg, Dataset(train_ds.payload, labels), test_ds,
                   log=lines.append)
+        assert lines == []
+
+    def test_unknown_gsp_mode_rejected_before_training(self):
+        cfg = tiny_config(gsp_mode="sum")
+        train_ds, test_ds = generate(synthetic_config(cfg))
+        lines = []
+        with pytest.raises(ConfigError, match="gsp_mode='sum'"):
+            train(cfg, train_ds, test_ds, log=lines.append)
         assert lines == []
 
     def test_evaluate_matches_train_report(self):

@@ -8,8 +8,10 @@ Verbs:
   gradcheck         run the finite-difference suite (nonzero exit on fail)
 
 Every train flag mirrors a TrainConfig field; a flag given on the
-command line overrides the same key from --config. The effective config
-is echoed at the top of the run log.
+command line overrides the same key from --config. Flag values follow
+the config-file rules of :func:`sarl.data.parse_value`. The effective
+config is echoed at the top of the run log, which is opened by its first
+line, so a config that fails validation leaves no run.log behind.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .data import (SyntheticConfig, generate, load_dataset, save_dataset,
-                   stats, write_manifest)
+from .data import (SyntheticConfig, generate, load_dataset, parse_value,
+                   save_dataset, stats, write_manifest)
 from .head import load_checkpoint
 from .metrics import format_report, report_entries, write_predictions
+from .representation import ConfigError
 from .training import (TrainConfig, config_from_file, evaluate,
                        export_attention, synthetic_config, train)
 
@@ -34,19 +37,21 @@ def _flag(name):
 def _add_config_flags(parser, config_cls):
     """One optional flag per dataclass field, default None (= not given)."""
     for f in fields(config_cls):
-        default = f.default
-        if isinstance(default, bool):
+        if isinstance(f.default, bool):
             parser.add_argument(_flag(f.name), dest=f.name, default=None,
                                 action=argparse.BooleanOptionalAction)
         else:
-            parser.add_argument(_flag(f.name), dest=f.name, default=None,
-                                type=type(default))
+            # kept as text: _apply_flags parses it by the field's type
+            parser.add_argument(_flag(f.name), dest=f.name, default=None)
 
 
 def _apply_flags(cfg, args, config_cls):
+    """cfg with every given flag applied; a bad value is a ValueError."""
     updates = {}
     for f in fields(config_cls):
         value = getattr(args, f.name, None)
+        if isinstance(value, str):
+            value = parse_value(_flag(f.name), value, type(f.default))
         if value is not None:
             updates[f.name] = value
     return replace(cfg, **updates) if updates else cfg
@@ -63,11 +68,10 @@ def _check_dataset(ds, cfg: TrainConfig, name):
 
 
 def cmd_gen_data(args):
-    cfg = SyntheticConfig()
-    updates = {f.name: getattr(args, f.name)
-               for f in fields(SyntheticConfig)
-               if getattr(args, f.name, None) is not None}
-    cfg = replace(cfg, **updates)
+    try:
+        cfg = _apply_flags(SyntheticConfig(), args, SyntheticConfig)
+    except ValueError as exc:
+        raise SystemExit(f"sarl gen-data: {exc}") from None
     train_ds, test_ds = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_dataset(os.path.join(args.out, "train.bin"), train_ds)
@@ -82,29 +86,42 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = TrainConfig()
-    if args.config is not None:
-        cfg = config_from_file(args.config, base=cfg)
-    cfg = _apply_flags(cfg, args, TrainConfig)
-
     if (args.train_data is None) != (args.test_data is None):
         raise SystemExit("give both --train-data and --test-data, or neither")
+    try:
+        cfg = TrainConfig()
+        if args.config is not None:
+            cfg = config_from_file(args.config, base=cfg)
+        cfg = _apply_flags(cfg, args, TrainConfig)
+        synthetic = synthetic_config(cfg) if args.train_data is None else None
+    except ValueError as exc:
+        raise SystemExit(f"sarl train: {exc}") from None
+
     if args.train_data is not None:
         train_ds = load_dataset(args.train_data)
         test_ds = load_dataset(args.test_data)
         _check_dataset(train_ds, cfg, args.train_data)
         _check_dataset(test_ds, cfg, args.test_data)
     else:
-        train_ds, test_ds = generate(synthetic_config(cfg))
+        train_ds, test_ds = generate(synthetic)
 
-    os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "run.log")
-    with open(log_path, "w") as fh:
-        def say(line):
-            fh.write(line + "\n")
-            if not args.quiet:
-                print(line)
+    opened = []
+
+    def say(line):
+        if not opened:  # train logs only once the model config checks out
+            os.makedirs(args.out, exist_ok=True)
+            opened.append(open(os.path.join(args.out, "run.log"), "w"))
+        opened[0].write(line + "\n")
+        if not args.quiet:
+            print(line)
+
+    try:
         train(cfg, train_ds, test_ds, log=say, out_dir=args.out)
+    except ConfigError as exc:
+        raise SystemExit(f"sarl train: {exc}") from None
+    finally:
+        for fh in opened:
+            fh.close()
     return 0
 
 

@@ -15,6 +15,8 @@ payload.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -31,6 +33,7 @@ __all__ = [
     "stats",
     "write_manifest",
     "read_manifest",
+    "parse_value",
 ]
 
 MAGIC = b"SARL"
@@ -68,6 +71,8 @@ class SyntheticConfig:
                 f"cardinality {self.cardinality} outside [1, {self.num_classes}]")
         if self.height < BLOB_SIZE or self.width < BLOB_SIZE:
             raise ValueError(f"images must be at least {BLOB_SIZE}x{BLOB_SIZE}")
+        if self.noise < 0:
+            raise ValueError(f"noise={self.noise} must be >= 0")
 
 
 @dataclass
@@ -146,47 +151,73 @@ def generate(cfg: SyntheticConfig):
 
 
 def save_dataset(path, ds: Dataset):
-    dims = ds.payload.shape[1:]
+    if ds.payload.ndim != 4 or ds.num_classes < 1:
+        raise ValueError(f"the format holds (N, height, width, channels) images "
+                         f"and >= 1 class, got payload {ds.payload.shape} and "
+                         f"{ds.num_classes} classes")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<5I", FORMAT_VERSION, KIND_IMAGES, len(ds),
-                             ds.num_classes, len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+                             ds.num_classes, 3))
+        fh.write(struct.pack("<3I", *ds.payload.shape[1:]))
         fh.write(ds.payload.astype("<f4").tobytes())
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        offset = fh.tell() - len(data)
+def read_exact(view: io.BytesIO, n: int, what: str) -> bytes:
+    """The next n bytes of an in-memory file; fewer left is a FormatError.
+
+    n is checked against the bytes left before anything is read, so a size
+    from a damaged header never becomes an allocation or an overflow.
+    """
+    start = view.tell()
+    left = len(view.getbuffer()) - start
+    if n > left:
         raise FormatError(
-            f"truncated {what}: wanted {n} bytes at offset {offset}, "
-            f"got {len(data)}")
-    return data
+            f"truncated {what}: wanted {n} bytes at offset {start}, got {left}")
+    return view.read(n)
+
+
+def read_text(view: io.BytesIO, n: int, what: str) -> str:
+    """The next n bytes decoded as UTF-8; a bad byte is a FormatError."""
+    start = view.tell()
+    data = read_exact(view, n, what)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8: byte {data[exc.start]:#04x} "
+                          f"at offset {start + exc.start}") from None
 
 
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
-        version, kind, n, num_classes, ndim = struct.unpack(
-            "<5I", _read_exact(fh, 20, "header"))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {version} at byte 4")
-        if kind != KIND_IMAGES:
-            raise FormatError(
-                f"payload kind {kind} at byte 8, expected {KIND_IMAGES} (images)")
-        dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "dims"))
-        per_sample = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = np.frombuffer(
-            _read_exact(fh, 4 * n * per_sample, "payload"), dtype="<f4")
-        labels = np.frombuffer(
-            _read_exact(fh, n * num_classes, "labels"), dtype=np.uint8)
-        extra = fh.read(1)
-        if extra:
-            raise FormatError(f"trailing data at offset {fh.tell() - 1}")
+        view = io.BytesIO(fh.read())
+    magic = read_exact(view, 4, "magic")
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
+    version, kind, n, num_classes, ndim = struct.unpack(
+        "<5I", read_exact(view, 20, "header"))
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version} at byte 4")
+    if kind != KIND_IMAGES:
+        raise FormatError(
+            f"payload kind {kind} at byte 8, expected {KIND_IMAGES} (images)")
+    if num_classes < 1:
+        raise FormatError(f"header field num_classes={num_classes} at byte 16 "
+                          f"must be >= 1")
+    if ndim != 3:
+        raise FormatError(f"header field ndim={ndim} at byte 20, expected 3 "
+                          f"(height, width, channels)")
+    dims = struct.unpack("<3I", read_exact(view, 12, "dims"))
+    # Python ints: sizes from a damaged header cannot overflow
+    payload = np.frombuffer(read_exact(
+        view, 4 * n * math.prod(dims), f"payload (n={n}, dims={dims})"),
+        dtype="<f4")
+    labels = np.frombuffer(read_exact(
+        view, n * num_classes, f"labels (n={n}, num_classes={num_classes})"),
+        dtype=np.uint8)
+    if view.read(1):
+        raise FormatError(f"trailing data at offset {view.tell() - 1}")
     payload = payload.reshape((n,) + dims).copy()
     labels = labels.reshape(n, num_classes).copy()
     try:
@@ -211,7 +242,11 @@ def write_manifest(path, entries: dict):
             fh.write(f"{key}={value}\n")
 
 
-def read_manifest(path) -> dict:
+def read_manifest_lines(path) -> dict:
+    """key -> (line number, value); skips blanks and '#' comments.
+
+    A line without '=' and a key given twice are FormatErrors.
+    """
     entries = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -221,5 +256,42 @@ def read_manifest(path) -> dict:
             if "=" not in line:
                 raise FormatError(f"line {lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in entries:
+                raise FormatError(f"lines {entries[key][0]} and {lineno} both "
+                                  f"set {key!r}")
+            entries[key] = (lineno, value.strip())
     return entries
+
+
+def read_manifest(path) -> dict:
+    return {key: value for key, (_, value) in read_manifest_lines(path).items()}
+
+
+def parse_value(key, text: str, kind: type):
+    """The value ``text`` of ``key`` as an int, float, bool or str.
+
+    int() and float() also take signs, spaces, '_' separators, 'nan' and
+    'inf'. Here an integer is plain ASCII digits, a float is finite and
+    has no '_', and a boolean is 1/true/yes/on or 0/false/no/off. A bad
+    value is a ValueError naming the key.
+    """
+    if kind is bool:
+        if text.lower() in ("1", "true", "yes", "on"):
+            return True
+        if text.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"{key!r} is {text!r}, not a boolean")
+    if kind is int:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"{key!r} is {text!r}, not an integer")
+        return int(text)
+    if kind is float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if "_" in text or not math.isfinite(value):
+            raise ValueError(f"{key!r} is {text!r}, not a finite number")
+        return value
+    return text

@@ -15,7 +15,7 @@ DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 
 
-def numeric_gradient(fn, tensors, index, h=DEFAULT_STEP):
+def numeric_gradient(fn, tensors, index):
     """Central-difference d(fn)/d(tensors[index]), elementwise."""
     target = tensors[index]
     base = target.data.copy()
@@ -23,13 +23,13 @@ def numeric_gradient(fn, tensors, index, h=DEFAULT_STEP):
     flat = grad.reshape(-1)
     for i in range(base.size):
         bumped = base.reshape(-1).copy()
-        bumped[i] = base.reshape(-1)[i] + h
+        bumped[i] = base.reshape(-1)[i] + DEFAULT_STEP
         target.data = bumped.reshape(base.shape)
         hi = float(fn().data)
-        bumped[i] = base.reshape(-1)[i] - h
+        bumped[i] = base.reshape(-1)[i] - DEFAULT_STEP
         target.data = bumped.reshape(base.shape)
         lo = float(fn().data)
-        flat[i] = (hi - lo) / (2.0 * h)
+        flat[i] = (hi - lo) / (2.0 * DEFAULT_STEP)
     target.data = base
     return grad
 
@@ -40,7 +40,7 @@ def gradient_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-def check_gradients(fn, tensors, tol=DEFAULT_TOL, h=DEFAULT_STEP):
+def check_gradients(fn, tensors, tol=DEFAULT_TOL):
     """Check d(fn)/d(t) for every tensor in ``tensors``.
 
     ``fn`` must build a scalar loss from the given leaf tensors from
@@ -54,7 +54,7 @@ def check_gradients(fn, tensors, tol=DEFAULT_TOL, h=DEFAULT_STEP):
                 for t in tensors]
     worst = 0.0
     for i, t in enumerate(tensors):
-        numeric = numeric_gradient(fn, tensors, i, h=h)
+        numeric = numeric_gradient(fn, tensors, i)
         err = gradient_error(analytic[i], numeric)
         worst = max(worst, err)
         if err > tol:
@@ -101,7 +101,6 @@ def run_suite(verbose=True):
     check("transpose", lambda: T.sum_(T.mul(T.transpose(m1), T.transpose(m1))), [m1])
     check("reshape", lambda: T.sum_(T.pow_const(T.reshape(a, (4, 3)), 2)), [a])
     check("concat", lambda: T.sum_(T.pow_const(T.concat([a, b], axis=1), 2)), [a, b])
-    check("exp", lambda: T.sum_(T.exp(a)), [a])
     p = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)))
     check("log", lambda: T.sum_(T.log(p)), [p])
     check("sqrt", lambda: T.sum_(T.sqrt(d)), [d])

@@ -15,13 +15,15 @@ float32 model reloads bit-identically.
 from __future__ import annotations
 
 import io
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
-from .data import FormatError
+from .data import FormatError, parse_value, read_exact, read_text
 from .losses import AslConfig, LossWeights, classification_loss, semantic_map_loss, total_loss
 from .representation import (ConfigError, EncoderConfig, EncoderParams,
                              FeatureMap, FusionParams, SelfAttentionParams,
@@ -68,12 +70,12 @@ class ModelConfig:
 
     num_classes: int
     feature_dim: int
+    encoder: EncoderConfig
     label_dim: int = 16
     bilinear_dim: int = 32
     bilinear_out: int = 16
     n_heads: int = 8
     gsp_mode: str = "avg"
-    encoder: EncoderConfig = None
     disable_self_attn: bool = False
     disable_ot: bool = False
     disable_gsp_fusion: bool = False
@@ -83,7 +85,7 @@ class ModelConfig:
             raise ConfigError(f"num_classes={self.num_classes} must be >= 1")
         if self.gsp_mode not in ("avg", "max"):
             raise ConfigError(f"gsp_mode={self.gsp_mode!r} must be 'avg' or 'max'")
-        if self.encoder is not None and self.encoder.feature_dim != self.feature_dim:
+        if self.encoder.feature_dim != self.feature_dim:
             raise ConfigError(
                 f"encoder feature_dim {self.encoder.feature_dim} != "
                 f"model feature_dim {self.feature_dim}")
@@ -150,8 +152,6 @@ class ModelBundle:
 
 def build_model(cfg: ModelConfig, seed=0, dtype=np.float64) -> ModelBundle:
     """Initialize every parameter group from one seeded stream."""
-    if cfg.encoder is None:
-        raise ConfigError("model config needs an encoder config")
     rng = np.random.default_rng(seed)
     d_v = cfg.feature_dim
     enc = init_encoder(rng, cfg.encoder, dtype)
@@ -243,25 +243,14 @@ def sample_losses(out: ForwardOutput, labels, asl_cfg: AslConfig,
 
 
 def _manifest_text(cfg: ModelConfig) -> str:
-    enc = cfg.encoder
-    pairs = [
-        ("num_classes", cfg.num_classes),
-        ("feature_dim", cfg.feature_dim),
-        ("label_dim", cfg.label_dim),
-        ("bilinear_dim", cfg.bilinear_dim),
-        ("bilinear_out", cfg.bilinear_out),
-        ("n_heads", cfg.n_heads),
-        ("gsp_mode", cfg.gsp_mode),
-        ("disable_self_attn", int(cfg.disable_self_attn)),
-        ("disable_ot", int(cfg.disable_ot)),
-        ("disable_gsp_fusion", int(cfg.disable_gsp_fusion)),
-        ("encoder.in_channels", enc.in_channels),
-        ("encoder.grid_h", enc.grid_h),
-        ("encoder.grid_w", enc.grid_w),
-        ("encoder.conv_blocks", enc.conv_blocks),
-        ("encoder.mode", ENCODER_MODE),
-    ]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    """ModelConfig fields, then encoder.* EncoderConfig fields, then the mode."""
+    pairs = [(f.name, getattr(cfg, f.name))
+             for f in fields(ModelConfig) if f.name != "encoder"]
+    pairs += [("encoder." + f.name, getattr(cfg.encoder, f.name))
+              for f in fields(EncoderConfig) if f.name != "feature_dim"]
+    pairs.append(("encoder.mode", ENCODER_MODE))
+    return "".join(f"{k}={int(v) if isinstance(v, bool) else v}\n"
+                   for k, v in pairs)
 
 
 def _config_from_manifest(text: str) -> ModelConfig:
@@ -273,48 +262,36 @@ def _config_from_manifest(text: str) -> ModelConfig:
                 raise FormatError(f"checkpoint manifest key {key!r} appears twice")
             entries[key] = value
 
-    def integer(key):
-        value = entries[key]
-        # int() would also take signs, spaces and underscores
-        if not (value.isascii() and value.isdigit()):
+    def take(key, kind=str):
+        if key not in entries:
+            raise FormatError(f"checkpoint manifest missing {key!r}")
+        value = entries.pop(key)
+        try:  # a flag is written as the integer 0 or 1
+            parsed = parse_value(key, value, int if kind is bool else kind)
+        except ValueError as exc:
+            raise FormatError(f"checkpoint manifest key {exc}") from None
+        if kind is bool and parsed not in (0, 1):
             raise FormatError(f"checkpoint manifest key {key!r} is "
-                              f"{value!r}, not an integer")
-        return int(value)
+                              f"{value!r}, not 0 or 1")
+        return kind(parsed)
 
-    def flag(key):
-        value = integer(key)
-        if value not in (0, 1):
-            raise FormatError(f"checkpoint manifest key {key!r} is "
-                              f"{entries[key]!r}, not 0 or 1")
-        return bool(value)
+    def values(cls, prefix, skip):
+        kinds = get_type_hints(cls)
+        return {f.name: take(prefix + f.name, kinds[f.name])
+                for f in fields(cls) if f.name != skip}
 
-    try:
-        if entries["encoder.mode"] != ENCODER_MODE:
-            raise FormatError(
-                f"checkpoint manifest key 'encoder.mode' is "
-                f"{entries['encoder.mode']!r}, expected {ENCODER_MODE!r}")
-        encoder = EncoderConfig(
-            in_channels=integer("encoder.in_channels"),
-            grid_h=integer("encoder.grid_h"),
-            grid_w=integer("encoder.grid_w"),
-            feature_dim=integer("feature_dim"),
-            conv_blocks=integer("encoder.conv_blocks"),
-        )
-        return ModelConfig(
-            num_classes=integer("num_classes"),
-            feature_dim=integer("feature_dim"),
-            label_dim=integer("label_dim"),
-            bilinear_dim=integer("bilinear_dim"),
-            bilinear_out=integer("bilinear_out"),
-            n_heads=integer("n_heads"),
-            gsp_mode=entries["gsp_mode"],
-            encoder=encoder,
-            disable_self_attn=flag("disable_self_attn"),
-            disable_ot=flag("disable_ot"),
-            disable_gsp_fusion=flag("disable_gsp_fusion"),
-        )
-    except KeyError as missing:
-        raise FormatError(f"checkpoint manifest missing {missing}") from None
+    # the mode says what the other keys mean, so it is checked first
+    mode = take("encoder.mode")
+    if mode != ENCODER_MODE:
+        raise FormatError(f"checkpoint manifest key 'encoder.mode' is "
+                          f"{mode!r}, expected {ENCODER_MODE!r}")
+    model = values(ModelConfig, "", "encoder")
+    encoder = values(EncoderConfig, "encoder.", "feature_dim")
+    if entries:
+        raise FormatError(f"unknown checkpoint manifest key {next(iter(entries))!r}")
+    return ModelConfig(
+        encoder=EncoderConfig(feature_dim=model["feature_dim"], **encoder),
+        **model)
 
 
 def save_checkpoint(path, model: ModelBundle):
@@ -342,33 +319,14 @@ def save_checkpoint(path, model: ModelBundle):
 def load_checkpoint(path) -> ModelBundle:
     """Rebuild a float32 model from a checkpoint file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    view = io.BytesIO(raw)
-
-    def take(n, what):
-        data = view.read(n)
-        if len(data) != n:
-            raise FormatError(
-                f"truncated {what}: wanted {n} bytes at offset "
-                f"{view.tell() - len(data)}, got {len(data)}")
-        return data
-
-    def text(n, what):
-        start = view.tell()
-        data = take(n, what)
-        try:
-            return data.decode()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{what} is not UTF-8: byte {data[exc.start]:#04x} "
-                              f"at offset {start + exc.start}") from None
-
-    magic = take(len(CKPT_MAGIC), "magic")
+        view = io.BytesIO(fh.read())
+    magic = read_exact(view, len(CKPT_MAGIC), "magic")
     if magic != CKPT_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0")
-    version, manifest_len = struct.unpack("<2I", take(8, "header"))
+    version, manifest_len = struct.unpack("<2I", read_exact(view, 8, "header"))
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    manifest = text(manifest_len, "manifest")
+    manifest = read_text(view, manifest_len, "manifest")
     try:
         model = build_model(_config_from_manifest(manifest), seed=0,
                             dtype=np.float32)
@@ -376,26 +334,26 @@ def load_checkpoint(path) -> ModelBundle:
         raise FormatError(f"checkpoint manifest describes no valid model: "
                           f"{exc}") from None
     params = model.parameters()
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    (count,) = struct.unpack("<I", read_exact(view, 4, "tensor count"))
     if count != len(params):
         raise FormatError(
             f"checkpoint has {count} tensors, model wants {len(params)}")
     seen = set()
     for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = text(name_len, "tensor name")
+        (name_len,) = struct.unpack("<I", read_exact(view, 4, "name length"))
+        name = read_text(view, name_len, "tensor name")
         if name not in params:
             raise FormatError(f"unknown tensor {name!r} in checkpoint")
         if name in seen:
             raise FormatError(f"tensor {name!r} appears twice in checkpoint")
         seen.add(name)
-        (ndim,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape")) if ndim else ()
+        (ndim,) = struct.unpack("<I", read_exact(view, 4, "rank"))
+        shape = struct.unpack(f"<{ndim}I", read_exact(view, 4 * ndim, "shape")) if ndim else ()
         want = params[name].data.shape
         if shape != want:
             raise FormatError(f"tensor {name!r} has shape {shape}, model wants {want}")
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = np.frombuffer(take(4 * size, f"payload of {name!r}"),
+        payload = np.frombuffer(read_exact(view, 4 * math.prod(shape),
+                                           f"payload of {name!r}"),
                                 dtype="<f4")
         params[name].data = payload.reshape(shape).copy()
     if view.read(1):

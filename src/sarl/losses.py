@@ -64,8 +64,6 @@ def asl(p, y, cfg: AslConfig) -> Tensor:
     Always nonnegative.
     """
     y = np.asarray(y, dtype=float)
-    if not isinstance(p, Tensor):
-        p = Tensor(np.asarray(p, dtype=float))
     p = T.clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     pos = T.mul(T.pow_const(T.sub(1.0, p), cfg.gamma_pos), T.log(p))
     p_m = T.clamp(T.sub(p, cfg.clip), 0.0, 1.0)

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+LABEL_INIT_STD = 0.02
+
+
 class ConfigError(ValueError):
     """Inputs or parameter shapes disagree with the configuration."""
 
@@ -61,17 +64,13 @@ class EncoderConfig:
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim={self.feature_dim} must be >= 1")
 
-    @property
-    def num_patches(self) -> int:
-        return self.grid_h * self.grid_w
-
 
 @dataclass
 class EncoderParams:
     """Conv kernels and biases, one pair per block.
 
-    Kernel i is stored flattened as (9 * c_in, feature_dim) to match
-    :func:`sarl.tensor.conv2d`.
+    Kernel i is stored flattened as (CONV_KERNEL**2 * c_in, feature_dim)
+    to match :func:`sarl.tensor.conv2d`.
     """
 
     kernels: list
@@ -124,16 +123,17 @@ def init_encoder(rng, cfg: EncoderConfig, dtype=np.float64) -> EncoderParams:
     kernels, biases = [], []
     c_in = cfg.in_channels
     for _ in range(cfg.conv_blocks):
-        kernels.append(xavier_uniform(rng, 9 * c_in, cfg.feature_dim, dtype))
+        kernels.append(xavier_uniform(rng, T.CONV_KERNEL ** 2 * c_in,
+                                      cfg.feature_dim, dtype))
         biases.append(Tensor(np.zeros(cfg.feature_dim, dtype=dtype)))
         c_in = cfg.feature_dim
     return EncoderParams(kernels, biases)
 
 
-def init_label_embeddings(rng, num_classes, label_dim, sigma=0.02,
+def init_label_embeddings(rng, num_classes, label_dim,
                           dtype=np.float64) -> Tensor:
     """The label table: one learnable label_dim row per class."""
-    table = rng.normal(0.0, sigma, size=(num_classes, label_dim))
+    table = rng.normal(0.0, LABEL_INIT_STD, size=(num_classes, label_dim))
     return Tensor(table.astype(dtype))
 
 
@@ -154,11 +154,11 @@ def init_fusion(rng, d_v, label_dim, dtype=np.float64) -> FusionParams:
 
 
 def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
-    """Turn an (H, W, C) image into patch features."""
-    h = x if isinstance(x, Tensor) else Tensor(x)
-    if h.shape[-1] != cfg.in_channels:
+    """Turn an (H, W, C) image (array or Tensor) into patch features."""
+    if x.shape[-1] != cfg.in_channels:
         raise ConfigError(
-            f"image has {h.shape[-1]} channels, config says {cfg.in_channels}")
+            f"image has {x.shape[-1]} channels, config says {cfg.in_channels}")
+    h = x
     last = cfg.conv_blocks - 1
     for i, (kern, bias) in enumerate(zip(params.kernels, params.biases)):
         h = T.conv2d(h, kern, bias)
@@ -168,7 +168,7 @@ def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
         raise ConfigError(
             f"encoder produced a {h.shape[0]}x{h.shape[1]} grid, "
             f"config says {cfg.grid_h}x{cfg.grid_w}")
-    f = T.reshape(h, (cfg.num_patches, cfg.feature_dim))
+    f = T.reshape(h, (cfg.grid_h * cfg.grid_w, cfg.feature_dim))
     return FeatureMap(f, cfg.grid_h, cfg.grid_w)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
-    "exp",
     "log",
     "sqrt",
     "tanh",
@@ -60,13 +59,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "op")
 
-    def __init__(self, data, dtype=None):
-        if dtype is None:
-            arr = np.asarray(data)
-            if arr.dtype not in (np.float32, np.float64):
-                arr = arr.astype(np.float64)
-        else:
-            arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
         self.op = None
@@ -84,37 +80,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
-
-    # Operator sugar; constants (floats, arrays) are accepted on either side.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _TAPES: list["Tape"] = []
@@ -170,16 +135,6 @@ class Tape:
             backward_fn(out.grad)
 
 
-def _active_tape():
-    return _TAPES[-1] if _TAPES else None
-
-
-def _record(out, parents, backward_fn):
-    tape = _active_tape()
-    if tape is not None:
-        tape.record(out, tuple(parents), backward_fn)
-
-
 def _lift(x):
     """Split an operand into (value, Tensor-or-None).
 
@@ -211,8 +166,8 @@ def _make(data, op, parents, backward_fn):
     out = Tensor(data)
     out.op = op
     live = [p for p in parents if p is not None]
-    if live:
-        _record(out, live, backward_fn)
+    if live and _TAPES:
+        _TAPES[-1].record(out, tuple(live), backward_fn)
     return out
 
 
@@ -335,16 +290,6 @@ def concat(parts, axis=0):
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-def exp(a):
-    ad, at = _lift(a)
-    out_data = np.exp(ad)
-
-    def backward_fn(g):
-        _accumulate(at, g * out_data)
-
-    return _make(out_data, "exp", (at,), backward_fn)
-
 
 def log(a):
     ad, at = _lift(a)
@@ -539,10 +484,14 @@ def max_reduce(a, axis):
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv2d(image, kernel, bias, kernel_size=3, stride=2, padding=1):
-    """2-D convolution over an (H, W, Cin) image.
+# conv2d's one geometry, the encoder's: 3x3 windows, stride 2, zero padding 1
+CONV_KERNEL, CONV_STRIDE, CONV_PADDING = 3, 2, 1
 
-    ``kernel`` is flattened to (kernel_size**2 * Cin, Cout) with rows in
+
+def conv2d(image, kernel, bias):
+    """2-D convolution over an (H, W, Cin) image with the CONV_* geometry.
+
+    ``kernel`` is flattened to (CONV_KERNEL**2 * Cin, Cout) with rows in
     (dy, dx, channel) order; output is (Hout, Wout, Cout).
     """
     xd, xt = _lift(image)
@@ -550,7 +499,7 @@ def conv2d(image, kernel, bias, kernel_size=3, stride=2, padding=1):
     bd, bt = _lift(bias)
     if xd.ndim != 3:
         raise DimensionError(f"conv2d expects an (H, W, C) image, got shape {xd.shape}")
-    ks = kernel_size
+    ks, stride, padding = CONV_KERNEL, CONV_STRIDE, CONV_PADDING
     h, w, cin = xd.shape
     if kd.shape[0] != ks * ks * cin:
         raise DimensionError(

@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, SyntheticConfig, read_manifest, write_manifest
+from .data import (Dataset, SyntheticConfig, parse_value, read_manifest_lines,
+                   write_manifest)
 from .head import (ModelBundle, ModelConfig, build_model, forward,
                    sample_losses, save_checkpoint)
 from .losses import AslConfig, LossWeights
@@ -92,32 +93,30 @@ class TrainConfig:
     disable_gsp_fusion: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("lr, batch_size and epochs must be positive")
+        for name in ("lr", "batch_size", "epochs"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
 
 
-def _parse_field(value: str, current):
-    if isinstance(current, bool):
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return type(current)(value)
-
-
 def config_from_file(path, base: TrainConfig = None) -> TrainConfig:
-    """Read key=value lines into a TrainConfig; unknown keys are errors."""
+    """Read key=value lines into a TrainConfig.
+
+    Values go through :func:`sarl.data.parse_value` by field type. An
+    unknown key, a bad value or a key given twice is a ValueError naming
+    the key and its line.
+    """
     base = base if base is not None else TrainConfig()
-    entries = read_manifest(path)
-    known = {f.name for f in fields(TrainConfig)}
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
     updates = {}
-    for key, value in entries.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _parse_field(value, getattr(base, key))
+    for key, (lineno, value) in read_manifest_lines(path).items():
+        if key not in kinds:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        try:
+            updates[key] = parse_value(key, value, kinds[key])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return replace(base, **updates)
 
 
@@ -135,7 +134,7 @@ def synthetic_config(cfg: TrainConfig) -> SyntheticConfig:
 
 def _conv_output_size(size, blocks):
     for _ in range(blocks):
-        size = (size - 1) // 2 + 1
+        size = (size + 2 * T.CONV_PADDING - T.CONV_KERNEL) // T.CONV_STRIDE + 1
     return size
 
 
@@ -181,9 +180,9 @@ def init_optimizer(params: dict) -> OptimizerState:
 
 
 def adamw_step(params: dict, grads: dict, state: OptimizerState, lr,
-               betas=ADAM_BETAS, eps=ADAM_EPS, weight_decay=0.0):
+               weight_decay=0.0):
     """One decoupled-weight-decay Adam update, in place on params."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
@@ -193,7 +192,7 @@ def adamw_step(params: dict, grads: dict, state: OptimizerState, lr,
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         m_hat = state.m[name] / bias1
         v_hat = state.v[name] / bias2
-        update = m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p.data
         p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
 
 

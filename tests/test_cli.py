@@ -6,6 +6,7 @@ export-attention pipeline including every on-disk artifact.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ class TestGenData:
         entries = read_manifest(out / "data.cfg")
         assert entries["seed"] == "5"
         assert "cardinality" in capsys.readouterr().out
+
+    def test_bad_flag_value_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="^sarl gen-data: noise=-1.0 must be >= 0$"):
+            main(["gen-data", "--out", str(tmp_path / "data"), "--noise", "-1"])
+        assert not (tmp_path / "data").exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a = gen(tmp_path / "a")
@@ -81,6 +87,23 @@ class TestTrainVerb:
         log = (run / "run.log").read_text()
         assert "config epochs=1\n" in log
         assert "config lr=0.123\n" in log
+
+    @pytest.mark.parametrize("flags,why", [
+        (["--gsp-mode", "sum"], "gsp_mode='sum' must be 'avg' or 'max'"),
+        (["--feature-dim", "30"], "n_heads=8 must be >= 1 and divide d_v=30"),
+        (["--batch-size", "0"], "batch_size=0 must be positive"),
+        (["--n-train", "0"], "n_train must be >= 1"),
+        (["--noise", "-1"], "noise=-1.0 must be >= 0"),
+        (["--epochs", "1_0"], "'--epochs' is '1_0', not an integer"),
+        (["--lr", "nan"], "'--lr' is 'nan', not a finite number"),
+    ], ids=["gsp-mode", "feature-dim", "batch-size", "n-train", "noise",
+            "epochs", "lr"])
+    def test_bad_config_refused_before_run_log(self, tmp_path, flags, why):
+        run = tmp_path / "run"
+        with pytest.raises(SystemExit, match=f"^sarl train: {re.escape(why)}$"):
+            main(["train", "--out", str(run), "--n-train", "20", "--n-test",
+                  "10", "--epochs", "1", "--quiet", *flags])
+        assert not (run / "run.log").exists()
 
     def test_half_given_data_flags_rejected(self, tmp_path):
         data = gen(tmp_path)

@@ -112,6 +112,24 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match="byte 0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("words,why", [
+        ((1, 0, 5, 0, 3), "num_classes=0 at byte 16"),
+        ((1, 0, 5, 3, 4), "ndim=4 at byte 20"),
+    ], ids=["no-classes", "not-three-dims"])
+    def test_header_field_rejected(self, tmp_path, words, why):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"SARL" + struct.pack("<5I", *words)
+                         + struct.pack("<4I", 8, 8, 3, 1) + bytes(4 * 5 * 192 + 15))
+        with pytest.raises(FormatError, match=f"header field {why}"):
+            load_dataset(path)
+
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        ds = Dataset(np.zeros((3, 5), dtype=np.float32),
+                     np.ones((3, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"got payload \(3, 5\)"):
+            save_dataset(tmp_path / "flat.bin", ds)
+        assert not (tmp_path / "flat.bin").exists()
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"SARL" + struct.pack("<5I", 99, 0, 0, 3, 0))

@@ -13,6 +13,16 @@ from sarl.head import (ClassifierParams, ModelConfig, build_model, forward,
                        load_checkpoint, region_score_aggregate, save_checkpoint)
 from sarl.representation import EncoderConfig, encode
 from sarl.tensor import Tensor
+from sarl.training import TrainConfig, model_config
+
+# the manifest of the default training config, byte for byte: the order
+# and spelling of these lines are part of the checkpoint format
+DEFAULT_MANIFEST = (
+    "num_classes=6\nfeature_dim=32\nlabel_dim=16\nbilinear_dim=32\n"
+    "bilinear_out=16\nn_heads=8\ngsp_mode=avg\ndisable_self_attn=0\n"
+    "disable_ot=0\ndisable_gsp_fusion=0\nencoder.in_channels=3\n"
+    "encoder.grid_h=2\nencoder.grid_w=2\nencoder.conv_blocks=2\n"
+    "encoder.mode=tiny-conv\n")
 
 
 def np_softmax(a, axis):
@@ -243,6 +253,28 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         return model, load_checkpoint(path)
 
+    def test_default_checkpoint_bytes_are_pinned(self, tmp_path):
+        # the file layout written out by hand: magic, version, manifest,
+        # then per tensor its name, rank, shape and float32 payload
+        model = build_model(model_config(TrainConfig()), seed=5, dtype=np.float32)
+        manifest = DEFAULT_MANIFEST.encode()
+        params = model.parameters()
+        raw = b"SARLCKPT" + struct.pack("<2I", 1, len(manifest)) + manifest
+        raw += struct.pack("<I", len(params))
+        for name, tensor in params.items():
+            shape = tensor.data.shape
+            raw += struct.pack("<I", len(name)) + name.encode()
+            raw += struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+            raw += tensor.data.astype("<f4").tobytes()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        assert path.read_bytes() == raw
+        path.write_bytes(raw)
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        for name, tensor in params.items():
+            np.testing.assert_array_equal(loaded.parameters()[name].data, tensor.data)
+
     def test_parameters_roundtrip_bit_exact(self, tmp_path):
         model, loaded = self.roundtrip(tmp_path, tiny_config())
         for name, tensor in model.parameters().items():
@@ -365,6 +397,13 @@ class TestCheckpoint:
         # a vertical tab is part of the value, not a line break
         path, _ = self.edited(tmp_path, b"\nencoder.mode=", b"\x0bencoder.mode=")
         with pytest.raises(FormatError, match="missing 'encoder.mode'"):
+            load_checkpoint(path)
+
+    def test_unknown_manifest_key_rejected(self, tmp_path):
+        path, _ = self.edited(tmp_path, b"\nencoder.mode=",
+                              b"\nencoder.stride=2\nencoder.mode=")
+        with pytest.raises(FormatError, match="unknown checkpoint manifest key "
+                                              "'encoder.stride'"):
             load_checkpoint(path)
 
     def test_repeated_manifest_key_rejected(self, tmp_path):

@@ -90,7 +90,7 @@ class TestAdamW:
         assert state.step == 2
 
     def test_preserves_float32(self):
-        params = {"w": Tensor(np.ones(2, dtype=np.float32), dtype=None)}
+        params = {"w": Tensor(np.ones(2, dtype=np.float32))}
         state = init_optimizer(params)
         adamw_step(params, {"w": np.ones(2, dtype=np.float32)}, state,
                    lr=0.1)
@@ -163,6 +163,25 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("use_ema=maybe\n")
         with pytest.raises(ValueError, match="boolean"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize("line,why", [
+        ("epochs=1_0", "'epochs' is '1_0', not an integer"),
+        ("n_heads=+8", "'n_heads' is '\\+8', not an integer"),
+        ("lr=1_0e-3", "'lr' is '1_0e-3', not a finite number"),
+        ("lr=nan", "'lr' is 'nan', not a finite number"),
+    ], ids=["underscore-int", "signed-int", "underscore-float", "nan"])
+    def test_value_outside_the_plain_form_rejected(self, tmp_path, line, why):
+        # int() and float() accept each of these
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# comment\n{line}\n")
+        with pytest.raises(ValueError, match=f"^line 2: {why}$"):
+            config_from_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs=3\nlr=0.1\nepochs=4\n")
+        with pytest.raises(ValueError, match="lines 1 and 3 both set 'epochs'"):
             config_from_file(path)
 
     def test_entries_cover_every_field(self):

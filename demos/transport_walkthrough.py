@@ -35,8 +35,7 @@ def main():
     labels = train_ds.labels[0].astype(float)
     print(f"sample labels: {labels.astype(int)}")
 
-    encoder = EncoderConfig(in_channels=2, grid_h=2, grid_w=2,
-                            feature_dim=8, conv_blocks=2)
+    encoder = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, conv_blocks=2)
     cfg = ModelConfig(num_classes=3, feature_dim=8, label_dim=6,
                       bilinear_dim=8, bilinear_out=4, n_heads=2,
                       encoder=encoder)

@@ -8,10 +8,12 @@ Verbs:
   gradcheck         run the finite-difference suite (nonzero exit on fail)
 
 Every train flag mirrors a TrainConfig field; a flag given on the
-command line overrides the same key from --config. Flag values follow
-the config-file rules of :func:`sarl.data.parse_value`. The effective
-config is echoed at the top of the run log, which is opened by its first
-line, so a config that fails validation leaves no run.log behind.
+command line overrides the same key from --config. Numeric flag values
+of every verb follow the config-file rules of
+:func:`sarl.data.parse_value`. The effective config is echoed at the top
+of the run log, which is opened by its first line, so a config that
+fails validation leaves no run.log behind. A refused input or a failed
+file access ends any verb with one ``sarl <verb>: <reason>`` line.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from .data import (SyntheticConfig, generate, load_dataset, parse_value,
                    save_dataset, stats, write_manifest)
 from .head import load_checkpoint
 from .metrics import format_report, report_entries, write_predictions
-from .representation import ConfigError
-from .training import (TrainConfig, config_from_file, evaluate,
+from .training import (TrainConfig, TrainingError, config_from_file, evaluate,
                        export_attention, synthetic_config, train)
 
 
@@ -61,17 +62,14 @@ def _check_dataset(ds, cfg: TrainConfig, name):
     dims = ds.payload.shape[1:]
     want = (cfg.image_size, cfg.image_size, cfg.channels)
     if ds.num_classes != cfg.num_classes or dims != want:
-        raise SystemExit(
+        raise ValueError(
             f"{name}: dataset is {'x'.join(map(str, dims))} with "
             f"{ds.num_classes} classes, config wants "
             f"{'x'.join(map(str, want))} with {cfg.num_classes}")
 
 
 def cmd_gen_data(args):
-    try:
-        cfg = _apply_flags(SyntheticConfig(), args, SyntheticConfig)
-    except ValueError as exc:
-        raise SystemExit(f"sarl gen-data: {exc}") from None
+    cfg = _apply_flags(SyntheticConfig(), args, SyntheticConfig)
     train_ds, test_ds = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_dataset(os.path.join(args.out, "train.bin"), train_ds)
@@ -87,15 +85,12 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     if (args.train_data is None) != (args.test_data is None):
-        raise SystemExit("give both --train-data and --test-data, or neither")
-    try:
-        cfg = TrainConfig()
-        if args.config is not None:
-            cfg = config_from_file(args.config, base=cfg)
-        cfg = _apply_flags(cfg, args, TrainConfig)
-        synthetic = synthetic_config(cfg) if args.train_data is None else None
-    except ValueError as exc:
-        raise SystemExit(f"sarl train: {exc}") from None
+        raise ValueError("give both --train-data and --test-data, or neither")
+    cfg = TrainConfig()
+    if args.config is not None:
+        cfg = config_from_file(args.config, base=cfg)
+    cfg = _apply_flags(cfg, args, TrainConfig)
+    synthetic = synthetic_config(cfg) if args.train_data is None else None
 
     if args.train_data is not None:
         train_ds = load_dataset(args.train_data)
@@ -117,8 +112,6 @@ def cmd_train(args):
 
     try:
         train(cfg, train_ds, test_ds, log=say, out_dir=args.out)
-    except ConfigError as exc:
-        raise SystemExit(f"sarl train: {exc}") from None
     finally:
         for fh in opened:
             fh.close()
@@ -126,14 +119,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    threshold = parse_value("--threshold", args.threshold, float)
+    top_k = parse_value("--top-k", args.top_k, int)
     model = load_checkpoint(args.checkpoint)
-    num_c = model.config.num_classes
-    if not 1 <= args.top_k <= num_c:
-        raise SystemExit(f"--top-k {args.top_k} outside 1..{num_c}: "
-                         f"the model has {num_c} classes")
     ds = load_dataset(args.data)
-    report, preds = evaluate(model, ds, threshold=args.threshold,
-                             top_k=args.top_k)
+    report, preds = evaluate(model, ds, threshold=threshold, top_k=top_k)
     print(format_report(report))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
@@ -144,13 +134,14 @@ def cmd_eval(args):
 
 
 def cmd_export_attention(args):
+    index = parse_value("--index", args.index, int)
+    class_id = parse_value("--class-id", args.class_id, int)
     model = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    if not 0 <= args.index < len(ds):
-        raise SystemExit(f"sample index {args.index} outside dataset "
-                         f"of {len(ds)}")
-    export_attention(model, ds.payload[args.index], args.class_id,
-                     args.out_map, args.out_attn)
+    if index >= len(ds):
+        raise ValueError(f"sample index {index} outside dataset of {len(ds)}")
+    export_attention(model, ds.payload[index], class_id, args.out_map,
+                     args.out_attn)
     print(f"wrote {args.out_map} and {args.out_attn}")
     return 0
 
@@ -189,16 +180,16 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="where to write predictions and metrics")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--top-k", type=int, default=3)
+    p.add_argument("--threshold", default="0.5")
+    p.add_argument("--top-k", default="3")
     p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("export-attention",
                        help="write class map and attention as PGM")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--class-id", type=int, required=True)
+    p.add_argument("--index", default="0")
+    p.add_argument("--class-id", required=True)
     p.add_argument("--out-map", required=True)
     p.add_argument("--out-attn", required=True)
     p.set_defaults(run=cmd_export_attention)
@@ -212,7 +203,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (ValueError, TrainingError, OSError) as exc:
+        raise SystemExit(f"sarl {args.verb}: {exc}") from None
 
 
 if __name__ == "__main__":

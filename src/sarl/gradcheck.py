@@ -178,8 +178,7 @@ def run_suite(verbose=True):
           [feats, sem, u, v2, mix, bias2, score, wmap, cls_w, cls_b])
 
     # full model, tiny config, 8x8 image -> 2x2 patch grid
-    enc = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, feature_dim=8,
-                        conv_blocks=2)
+    enc = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, conv_blocks=2)
     mcfg = ModelConfig(num_classes=3, feature_dim=8, label_dim=8,
                        bilinear_dim=4, bilinear_out=4, n_heads=2, encoder=enc)
     model = build_model(mcfg, seed=11)

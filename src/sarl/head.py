@@ -83,12 +83,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ConfigError(f"num_classes={self.num_classes} must be >= 1")
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim={self.feature_dim} must be >= 1")
         if self.gsp_mode not in ("avg", "max"):
             raise ConfigError(f"gsp_mode={self.gsp_mode!r} must be 'avg' or 'max'")
-        if self.encoder.feature_dim != self.feature_dim:
-            raise ConfigError(
-                f"encoder feature_dim {self.encoder.feature_dim} != "
-                f"model feature_dim {self.feature_dim}")
 
 
 @dataclass
@@ -154,7 +152,7 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float64) -> ModelBundle:
     """Initialize every parameter group from one seeded stream."""
     rng = np.random.default_rng(seed)
     d_v = cfg.feature_dim
-    enc = init_encoder(rng, cfg.encoder, dtype)
+    enc = init_encoder(rng, cfg.encoder, d_v, dtype)
     labels = init_label_embeddings(rng, cfg.num_classes, cfg.label_dim,
                                    dtype=dtype)
     attention = init_self_attention(rng, d_v, cfg.n_heads, dtype)
@@ -247,7 +245,7 @@ def _manifest_text(cfg: ModelConfig) -> str:
     pairs = [(f.name, getattr(cfg, f.name))
              for f in fields(ModelConfig) if f.name != "encoder"]
     pairs += [("encoder." + f.name, getattr(cfg.encoder, f.name))
-              for f in fields(EncoderConfig) if f.name != "feature_dim"]
+              for f in fields(EncoderConfig)]
     pairs.append(("encoder.mode", ENCODER_MODE))
     return "".join(f"{k}={int(v) if isinstance(v, bool) else v}\n"
                    for k, v in pairs)
@@ -275,23 +273,21 @@ def _config_from_manifest(text: str) -> ModelConfig:
                               f"{value!r}, not 0 or 1")
         return kind(parsed)
 
-    def values(cls, prefix, skip):
+    def values(cls, prefix):
         kinds = get_type_hints(cls)
         return {f.name: take(prefix + f.name, kinds[f.name])
-                for f in fields(cls) if f.name != skip}
+                for f in fields(cls) if f.name != "encoder"}
 
     # the mode says what the other keys mean, so it is checked first
     mode = take("encoder.mode")
     if mode != ENCODER_MODE:
         raise FormatError(f"checkpoint manifest key 'encoder.mode' is "
                           f"{mode!r}, expected {ENCODER_MODE!r}")
-    model = values(ModelConfig, "", "encoder")
-    encoder = values(EncoderConfig, "encoder.", "feature_dim")
+    model = values(ModelConfig, "")
+    encoder = values(EncoderConfig, "encoder.")
     if entries:
         raise FormatError(f"unknown checkpoint manifest key {next(iter(entries))!r}")
-    return ModelConfig(
-        encoder=EncoderConfig(feature_dim=model["feature_dim"], **encoder),
-        **model)
+    return ModelConfig(encoder=EncoderConfig(**encoder), **model)
 
 
 def save_checkpoint(path, model: ModelBundle):

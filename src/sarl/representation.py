@@ -55,14 +55,11 @@ class EncoderConfig:
     in_channels: int
     grid_h: int
     grid_w: int
-    feature_dim: int
     conv_blocks: int = 2
 
     def __post_init__(self):
         if self.grid_h < 1 or self.grid_w < 1:
             raise ConfigError(f"grid_h={self.grid_h}, grid_w={self.grid_w} must be >= 1")
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim={self.feature_dim} must be >= 1")
 
 
 @dataclass
@@ -119,14 +116,15 @@ def xavier_uniform(rng, n_in, n_out, dtype=np.float64):
     return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(dtype))
 
 
-def init_encoder(rng, cfg: EncoderConfig, dtype=np.float64) -> EncoderParams:
+def init_encoder(rng, cfg: EncoderConfig, feature_dim,
+                 dtype=np.float64) -> EncoderParams:
     kernels, biases = [], []
     c_in = cfg.in_channels
     for _ in range(cfg.conv_blocks):
         kernels.append(xavier_uniform(rng, T.CONV_KERNEL ** 2 * c_in,
-                                      cfg.feature_dim, dtype))
-        biases.append(Tensor(np.zeros(cfg.feature_dim, dtype=dtype)))
-        c_in = cfg.feature_dim
+                                      feature_dim, dtype))
+        biases.append(Tensor(np.zeros(feature_dim, dtype=dtype)))
+        c_in = feature_dim
     return EncoderParams(kernels, biases)
 
 
@@ -168,7 +166,7 @@ def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
         raise ConfigError(
             f"encoder produced a {h.shape[0]}x{h.shape[1]} grid, "
             f"config says {cfg.grid_h}x{cfg.grid_w}")
-    f = T.reshape(h, (cfg.grid_h * cfg.grid_w, cfg.feature_dim))
+    f = T.reshape(h, (cfg.grid_h * cfg.grid_w, h.shape[2]))
     return FeatureMap(f, cfg.grid_h, cfg.grid_w)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "sum_",
     "mean",
     "max_reduce",
+    "conv_output_size",
     "conv2d",
 ]
 
@@ -488,6 +489,11 @@ def max_reduce(a, axis):
 CONV_KERNEL, CONV_STRIDE, CONV_PADDING = 3, 2, 1
 
 
+def conv_output_size(n):
+    """Length of one conv2d output axis for an input axis of length n."""
+    return (n + 2 * CONV_PADDING - CONV_KERNEL) // CONV_STRIDE + 1
+
+
 def conv2d(image, kernel, bias):
     """2-D convolution over an (H, W, Cin) image with the CONV_* geometry.
 
@@ -505,15 +511,17 @@ def conv2d(image, kernel, bias):
         raise DimensionError(
             f"kernel has {kd.shape[0]} rows, expected {ks * ks * cin}")
     cout = kd.shape[1]
-    hout = (h + 2 * padding - ks) // stride + 1
-    wout = (w + 2 * padding - ks) // stride + 1
+    hout, wout = conv_output_size(h), conv_output_size(w)
     if hout < 1 or wout < 1:
         raise DimensionError(f"image {xd.shape} too small for kernel {ks}")
 
-    xp = np.pad(xd, ((padding, padding), (padding, padding), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (ks, ks, cin))
-    windows = windows[::stride, ::stride, 0]
-    cols = windows.reshape(hout * wout, ks * ks * cin)
+    xp = np.zeros((h + 2 * padding, w + 2 * padding, cin), dtype=xd.dtype)
+    xp[padding:padding + h, padding:padding + w] = xd
+    # one (Hout, Wout) strided view per window tap, in the kernel's row order
+    taps = [(slice(dy, dy + stride * hout, stride),
+             slice(dx, dx + stride * wout, stride))
+            for dy in range(ks) for dx in range(ks)]
+    cols = np.stack([xp[t] for t in taps], axis=2).reshape(hout * wout, ks * ks * cin)
     out_data = (cols @ kd + bd).reshape(hout, wout, cout)
 
     def backward_fn(g):
@@ -523,15 +531,10 @@ def conv2d(image, kernel, bias):
         if kt is not None:
             _accumulate(kt, cols.T @ gf)
         if xt is not None:
-            gcols = (gf @ kd.T).reshape(hout, wout, ks, ks, cin)
+            gcols = (gf @ kd.T).reshape(hout, wout, ks * ks, cin)
             gpad = np.zeros_like(xp)
-            for dy in range(ks):
-                for dx in range(ks):
-                    gpad[dy:dy + stride * hout:stride,
-                         dx:dx + stride * wout:stride] += gcols[:, :, dy, dx, :]
-            if padding:
-                gpad = gpad[padding:padding + h, padding:padding + w]
-            _accumulate(xt, gpad.copy())
+            for i, t in enumerate(taps):
+                gpad[t] += gcols[:, :, i]
+            _accumulate(xt, gpad[padding:padding + h, padding:padding + w].copy())
 
     return _make(out_data, "conv2d", (xt, kt, bt), backward_fn)
-

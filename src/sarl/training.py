@@ -132,17 +132,12 @@ def synthetic_config(cfg: TrainConfig) -> SyntheticConfig:
         noise=cfg.noise, cardinality=cfg.cardinality)
 
 
-def _conv_output_size(size, blocks):
-    for _ in range(blocks):
-        size = (size + 2 * T.CONV_PADDING - T.CONV_KERNEL) // T.CONV_STRIDE + 1
-    return size
-
-
 def model_config(cfg: TrainConfig) -> ModelConfig:
-    grid = _conv_output_size(cfg.image_size, cfg.conv_blocks)
-    encoder = EncoderConfig(
-        in_channels=cfg.channels, grid_h=grid, grid_w=grid,
-        feature_dim=cfg.feature_dim, conv_blocks=cfg.conv_blocks)
+    grid = cfg.image_size
+    for _ in range(cfg.conv_blocks):
+        grid = T.conv_output_size(grid)
+    encoder = EncoderConfig(in_channels=cfg.channels, grid_h=grid, grid_w=grid,
+                            conv_blocks=cfg.conv_blocks)
     return ModelConfig(
         num_classes=cfg.num_classes, feature_dim=cfg.feature_dim,
         label_dim=cfg.label_dim, bilinear_dim=cfg.bilinear_dim,
@@ -159,8 +154,7 @@ def asl_config(cfg: TrainConfig) -> AslConfig:
 
 
 def loss_weights(cfg: TrainConfig) -> LossWeights:
-    lambda2 = 0.0 if cfg.disable_ot else cfg.lambda2
-    return LossWeights(lambda1=cfg.lambda1, lambda2=lambda2)
+    return LossWeights(lambda1=cfg.lambda1, lambda2=cfg.lambda2)
 
 
 @dataclass
@@ -340,12 +334,12 @@ def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
     """
     if not 0 <= class_id < model.config.num_classes:
         raise ValueError(f"class {class_id} out of range")
+    if model.config.disable_ot:
+        raise ValueError("transport is disabled; no attention to export")
     out = forward(x, model)
     grid_h, grid_w = out.features.h, out.features.w
     m = semantic_map(out.features.f, model.map_weights).data[:, class_id]
     write_pgm(map_path, m.reshape(grid_h, grid_w))
-    if out.attention is None:
-        raise ValueError("transport is disabled; no attention to export")
     b = out.attention.data[:, class_id]
     write_pgm(attn_path, b.reshape(grid_h, grid_w))
 

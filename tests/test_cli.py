@@ -21,6 +21,15 @@ TINY_ARCH = ["--num-classes", "4", "--channels", "2", "--n-heads", "2",
 TINY_TRAIN = TINY_ARCH + ["--epochs", "2", "--quiet"]
 
 
+def exits_with_one_line(verb, argv):
+    """Run main(argv); it must exit with a one-line 'sarl <verb>:' message."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    message = str(info.value.code)
+    assert message.startswith(f"sarl {verb}: ") and "\n" not in message, message
+    return message
+
+
 def gen(tmp_path, extra=()):
     out = tmp_path / "data"
     rc = main(["gen-data", "--out", str(out), "--n-train", "30",
@@ -163,8 +172,10 @@ class TestEvalVerb:
         main(["train", "--out", str(run),
               "--train-data", str(data / "train.bin"),
               "--test-data", str(data / "test.bin"), *TINY_TRAIN])
-        for k in ("-1", "0", "5"):
-            with pytest.raises(SystemExit, match=f"^--top-k {k} outside 1..4"):
+        for k, why in (("-1", "'--top-k' is '-1', not an integer"),
+                       ("0", "top_k=0 needs 1 <= k <= 4 classes"),
+                       ("5", "top_k=5 needs 1 <= k <= 4 classes")):
+            with pytest.raises(SystemExit, match=f"^sarl eval: {re.escape(why)}$"):
                 main(["eval", "--checkpoint", str(run / "model.ckpt"),
                       "--data", str(data / "test.bin"), "--top-k", k])
 
@@ -206,3 +217,95 @@ class TestGradcheckVerb:
         rc = main(["gradcheck", "--quiet"])
         assert rc == 0
         assert "gradcheck ok" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(data dir, run dir) of one tiny 4-class training run."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    data = gen(tmp_path)
+    run = tmp_path / "run"
+    main(["train", "--out", str(run), "--train-data", str(data / "train.bin"),
+          "--test-data", str(data / "test.bin"), *TINY_TRAIN])
+    return data, run
+
+
+class TestDamagedInputs:
+    """A damaged file or a bad flag ends any verb with one line."""
+
+    def test_short_dataset_to_train(self, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"SARLDATA")
+        run = tmp_path / "run"
+        message = exits_with_one_line("train", [
+            "train", "--out", str(run), "--train-data", str(bad),
+            "--test-data", str(bad), *TINY_TRAIN])
+        assert "truncated" in message
+        assert not (run / "run.log").exists()
+
+    def test_short_dataset_to_eval(self, tmp_path, trained):
+        _, run = trained
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"SARLDATA")
+        out = tmp_path / "evalout"
+        exits_with_one_line("eval", ["eval", "--checkpoint",
+                                     str(run / "model.ckpt"), "--data",
+                                     str(bad), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "export-attention"])
+    def test_truncated_checkpoint(self, tmp_path, trained, verb):
+        data, run = trained
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((run / "model.ckpt").read_bytes()[:-5])
+        extra = (["--out", str(tmp_path / "evalout")] if verb == "eval" else
+                 ["--class-id", "0", "--out-map", str(tmp_path / "m.pgm"),
+                  "--out-attn", str(tmp_path / "a.pgm")])
+        message = exits_with_one_line(verb, [verb, "--checkpoint", str(ckpt),
+                                             "--data", str(data / "test.bin"),
+                                             *extra])
+        assert "truncated" in message
+        assert list(tmp_path.iterdir()) == [ckpt]
+
+    def test_eval_on_other_class_count(self, tmp_path, trained):
+        _, run = trained
+        six = gen(tmp_path, extra=["--num-classes", "6"])
+        message = exits_with_one_line("eval", [
+            "eval", "--checkpoint", str(run / "model.ckpt"), "--data",
+            str(six / "test.bin"), "--out", str(tmp_path / "evalout")])
+        assert message == "sarl eval: dataset has 6 classes, model wants 4"
+        assert not (tmp_path / "evalout").exists()
+
+    @pytest.mark.parametrize("verb,flag,value,why", [
+        ("eval", "--threshold", "nan", "'--threshold' is 'nan', not a finite number"),
+        ("eval", "--top-k", "1_0", "'--top-k' is '1_0', not an integer"),
+        ("export-attention", "--index", "-1", "'--index' is '-1', not an integer"),
+        ("export-attention", "--class-id", "x", "'--class-id' is 'x', not an integer"),
+    ], ids=["threshold", "top-k", "index", "class-id"])
+    def test_bad_number_flag(self, tmp_path, trained, verb, flag, value, why):
+        data, run = trained
+        argv = [verb, "--checkpoint", str(run / "model.ckpt"), "--data",
+                str(data / "test.bin")]
+        if verb == "export-attention":
+            argv += ["--out-map", str(tmp_path / "m.pgm"),
+                     "--out-attn", str(tmp_path / "a.pgm")]
+            if flag != "--class-id":
+                argv += ["--class-id", "0"]
+        message = exits_with_one_line(verb, argv + [flag, value])
+        assert message == f"sarl {verb}: {why}"
+        assert not list(tmp_path.iterdir())
+
+    def test_export_without_transport_writes_nothing(self, tmp_path):
+        data = gen(tmp_path)
+        run = tmp_path / "run"
+        main(["train", "--out", str(run), "--train-data",
+              str(data / "train.bin"), "--test-data", str(data / "test.bin"),
+              *TINY_TRAIN, "--disable-ot"])
+        message = exits_with_one_line("export-attention", [
+            "export-attention", "--checkpoint", str(run / "model.ckpt"),
+            "--data", str(data / "test.bin"), "--class-id", "0",
+            "--out-map", str(tmp_path / "m.pgm"),
+            "--out-attn", str(tmp_path / "a.pgm")])
+        assert "transport is disabled" in message
+        assert not (tmp_path / "m.pgm").exists()
+        assert not (tmp_path / "a.pgm").exists()

@@ -11,7 +11,7 @@ from sarl import tensor as T
 from sarl.data import FormatError
 from sarl.head import (ClassifierParams, ModelConfig, build_model, forward,
                        load_checkpoint, region_score_aggregate, save_checkpoint)
-from sarl.representation import EncoderConfig, encode
+from sarl.representation import ConfigError, EncoderConfig, encode
 from sarl.tensor import Tensor
 from sarl.training import TrainConfig, model_config
 
@@ -81,11 +81,17 @@ def forward_oracle(x, model, y):
 
 def tiny_config(**overrides):
     """8x8x2 images -> 2x2 patch grid of width 8, 3 classes."""
-    enc = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, feature_dim=8)
+    enc = EncoderConfig(in_channels=2, grid_h=2, grid_w=2)
     base = dict(num_classes=3, feature_dim=8, label_dim=6, bilinear_dim=4,
                 bilinear_out=4, n_heads=2, encoder=enc)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+class TestModelConfig:
+    def test_zero_feature_dim_rejected(self):
+        with pytest.raises(ConfigError, match="^feature_dim=0 must be >= 1$"):
+            tiny_config(feature_dim=0)
 
 
 class TestRegionScoreAggregate:
@@ -380,6 +386,11 @@ class TestCheckpoint:
         offset = at + len(b"attention.w")
         with pytest.raises(FormatError, match=f"tensor name is not UTF-8: byte 0xfe "
                                               f"at offset {offset}$"):
+            load_checkpoint(path)
+
+    def test_zero_feature_dim_in_manifest_rejected(self, tmp_path):
+        path, _ = self.edited(tmp_path, b"\nfeature_dim=8\n", b"\nfeature_dim=0\n")
+        with pytest.raises(FormatError, match="feature_dim=0 must be >= 1$"):
             load_checkpoint(path)
 
     def test_unknown_gsp_mode_rejected(self, tmp_path):

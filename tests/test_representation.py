@@ -50,9 +50,9 @@ def feature_map(arr, h, w):
 
 class TestEncode:
     def test_zero_image_zero_weights_gives_zero_features(self):
-        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=4)
+        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)
         rng = np.random.default_rng(0)
-        params = init_encoder(rng, cfg)
+        params = init_encoder(rng, cfg, 4)
         for kern in params.kernels:
             kern.data = np.zeros_like(kern.data)
         fm = encode(np.zeros((8, 8, 3)), cfg, params)
@@ -60,29 +60,29 @@ class TestEncode:
 
     def test_seeded_image_shape(self):
         # 8x8 halves twice under stride-2 3x3 convs: 8 -> 4 -> 2.
-        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=5)
+        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)
         rng = np.random.default_rng(1)
-        params = init_encoder(rng, cfg)
+        params = init_encoder(rng, cfg, 5)
         fm = encode(rng.normal(size=(8, 8, 3)), cfg, params)
         assert fm.f.shape == (4, 5)
         assert (fm.h, fm.w) == (2, 2)
 
     def test_grid_mismatch_rejected(self):
-        cfg = EncoderConfig(in_channels=3, grid_h=3, grid_w=3, feature_dim=5)
+        cfg = EncoderConfig(in_channels=3, grid_h=3, grid_w=3)
         rng = np.random.default_rng(2)
-        params = init_encoder(rng, cfg)
+        params = init_encoder(rng, cfg, 5)
         with pytest.raises(ConfigError):
             encode(rng.normal(size=(8, 8, 3)), cfg, params)
 
     def test_channel_mismatch_rejected(self):
-        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=5)
-        params = init_encoder(np.random.default_rng(3), cfg)
+        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)
+        params = init_encoder(np.random.default_rng(3), cfg, 5)
         with pytest.raises(ConfigError):
             encode(np.zeros((8, 8, 2)), cfg, params)
 
     def test_bad_mode_rejected(self, tmp_path):
         # the mode survives only as the fixed checkpoint line encoder.mode
-        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2, feature_dim=8)
+        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)
         model = build_model(ModelConfig(num_classes=2, feature_dim=8,
                                         n_heads=2, encoder=cfg))
         path = tmp_path / "model.ckpt"
@@ -265,9 +265,9 @@ class TestFuseSemantic:
 
 class TestEncoderGradients:
     def test_full_encoder_chain(self):
-        cfg = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, feature_dim=4)
+        cfg = EncoderConfig(in_channels=2, grid_h=2, grid_w=2)
         rng = np.random.default_rng(14)
-        params = init_encoder(rng, cfg)
+        params = init_encoder(rng, cfg, 4)
         img = Tensor(rng.normal(size=(8, 8, 2)))
 
         def loss():

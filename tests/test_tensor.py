@@ -23,6 +23,24 @@ def matmul_oracle(a, b):
     return out
 
 
+def conv2d_oracle(x, kernel, bias):
+    """Four explicit loops over output pixels and window taps, zero padding."""
+    ks, stride, pad = T.CONV_KERNEL, T.CONV_STRIDE, T.CONV_PADDING
+    h, w, cin = x.shape
+    k = kernel.reshape(ks, ks, cin, -1)
+    hout = len(range(0, h + 2 * pad - ks + 1, stride))
+    wout = len(range(0, w + 2 * pad - ks + 1, stride))
+    out = np.tile(bias, (hout, wout, 1))
+    for i in range(hout):
+        for j in range(wout):
+            for dy in range(ks):
+                for dx in range(ks):
+                    row, col = i * stride + dy - pad, j * stride + dx - pad
+                    if 0 <= row < h and 0 <= col < w:
+                        out[i, j] += x[row, col] @ k[dy, dx]
+    return out
+
+
 class TestMatmul:
     def test_identity(self):
         eye = Tensor(np.eye(2))
@@ -250,6 +268,18 @@ class TestPrimitiveGradients:
         assert check_gradients(
             lambda: T.sum_(T.pow_const(T.conv2d(img, kern, bias), 2)),
             [img, kern, bias]) < 1e-4
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("shape", [(7, 9, 2), (1, 1, 1), (2, 3, 4), (8, 8, 3)])
+    def test_matches_loop_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        kernel = rng.normal(size=(T.CONV_KERNEL ** 2 * shape[2], 5))
+        bias = rng.normal(size=5)
+        np.testing.assert_allclose(T.conv2d(x, kernel, bias).data,
+                                   conv2d_oracle(x, kernel, bias),
+                                   rtol=0, atol=1e-12)
 
 
 class TestMaxReduce:

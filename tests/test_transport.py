@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarl import tensor as T
 from sarl import transport
@@ -230,6 +231,38 @@ class TestPlans:
             assert fwd.min() >= 0.0 and bwd.min() >= 0.0
             np.testing.assert_allclose(fwd.sum(axis=1), theta, atol=1e-12)
             np.testing.assert_allclose(bwd.sum(axis=0), beta, atol=1e-12)
+
+
+class TestTransportProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(num_p=st.integers(1, 6), num_c=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), bits=st.integers(0, 63),
+           positive=st.integers(0, 5))
+    def test_plan_invariants(self, num_p, num_c, seed, bits, positive):
+        # P = 1 and C = 1 included: one patch or one class takes all the mass
+        rng = np.random.default_rng(seed)
+        d_v = 4
+        y = np.array([(bits >> c) & 1 for c in range(num_c)], dtype=float)
+        y[positive % num_c] = 1.0
+        f = Tensor(rng.normal(size=(num_p, d_v)))
+        s = Tensor(rng.normal(size=(num_c, d_v)))
+        mass = bilinear_mass(f, s, seeded_params(rng, d_v, 3, 2))
+        theta = source_distribution(
+            semantic_map(f, Tensor(rng.normal(size=(d_v, num_c)))), y).data
+        beta = target_distribution(y).data
+        fwd = forward_plan(mass, Tensor(theta))
+        bwd = backward_plan(mass, Tensor(beta))
+        for marginal in (theta, beta):
+            assert marginal.min() >= 0.0
+            np.testing.assert_allclose(marginal.sum(), 1.0, atol=1e-12)
+        assert fwd.data.min() >= 0.0 and bwd.data.min() >= 0.0
+        np.testing.assert_allclose(fwd.data.sum(axis=1), theta, atol=1e-12)
+        np.testing.assert_allclose(bwd.data.sum(axis=0), beta, atol=1e-12)
+        attn = semantic_attention(mass).data
+        assert attn.min() >= 0.0
+        np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+        loss = ct_loss(fwd, bwd, cost_matrix(f, s)).item()
+        assert 0.0 <= loss <= 4.0
 
 
 class TestCtLoss:

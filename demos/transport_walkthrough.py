@@ -2,7 +2,7 @@
 """Walk one sample through the alignment pipeline, printing every stage.
 
 A tiny model (4 patches, 3 classes) is built from a fixed seed, a single
-synthetic image is pushed through it in training mode, and each
+synthetic image is pushed through it with its labels, and each
 intermediate quantity is printed together with the invariant it should
 satisfy: distributions on the simplex, plan marginals matching them,
 costs inside [0, 2], attention rows summing to one.
@@ -40,7 +40,7 @@ def main():
                       bilinear_dim=8, bilinear_out=4, n_heads=2,
                       encoder=encoder)
     model = build_model(cfg, seed=12)
-    out = forward(image, model, labels=labels, train=True)
+    out = forward(image, model, labels=labels)
 
     show("patch features F", out.features.f.data,
          "(4 patches from a 2x2 grid)")

@@ -74,7 +74,7 @@ def run_suite(verbose=True):
     from . import losses, transport
     from . import tensor as T
     from .head import (ClassifierParams, ModelConfig, build_model, forward,
-                       region_score_aggregate)
+                       region_score_aggregate, sample_losses)
     from .representation import EncoderConfig
 
     rng = np.random.default_rng(7)
@@ -188,10 +188,8 @@ def run_suite(verbose=True):
     acfg = losses.AslConfig(gamma_pos=1.0, gamma_neg=2.0, clip=0.05)
 
     def full():
-        out = forward(image, model, labels=y_full, train=True)
-        l_cls = losses.classification_loss(out.logits, y_full, acfg)
-        l_m = losses.semantic_map_loss(out.semantic_map, y_full, acfg)
-        return losses.total_loss(l_cls, l_m, out.transport_cost, weights)
+        out = forward(image, model, labels=y_full)
+        return sample_losses(out, y_full, acfg, weights)[0]
 
     check("full_model", full, [image] + list(model.parameters().values()),
           tol=1e-3)

@@ -95,7 +95,7 @@ class ForwardOutput:
 
     attention and aligned exist whenever transport is enabled;
     semantic_map, theta, beta, cost, plans and transport_cost exist only
-    in training mode.
+    when forward was given the labels.
     """
 
     logits: Tensor
@@ -181,15 +181,14 @@ def region_score_aggregate(f_r: Tensor, cls: ClassifierParams) -> Tensor:
     return T.sum_(T.mul(weights, scores), axis=0)
 
 
-def forward(x, model: ModelBundle, labels=None, train=False) -> ForwardOutput:
+def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     """Run one sample through the full head.
 
-    x is an (H, W, channels) image. Training mode needs the sample's
-    binary label vector for the source and target distributions.
+    x is an (H, W, channels) image. Given the sample's binary label
+    vector, the forward pass also builds the transport terms training
+    needs: source and target distributions, plans and transport cost.
     """
     cfg = model.config
-    if train and labels is None:
-        raise ValueError("training mode needs the sample labels")
 
     fm = encode(x, cfg.encoder, model.encoder)
     if not cfg.disable_self_attn:
@@ -212,7 +211,7 @@ def forward(x, model: ModelBundle, labels=None, train=False) -> ForwardOutput:
     logits = region_score_aggregate(aligned, model.classifier)
     out = ForwardOutput(logits=logits, features=fm, semantic_features=f_s,
                         aligned=aligned, attention=attn)
-    if train:
+    if labels is not None:
         out.semantic_map = semantic_map(fm.f, model.map_weights)
         out.theta = source_distribution(out.semantic_map, labels)
         out.beta = target_distribution(labels)

@@ -2,10 +2,11 @@
 
 Average precision walks the descending-score ranking (stable ties, so
 equal scores keep ascending sample order) and averages precision at
-every rank holding a positive. The precision/recall family comes in two
-modes: "all" thresholds every score, "top-k" forces exactly k predicted
-classes per sample. Per-class numbers (CP, CR, CF1) average over
-classes; overall numbers (OP, OR, OF1) pool the counts first.
+every rank holding a positive. The precision/recall family scores a
+boolean prediction matrix; a report builds two, every score at or above
+the threshold and exactly the k best classes per sample. Per-class
+numbers (CP, CR, CF1) average over classes; overall numbers (OP, OR,
+OF1) pool the counts first.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, parse_value
 
 __all__ = [
     "UndefinedMetricError",
@@ -26,6 +27,7 @@ __all__ = [
     "average_precision",
     "class_aps",
     "mean_ap",
+    "check_cutoffs",
     "prf_metrics",
     "compute_report",
     "format_report",
@@ -84,35 +86,21 @@ def average_precision(scores, labels) -> float:
 
     Ranking is by descending score; ties keep ascending original index.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    ranks = np.flatnonzero(np.asarray(labels)[order]) + 1
+    if ranks.size == 0:
         raise UndefinedMetricError("average precision needs a positive label")
-    order = np.argsort(-scores, kind="stable")
-    hits = 0
-    precisions = []
-    for rank, idx in enumerate(order, 1):
-        if labels[idx]:
-            hits += 1
-            precisions.append(hits / rank)
-    return math.fsum(precisions) / n_pos
+    return math.fsum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
 
 
 def class_aps(preds: PredictionSet) -> list:
     """Per-class AP; None for classes with no positive anywhere."""
-    out = []
-    for c in range(preds.labels.shape[1]):
-        if preds.labels[:, c].sum() == 0:
-            out.append(None)
-        else:
-            out.append(average_precision(preds.scores[:, c], preds.labels[:, c]))
-    return out
+    return [average_precision(preds.scores[:, c], preds.labels[:, c])
+            if preds.labels[:, c].any() else None
+            for c in range(preds.labels.shape[1])]
 
 
-def mean_ap(preds: PredictionSet) -> float:
-    """Mean over classes that have at least one positive."""
-    aps = class_aps(preds)
+def _mean_of(aps) -> float:
     skipped = [c for c, ap in enumerate(aps) if ap is None]
     if skipped:
         warnings.warn(f"classes without positives skipped from mAP: {skipped}")
@@ -122,54 +110,39 @@ def mean_ap(preds: PredictionSet) -> float:
     return math.fsum(valid) / len(valid)
 
 
-def _predicted_matrix(preds: PredictionSet, mode, threshold, k):
-    if mode == "all":
-        return preds.scores >= threshold
-    if mode == "top-k":
-        n, num_c = preds.scores.shape
-        if not 1 <= k <= num_c:
-            raise ValueError(f"top-{k} needs 1 <= k <= {num_c} classes")
-        predicted = np.zeros((n, num_c), dtype=bool)
-        for i in range(n):
-            order = np.argsort(-preds.scores[i], kind="stable")
-            predicted[i, order[:k]] = True
-        return predicted
-    raise ValueError(f"unknown mode {mode!r}")
+def mean_ap(preds: PredictionSet) -> float:
+    """Mean over classes that have at least one positive."""
+    return _mean_of(class_aps(preds))
 
 
-def prf_metrics(preds: PredictionSet, mode="all", threshold=0.5, k=3) -> PrfScores:
-    """CP/CR/CF1 and OP/OR/OF1 for one prediction mode.
+def check_cutoffs(threshold, top_k, num_classes):
+    """Refuse a threshold outside [0, 1] (or NaN) and a top-k outside 1..C."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold={threshold} needs 0 <= threshold <= 1")
+    if not 1 <= top_k <= num_classes:
+        raise ValueError(f"top_k={top_k} needs 1 <= k <= {num_classes} classes")
+
+
+def prf_metrics(preds: PredictionSet, predicted) -> PrfScores:
+    """CP/CR/CF1 and OP/OR/OF1 of a boolean (N, C) prediction matrix.
 
     Classes with a zero denominator contribute 0 to the per-class
     averages and are listed in zero_denominator_classes.
     """
-    predicted = _predicted_matrix(preds, mode, threshold, k)
     truth = preds.labels.astype(bool)
     correct = (predicted & truth).sum(axis=0)
     n_pred = predicted.sum(axis=0)
     n_truth = truth.sum(axis=0)
-
-    flagged = []
-    per_p, per_r = [], []
-    for c in range(truth.shape[1]):
-        if n_pred[c] == 0 or n_truth[c] == 0:
-            flagged.append(c)
-        per_p.append(correct[c] / n_pred[c] if n_pred[c] else 0.0)
-        per_r.append(correct[c] / n_truth[c] if n_truth[c] else 0.0)
-
-    cp = float(np.mean(per_p))
-    cr = float(np.mean(per_r))
+    per_p = np.divide(correct, n_pred, out=np.zeros(n_pred.shape),
+                      where=n_pred > 0)
+    per_r = np.divide(correct, n_truth, out=np.zeros(n_truth.shape),
+                      where=n_truth > 0)
+    cp, cr = float(per_p.mean()), float(per_r.mean())
     op = float(correct.sum() / n_pred.sum()) if n_pred.sum() else 0.0
     orec = float(correct.sum() / n_truth.sum()) if n_truth.sum() else 0.0
-    return PrfScores(
-        class_precision=cp,
-        class_recall=cr,
-        class_f1=_harmonic(cp, cr),
-        overall_precision=op,
-        overall_recall=orec,
-        overall_f1=_harmonic(op, orec),
-        zero_denominator_classes=flagged,
-    )
+    flagged = np.flatnonzero((n_pred == 0) | (n_truth == 0)).tolist()
+    return PrfScores(cp, cr, _harmonic(cp, cr), op, orec, _harmonic(op, orec),
+                     flagged)
 
 
 def _harmonic(p, r) -> float:
@@ -177,11 +150,17 @@ def _harmonic(p, r) -> float:
 
 
 def compute_report(preds: PredictionSet, threshold=0.5, top_k=3) -> MetricReport:
+    """mAP plus the threshold and top-k blocks; top-k ties go to lower classes."""
+    check_cutoffs(threshold, top_k, preds.scores.shape[1])
+    aps = class_aps(preds)
+    ranked = np.argsort(-preds.scores, axis=1, kind="stable")
+    top = np.zeros(preds.scores.shape, dtype=bool)
+    np.put_along_axis(top, ranked[:, :top_k], True, axis=1)
     return MetricReport(
-        per_class_ap=class_aps(preds),
-        mean_ap=mean_ap(preds),
-        all_mode=prf_metrics(preds, "all", threshold=threshold),
-        topk_mode=prf_metrics(preds, "top-k", k=top_k),
+        per_class_ap=aps,
+        mean_ap=_mean_of(aps),
+        all_mode=prf_metrics(preds, preds.scores >= threshold),
+        topk_mode=prf_metrics(preds, top),
         threshold=threshold,
         top_k=top_k,
     )
@@ -238,20 +217,39 @@ def write_predictions(path, preds: PredictionSet):
 
 
 def load_predictions(path) -> PredictionSet:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError("prediction file needs an 'N C' header line")
-        n, num_c = int(header[0]), int(header[1])
-        scores = np.zeros((n, num_c))
-        labels = np.zeros((n, num_c), dtype=np.uint8)
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != 2 * num_c:
-                raise FormatError(
-                    f"line {i + 2}: wanted {2 * num_c} fields, got {len(parts)}")
-            scores[i] = [float(s) for s in parts[:num_c]]
-            labels[i] = [int(l) for l in parts[num_c:]]
-        if fh.readline().strip():
-            raise FormatError("trailing content after last sample line")
-    return PredictionSet(scores, labels)
+    """Read a write_predictions file; a bad line is a FormatError naming it.
+
+    The header is two plain integers. Every sample line holds C scores,
+    each a finite number in [0, 1], then C labels, each 0 or 1.
+    """
+    lineno, rows = 1, []
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ValueError("prediction file needs an 'N C' header")
+            n, num_c = (parse_value(key, text, int)
+                        for key, text in zip("NC", header))
+            for lineno, line in enumerate(fh, 2):
+                parts = line.split()
+                if len(rows) == n:
+                    if parts:
+                        raise ValueError("trailing content after last sample")
+                    break
+                if len(parts) != 2 * num_c:
+                    raise ValueError(f"wanted {2 * num_c} fields, "
+                                     f"got {len(parts)}")
+                row = [parse_value("score", text, float)
+                       for text in parts[:num_c]]
+                if not all(0.0 <= score <= 1.0 for score in row):
+                    raise ValueError("a score is outside [0, 1]")
+                if not set(parts[num_c:]) <= {"0", "1"}:
+                    raise ValueError("labels must be 0 or 1")
+                rows.append(row + [int(label) for label in parts[num_c:]])
+            if len(rows) < n:
+                lineno = len(rows) + 2
+                raise ValueError(f"wanted {2 * num_c} fields, got 0")
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+    table = np.array(rows, dtype=float).reshape(n, 2 * num_c)
+    return PredictionSet(table[:, :num_c], table[:, num_c:].astype(np.uint8))

@@ -21,8 +21,9 @@ from .data import (Dataset, SyntheticConfig, parse_value, read_manifest_lines,
 from .head import (ModelBundle, ModelConfig, build_model, forward,
                    sample_losses, save_checkpoint)
 from .losses import AslConfig, LossWeights
-from .metrics import (MetricReport, PredictionSet, compute_report,
-                      format_report, report_entries, write_predictions)
+from .metrics import (MetricReport, PredictionSet, check_cutoffs,
+                      compute_report, format_report, report_entries,
+                      write_predictions)
 from .representation import EncoderConfig
 from .tensor import Tape
 from .transport import semantic_map
@@ -257,8 +258,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                         for name, p in params.items()}
             for i in batch:
                 with Tape() as tape:
-                    out = forward(images[i], model, labels=labels[i],
-                                  train=True)
+                    out = forward(images[i], model, labels=labels[i])
                     total, l_cls, l_m, l_ot = sample_losses(
                         out, labels[i], acfg, weights)
                     if not np.isfinite(total.data):
@@ -316,8 +316,7 @@ def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
     if ds.num_classes != num_c:
         raise ValueError(
             f"dataset has {ds.num_classes} classes, model wants {num_c}")
-    if not 1 <= top_k <= num_c:
-        raise ValueError(f"top_k={top_k} needs 1 <= k <= {num_c} classes")
+    check_cutoffs(threshold, top_k, num_c)
     scores = np.zeros((n, num_c))
     for i in range(n):
         out = forward(ds.payload[i], model)
@@ -333,7 +332,8 @@ def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
     min-max scaled to [0, 255]; a constant column becomes all black.
     """
     if not 0 <= class_id < model.config.num_classes:
-        raise ValueError(f"class {class_id} out of range")
+        raise ValueError(f"class_id={class_id} out of range: the model has "
+                         f"{model.config.num_classes} classes")
     if model.config.disable_ot:
         raise ValueError("transport is disabled; no attention to export")
     out = forward(x, model)

@@ -295,6 +295,34 @@ class TestDamagedInputs:
         assert message == f"sarl {verb}: {why}"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["5", "-0.1"])
+    def test_threshold_outside_unit_interval(self, tmp_path, trained,
+                                             monkeypatch, value):
+        data, run = trained
+
+        def scored(*args, **kwargs):
+            raise AssertionError("a sample was scored")
+
+        monkeypatch.setattr("sarl.training.forward", scored)
+        message = exits_with_one_line("eval", [
+            "eval", "--checkpoint", str(run / "model.ckpt"), "--data",
+            str(data / "test.bin"), "--threshold", value,
+            "--out", str(tmp_path / "evalout")])
+        assert message == (f"sarl eval: threshold={float(value)} "
+                           "needs 0 <= threshold <= 1")
+        assert not list(tmp_path.iterdir())
+
+    def test_export_class_id_names_the_class_count(self, tmp_path, trained):
+        data, run = trained
+        message = exits_with_one_line("export-attention", [
+            "export-attention", "--checkpoint", str(run / "model.ckpt"),
+            "--data", str(data / "test.bin"), "--class-id", "9",
+            "--out-map", str(tmp_path / "m.pgm"),
+            "--out-attn", str(tmp_path / "a.pgm")])
+        assert message == ("sarl export-attention: class_id=9 out of range: "
+                           "the model has 4 classes")
+        assert not list(tmp_path.iterdir())
+
     def test_export_without_transport_writes_nothing(self, tmp_path):
         data = gen(tmp_path)
         run = tmp_path / "run"

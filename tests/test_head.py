@@ -179,7 +179,7 @@ class TestForward:
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(8, 8, 2))
             y = np.array([1.0, 0.0, 1.0])
-            out = forward(x, model, labels=y, train=True)
+            out = forward(x, model, labels=y)
             z, l_ot = forward_oracle(x, model, y)
             np.testing.assert_allclose(out.logits.data, z, atol=1e-9)
             np.testing.assert_allclose(out.transport_cost.item(), l_ot, atol=1e-9)
@@ -188,7 +188,7 @@ class TestForward:
         model = build_model(tiny_config(), seed=8)
         rng = np.random.default_rng(9)
         out = forward(rng.normal(size=(8, 8, 2)), model,
-                      labels=np.array([0.0, 1.0, 1.0]), train=True)
+                      labels=np.array([0.0, 1.0, 1.0]))
         theta, beta = out.theta.data, out.beta.data
         assert theta.min() >= 0 and beta.min() >= 0
         np.testing.assert_allclose(theta.sum(), 1.0, atol=1e-9)
@@ -208,11 +208,6 @@ class TestForward:
         b = forward(img, model).logits.data
         np.testing.assert_array_equal(a, b)
 
-    def test_train_requires_labels(self):
-        model = build_model(tiny_config(), seed=12)
-        with pytest.raises(ValueError):
-            forward(np.zeros((8, 8, 2)), model, train=True)
-
     def test_infer_needs_no_labels(self):
         model = build_model(tiny_config(), seed=13)
         out = forward(np.random.default_rng(14).normal(size=(8, 8, 2)), model)
@@ -226,7 +221,7 @@ class TestAblations:
         model = build_model(tiny_config(disable_ot=True), seed=15)
         rng = np.random.default_rng(16)
         x = rng.normal(size=(8, 8, 2))
-        out = forward(x, model, labels=np.array([1.0, 0.0, 0.0]), train=True)
+        out = forward(x, model, labels=np.array([1.0, 0.0, 0.0]))
         assert out.attention is None
         assert out.transport_cost is None
         assert out.semantic_map is None

@@ -1,15 +1,19 @@
 """AP, mAP, and the precision/recall/F1 family."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from sarl.data import FormatError
 from sarl.metrics import (MetricReport, PredictionSet, UndefinedMetricError,
-                          average_precision, class_aps, compute_report,
-                          format_report, load_predictions, mean_ap,
-                          prf_metrics, report_entries, write_predictions)
+                          average_precision, check_cutoffs, class_aps,
+                          compute_report, format_report, load_predictions,
+                          mean_ap, prf_metrics, report_entries,
+                          write_predictions)
 
 
 def ap_oracle(scores, labels):
@@ -30,6 +34,15 @@ def map_oracle(scores, labels):
         if labels[:, c].sum() > 0:
             aps.append(ap_oracle(scores[:, c].tolist(), labels[:, c].tolist()))
     return math.fsum(aps) / len(aps)
+
+
+def topk_oracle(scores, k):
+    """Per-row sort by (-score, class): the k first classes are predicted."""
+    predicted = np.zeros(scores.shape, dtype=bool)
+    for i, row in enumerate(scores.tolist()):
+        best = sorted(range(len(row)), key=lambda c: (-row[c], c))[:k]
+        predicted[i, best] = True
+    return predicted
 
 
 class TestAveragePrecision:
@@ -144,7 +157,7 @@ class TestPrfMetrics:
         return PredictionSet(scores, labels)
 
     def test_hand_counted_example(self):
-        block = prf_metrics(self.hand_case(), "all", threshold=0.5)
+        block = prf_metrics(self.hand_case(), self.hand_case().scores >= 0.5)
         assert block.class_precision == 0.75
         assert block.class_recall == 0.75
         assert block.overall_precision == 0.75
@@ -157,7 +170,7 @@ class TestPrfMetrics:
         labels = (rng.random((10, 4)) < 0.5).astype(int)
         labels[:, 2] = 1  # no empty class columns
         scores = np.where(labels == 1, 0.9, 0.1)
-        block = prf_metrics(PredictionSet(scores, labels), "all")
+        block = prf_metrics(PredictionSet(scores, labels), scores >= 0.5)
         for value in (block.class_precision, block.class_recall, block.class_f1,
                       block.overall_precision, block.overall_recall,
                       block.overall_f1):
@@ -168,14 +181,14 @@ class TestPrfMetrics:
         scores = rng.random((8, 3))
         labels = (rng.random((8, 3)) < 0.5).astype(int)
         labels[0] = 1
-        block = prf_metrics(PredictionSet(scores, labels), "top-k", k=3)
+        block = prf_metrics(PredictionSet(scores, labels), topk_oracle(scores, 3))
         assert block.overall_precision == labels.sum() / (3 * 8)
         assert block.overall_recall == 1.0
 
     def test_topk_tie_break_ascending_class(self):
-        scores = np.array([[0.5, 0.5, 0.5, 0.2]])
-        labels = np.array([[1, 1, 0, 0]])
-        block = prf_metrics(PredictionSet(scores, labels), "top-k", k=2)
+        scores = np.array([[0.5, 0.5, 0.5, 0.2], [0.1, 0.1, 0.9, 0.9]])
+        labels = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
+        block = compute_report(PredictionSet(scores, labels), top_k=2).topk_mode
         # classes 0 and 1 win the tie, so precision is perfect
         assert block.overall_precision == 1.0
 
@@ -185,8 +198,8 @@ class TestPrfMetrics:
             scores = rng.random((12, 4))
             labels = (rng.random((12, 4)) < 0.4).astype(int)
             labels[0] = 1
-            for mode, kw in (("all", {}), ("top-k", {"k": 2})):
-                block = prf_metrics(PredictionSet(scores, labels), mode, **kw)
+            for predicted in (scores >= 0.5, topk_oracle(scores, 2)):
+                block = prf_metrics(PredictionSet(scores, labels), predicted)
                 cp, cr = block.class_precision, block.class_recall
                 op, orec = block.overall_precision, block.overall_recall
                 if cp + cr > 0:
@@ -200,8 +213,8 @@ class TestPrfMetrics:
         rng = np.random.default_rng(8)
         scores = rng.random((15, 5))
         labels = (rng.random((15, 5)) < 0.3).astype(int)
-        for mode, kw in (("all", {}), ("top-k", {"k": 3})):
-            block = prf_metrics(PredictionSet(scores, labels), mode, **kw)
+        for predicted in (scores >= 0.5, topk_oracle(scores, 3)):
+            block = prf_metrics(PredictionSet(scores, labels), predicted)
             for value in (block.class_precision, block.class_recall,
                           block.class_f1, block.overall_precision,
                           block.overall_recall, block.overall_f1):
@@ -210,20 +223,73 @@ class TestPrfMetrics:
     def test_never_predicted_class_flagged(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2]])
         labels = np.array([[1, 1], [1, 0]])
-        block = prf_metrics(PredictionSet(scores, labels), "all", threshold=0.5)
+        block = prf_metrics(PredictionSet(scores, labels), scores >= 0.5)
         assert block.zero_denominator_classes == [1]
         assert block.class_precision == 0.5  # (1 + 0) / 2
 
     def test_bad_k_rejected(self):
         preds = PredictionSet(np.ones((2, 3)), np.ones((2, 3), dtype=int))
         for k in (-1, 0, 4):
-            with pytest.raises(ValueError, match=f"top-{k} needs 1 <= k <= 3"):
-                prf_metrics(preds, "top-k", k=k)
+            why = f"top_k={k} needs 1 <= k <= 3 classes"
+            with pytest.raises(ValueError, match=f"^{why}$"):
+                check_cutoffs(0.5, k, 3)
+            with pytest.raises(ValueError, match=f"^{why}$"):
+                compute_report(preds, top_k=k)
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 5, math.nan, math.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
         preds = PredictionSet(np.ones((2, 3)), np.ones((2, 3), dtype=int))
-        with pytest.raises(ValueError):
-            prf_metrics(preds, "some")
+        why = f"threshold={threshold} needs 0 <= threshold <= 1"
+        with pytest.raises(ValueError, match=f"^{why}$"):
+            compute_report(preds, threshold=threshold)
+
+    def test_unit_interval_ends_accepted(self):
+        preds = PredictionSet(np.ones((2, 3)), np.ones((2, 3), dtype=int))
+        for threshold in (0, 0.0, 1, 1.0):
+            check_cutoffs(threshold, 3, 3)
+        assert compute_report(preds, threshold=1.0).all_mode.overall_recall == 1.0
+
+
+# (N, C, seed, tied): see draw_case
+CASES = st.tuples(st.integers(1, 60), st.integers(1, 8),
+                  st.integers(0, 2 ** 32 - 1), st.booleans())
+
+
+def draw_case(n, num_c, seed, tied):
+    """(N, C) scores from a 4-value grid (heavy ties) or float32 uniforms,
+    binary labels with sample 0 positive on class 0."""
+    rng = np.random.default_rng(seed)
+    if tied:
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, num_c))
+    else:
+        scores = rng.random((n, num_c)).astype(np.float32).astype(float)
+    labels = (rng.random((n, num_c)) < rng.uniform(0.1, 0.9)).astype(int)
+    labels[0, 0] = 1
+    return scores, labels
+
+
+class TestAgainstOracles:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=CASES)
+    def test_average_precision_matches_rank_walk(self, case):
+        scores, labels = draw_case(*case)
+        for c in range(scores.shape[1]):
+            if labels[:, c].any():
+                assert average_precision(scores[:, c], labels[:, c]) == \
+                    ap_oracle(scores[:, c].tolist(), labels[:, c].tolist())
+            else:
+                with pytest.raises(UndefinedMetricError):
+                    average_precision(scores[:, c], labels[:, c])
+
+    @pytest.mark.filterwarnings("ignore:classes without positives")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(case=CASES)
+    def test_top_k_block_matches_sorted_rows(self, case):
+        scores, labels = draw_case(*case)
+        preds = PredictionSet(scores, labels)
+        for k in range(1, scores.shape[1] + 1):
+            got = compute_report(preds, top_k=k).topk_mode
+            assert got == prf_metrics(preds, topk_oracle(scores, k))
 
 
 class TestReport:
@@ -285,4 +351,27 @@ class TestPredictionFile:
         path = tmp_path / "preds.txt"
         path.write_text("1 1\n0.5 1\nextra\n")
         with pytest.raises(FormatError, match="trailing"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("text,why", [
+        ("-1 2\n", "line 1: 'N' is '-1', not an integer"),
+        ("+1 2\n0.5 0.5 1 0\n", "line 1: 'N' is '+1', not an integer"),
+        ("2 2\n0.5 0.5 1 0\nabc 0.5 1 0\n",
+         "line 3: 'score' is 'abc', not a finite number"),
+        ("1 2\nnan 0.5 1 0\n", "line 2: 'score' is 'nan', not a finite number"),
+        ("1 2\n0.5 1.5 1 0\n", "line 2: a score is outside [0, 1]"),
+        ("1 2\n0.5 0.5 2 0\n", "line 2: labels must be 0 or 1"),
+        ("2 1\n0.5 1\n", "line 3: wanted 2 fields, got 0"),
+    ], ids=["negative-n", "signed-n", "text-score", "nan-score",
+            "score-above-one", "label-two", "short-file"])
+    def test_bad_line_named(self, tmp_path, text, why):
+        path = tmp_path / "preds.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(why)}$"):
+            load_predictions(path)
+
+    def test_huge_header_allocates_nothing(self, tmp_path):
+        path = tmp_path / "preds.txt"
+        path.write_text("1000000000000 1000000\n")
+        with pytest.raises(FormatError, match="^line 2: wanted 2000000 fields"):
             load_predictions(path)

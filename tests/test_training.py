@@ -231,7 +231,7 @@ class TestTrainLoop:
         labels = np.zeros(cfg.num_classes)
         labels[[0, 2]] = 1.0
         with Tape() as tape:
-            out = forward(image, model, labels=labels, train=True)
+            out = forward(image, model, labels=labels)
             sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
         assert len(tape) == 101
 
@@ -334,6 +334,19 @@ class TestTrainLoop:
         for k in (-1, 0, 5):
             with pytest.raises(ValueError, match=f"top_k={k} needs 1 <= k <= 4"):
                 evaluate(model, test_ds, top_k=k)
+
+    def test_threshold_outside_unit_interval_rejected(self, monkeypatch):
+        cfg = tiny_config()
+        _, test_ds = generate(synthetic_config(cfg))
+        model = build_model(model_config(cfg), dtype=np.float32)
+
+        def scored(*args, **kwargs):
+            raise AssertionError("a sample was scored")
+
+        monkeypatch.setattr(Tr, "forward", scored)
+        for threshold in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=f"^threshold={threshold} "):
+                evaluate(model, test_ds, threshold=threshold)
 
 
 class TestPgmExport:

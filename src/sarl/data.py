@@ -77,7 +77,7 @@ class SyntheticConfig:
 
 @dataclass
 class Dataset:
-    """Images (N, H, W, channels) plus binary labels (N, C)."""
+    """Finite images (N, H, W, channels) plus binary labels (N, C)."""
 
     payload: np.ndarray
     labels: np.ndarray
@@ -85,6 +85,13 @@ class Dataset:
     def __post_init__(self):
         if self.payload.shape[0] != self.labels.shape[0]:
             raise ValueError("payload and labels disagree on sample count")
+        # min and max carry any NaN or inf and need no payload-sized mask
+        if self.payload.size and not np.isfinite(
+                [self.payload.min(), self.payload.max()]).all():
+            bad = ~np.isfinite(self.payload)
+            row = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1))[0]
+            raise ValueError(f"row {row}: image payload holds the non-finite "
+                             f"value {self.payload[row][bad[row]][0]}")
         bad = np.flatnonzero(((self.labels != 0) & (self.labels != 1)).any(axis=1))
         if bad.size:
             raise ValueError(f"row {bad[0]}: labels must be 0 or 1, "
@@ -222,8 +229,8 @@ def load_dataset(path) -> Dataset:
     labels = labels.reshape(n, num_classes).copy()
     try:
         return Dataset(payload, labels)
-    except ValueError as exc:
-        raise FormatError(f"label bytes: {exc}") from None
+    except ValueError as exc:  # the message names the row and the field
+        raise FormatError(str(exc)) from None
 
 
 def stats(ds: Dataset) -> DatasetStats:

@@ -116,6 +116,11 @@ def run_suite(verbose=True):
         check(f"attention_p{num_p}_h{n_heads}",
               lambda: T.sum_(T.pow_const(T.attention(q, k, v, n_heads), 2)),
               [q, k, v])
+    for num_p, num_c in ((5, 3), (1, 3), (5, 1)):
+        fu, sv, w = rt(num_p, 4), rt(num_c, 4), rt(4, 1)
+        check(f"bilinear_scores_p{num_p}_c{num_c}",
+              lambda: T.sum_(T.pow_const(T.bilinear_scores(fu, sv, w), 2)),
+              [fu, sv, w])
     check("mean", lambda: T.mean(T.pow_const(a, 2)), [a])
     check("max", lambda: T.sum_(T.pow_const(T.max_reduce(a, axis=0), 2)), [a])
     img = rt(6, 6, 2)
@@ -138,12 +143,12 @@ def run_suite(verbose=True):
     feats = rt(4, 6)
     sem = rt(3, 6)
     u, v2 = rt(6, 4, scale=0.5), rt(6, 4, scale=0.5)
-    mix, bias2, score = rt(4, 4, scale=0.5), rt(4, scale=0.1), rt(4, 1, scale=0.5)
+    mix, score = rt(4, 4, scale=0.5), rt(4, 1, scale=0.5)
     wmap = rt(6, 3, scale=0.5)
     y3 = np.array([1.0, 0.0, 1.0])
 
     def ct():
-        params = transport.BilinearParams(u, v2, mix, bias2, score)
+        params = transport.BilinearParams(u, v2, mix, score)
         mass = transport.bilinear_mass(feats, sem, params)
         smap = T.matmul(feats, wmap)
         theta = transport.source_distribution(smap, y3)
@@ -153,12 +158,12 @@ def run_suite(verbose=True):
         cost = transport.cost_matrix(feats, sem)
         return transport.ct_loss(fwd, bwd, cost)
 
-    check("ct_loss", ct, [feats, sem, u, v2, mix, bias2, score, wmap])
+    check("ct_loss", ct, [feats, sem, u, v2, mix, score, wmap])
 
     cls_w, cls_b = rt(6, 3, scale=0.5), rt(3, scale=0.1)
 
     def total():
-        params = transport.BilinearParams(u, v2, mix, bias2, score)
+        params = transport.BilinearParams(u, v2, mix, score)
         mass = transport.bilinear_mass(feats, sem, params)
         smap = T.matmul(feats, wmap)
         theta = transport.source_distribution(smap, y3)
@@ -175,7 +180,7 @@ def run_suite(verbose=True):
         return losses.total_loss(l_cls, l_m, l_ot, losses.LossWeights(0.3, 0.7))
 
     check("total_loss", total,
-          [feats, sem, u, v2, mix, bias2, score, wmap, cls_w, cls_b])
+          [feats, sem, u, v2, mix, score, wmap, cls_w, cls_b])
 
     # full model, tiny config, 8x8 image -> 2x2 patch grid
     enc = EncoderConfig(in_channels=2, grid_h=2, grid_w=2, conv_blocks=2)

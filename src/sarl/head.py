@@ -9,7 +9,8 @@ the transport loss; inference mode never touches labels.
 
 Checkpoints hold every parameter tensor as named 32-bit little-endian
 payloads after a key=value manifest of the architecture, so a saved
-float32 model reloads bit-identically.
+float32 model reloads bit-identically. The loader reads only the current
+format version and refuses a non-finite value by tensor name.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ __all__ = [
 ]
 
 CKPT_MAGIC = b"SARLCKPT"
-CKPT_VERSION = 1
+# version 1 also held bilinear.bias; such files are refused, not converted
+CKPT_VERSION = 2
 # a fixed manifest line: the conv encoder is the only encoder
 ENCODER_MODE = "tiny-conv"
 
@@ -141,7 +143,6 @@ class ModelBundle:
         named["bilinear.u"] = self.bilinear.u
         named["bilinear.v"] = self.bilinear.v
         named["bilinear.mix"] = self.bilinear.mix
-        named["bilinear.bias"] = self.bilinear.bias
         named["bilinear.score"] = self.bilinear.score
         named["classifier.weights"] = self.classifier.weights
         named["classifier.bias"] = self.classifier.bias
@@ -320,7 +321,8 @@ def load_checkpoint(path) -> ModelBundle:
         raise FormatError(f"bad magic {magic!r} at byte 0")
     version, manifest_len = struct.unpack("<2I", read_exact(view, 8, "header"))
     if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+        raise FormatError(f"checkpoint version {version} is not supported: "
+                          f"this build reads version {CKPT_VERSION}")
     manifest = read_text(view, manifest_len, "manifest")
     try:
         model = build_model(_config_from_manifest(manifest), seed=0,
@@ -350,6 +352,10 @@ def load_checkpoint(path) -> ModelBundle:
         payload = np.frombuffer(read_exact(view, 4 * math.prod(shape),
                                            f"payload of {name!r}"),
                                 dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(payload))
+        if bad.size:
+            raise FormatError(f"tensor {name!r} holds a non-finite value "
+                              f"{payload[bad[0]]} at flat index {bad[0]}")
         params[name].data = payload.reshape(shape).copy()
     if view.read(1):
         raise FormatError("trailing data after last tensor")

@@ -38,6 +38,7 @@ __all__ = [
     "clamp",
     "softmax",
     "attention",
+    "bilinear_scores",
     "sum_",
     "mean",
     "max_reduce",
@@ -441,6 +442,43 @@ def attention(q, k, v, n_heads):
             _accumulate(kt, merge(dp.transpose(0, 2, 1) @ qh))
 
     return _make(merge(o), "attention", (qt, kt, vt), backward_fn)
+
+
+def bilinear_scores(fu, sv, w):
+    """Score every (row of fu, row of sv) pair: A[p, c] = tanh(fu_p * sv_c) w.
+
+    fu is (P, d), sv is (C, d) and w is (d, 1); the result is (P, C). One
+    tape record that keeps only the (P, C, d) tanh.
+    """
+    fd, ft = _lift(fu)
+    sd, st = _lift(sv)
+    wd, wt = _lift(w)
+    if (fd.ndim != 2 or sd.ndim != 2 or sd.shape[1] != fd.shape[1]
+            or wd.shape != (fd.shape[1], 1)):
+        raise DimensionError(
+            f"bilinear_scores needs (P,d), (C,d), (d,1), got "
+            f"{fd.shape}, {sd.shape}, {wd.shape}")
+    num_p, d = fd.shape
+    num_c = sd.shape[0]
+    # in place on a buffer this op owns: t is (P, C, d)
+    t = fd[:, None, :] * sd[None, :, :]
+    np.tanh(t, out=t)
+    flat = t.reshape(num_p * num_c, d)
+
+    def backward_fn(g):
+        if wt is not None:
+            _accumulate(wt, flat.T @ g.reshape(-1, 1))
+        dp = t * t
+        np.subtract(1.0, dp, out=dp)
+        dp *= g[:, :, None]
+        dp *= wd[:, 0]
+        if ft is not None:
+            _accumulate(ft, np.einsum("pcd,cd->pd", dp, sd))
+        if st is not None:
+            _accumulate(st, np.einsum("pcd,pd->cd", dp, fd))
+
+    return _make((flat @ wd).reshape(num_p, num_c), "bilinear_scores",
+                 (ft, st, wt), backward_fn)
 
 
 def sum_(a, axis=None):

@@ -97,6 +97,8 @@ class TrainConfig:
         for name in ("lr", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay={self.weight_decay} must be >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
 
@@ -263,7 +265,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                         out, labels[i], acfg, weights)
                     if not np.isfinite(total.data):
                         raise TrainingError(
-                            "non-finite loss; first bad tensor: "
+                            f"non-finite loss at epoch {epoch}, training row "
+                            f"{i}; first bad tensor: "
                             + _first_non_finite(tape, params))
                     tape.backward(total)
                 for name, p in params.items():

@@ -5,13 +5,15 @@ features F_S (C x d_v) by treating patches as source points and classes
 as targets. A learnable semantic map M reweights the source mass toward
 patches that look label-relevant, the normalized label vector supplies
 the target mass, and a low-rank bilinear form scores every (patch,
-class) pair. Softmax-normalizing those scores row- or column-wise and
-scaling by the marginals yields the two transport plans; contracting the
-plans against a cosine cost gives the transport loss. The same bilinear
-scores, row-normalized, serve as attention weights that rebuild each
-patch as a mixture of class features (F_R), which is the only part the
-inference path needs: everything involving labels runs at train time
-only.
+class) pair in one fused tape op (:func:`sarl.tensor.bilinear_scores`).
+Softmax-normalizing those scores row- or column-wise and scaling by the
+marginals yields the two transport plans; contracting the plans against
+a cosine cost gives the transport loss. The same bilinear scores,
+row-normalized, serve as attention weights that rebuild each patch as a
+mixture of class features (F_R), which is the only part the inference
+path needs: everything involving labels runs at train time only. The
+scores carry no bias: a constant added to every score would cancel in
+each of these softmaxes.
 """
 
 from __future__ import annotations
@@ -46,15 +48,14 @@ NORM_EPS = 1e-8
 class BilinearParams:
     """Low-rank bilinear scorer for (patch, class) pairs.
 
-    u: (d_v, d1), v: (d_v, d1), mix: (d1, d2), bias: (d2,),
-    score: (d2, 1). Pair (p, c) scores
-    (tanh((f_p u) * (s_c v)) mix + bias) score.
+    u: (d_v, d1), v: (d_v, d1), mix: (d1, d2), score: (d2, 1). Pair
+    (p, c) scores tanh((f_p u) * (s_c v)) mix score. mix and score stay
+    two factors because AdamW steps each on its own.
     """
 
     u: Tensor
     v: Tensor
     mix: Tensor
-    bias: Tensor
     score: Tensor
 
 
@@ -63,7 +64,6 @@ def init_bilinear(rng, d_v, d1, d2, dtype=np.float64) -> BilinearParams:
         xavier_uniform(rng, d_v, d1, dtype),
         xavier_uniform(rng, d_v, d1, dtype),
         xavier_uniform(rng, d1, d2, dtype),
-        Tensor(np.zeros(d2, dtype=dtype)),
         xavier_uniform(rng, d2, 1, dtype),
     )
 
@@ -107,18 +107,9 @@ def target_distribution(y) -> Tensor:
 
 
 def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:
-    """Transport scores A (P x C), one bilinear form per (patch, class).
-
-    Computed through a (P x C x d1) broadcast rather than a pair loop.
-    """
-    fu = T.matmul(f, p.u)
-    sv = T.matmul(f_s, p.v)
-    num_p, d1 = fu.shape
-    num_c = sv.shape[0]
-    pair = T.mul(T.reshape(fu, (num_p, 1, d1)), T.reshape(sv, (1, num_c, d1)))
-    hidden = T.reshape(T.tanh(pair), (num_p * num_c, d1))
-    scores = T.matmul(T.add(T.matmul(hidden, p.mix), p.bias), p.score)
-    return T.reshape(scores, (num_p, num_c))
+    """Transport scores A (P x C), one bilinear form per (patch, class)."""
+    return T.bilinear_scores(T.matmul(f, p.u), T.matmul(f_s, p.v),
+                             T.matmul(p.mix, p.score))
 
 
 def forward_plan(mass: Tensor, theta) -> Tensor:

@@ -75,13 +75,12 @@ def attention_oracle(f, w_q, w_k, w_v, n_heads):
 def bilinear_oracle(f, s, params):
     p, c = f.shape[0], s.shape[0]
     u, v = params.u.data, params.v.data
-    mix, bias = params.mix.data, params.bias.data
-    score = params.score.data
+    mix, score = params.mix.data, params.score.data
     a = np.zeros((p, c))
     for i in range(p):
         for j in range(c):
             hidden = np.tanh((f[i] @ u) * (s[j] @ v))
-            a[i, j] = float((hidden @ mix + bias) @ score[:, 0])
+            a[i, j] = float(hidden @ mix @ score[:, 0])
     return a
 
 

@@ -105,13 +105,23 @@ class TestTrainVerb:
         (["--noise", "-1"], "noise=-1.0 must be >= 0"),
         (["--epochs", "1_0"], "'--epochs' is '1_0', not an integer"),
         (["--lr", "nan"], "'--lr' is 'nan', not a finite number"),
+        (["--weight-decay", "-1"], "weight_decay=-1.0 must be >= 0"),
     ], ids=["gsp-mode", "feature-dim", "batch-size", "n-train", "noise",
-            "epochs", "lr"])
+            "epochs", "lr", "weight-decay"])
     def test_bad_config_refused_before_run_log(self, tmp_path, flags, why):
         run = tmp_path / "run"
         with pytest.raises(SystemExit, match=f"^sarl train: {re.escape(why)}$"):
             main(["train", "--out", str(run), "--n-train", "20", "--n-test",
                   "10", "--epochs", "1", "--quiet", *flags])
+        assert not (run / "run.log").exists()
+
+    def test_negative_weight_decay_line_refused_before_run_log(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("weight_decay=-1\n")
+        run = tmp_path / "run"
+        message = exits_with_one_line("train", [
+            "train", "--out", str(run), "--config", str(cfg), *TINY_TRAIN])
+        assert message == "sarl train: weight_decay=-1.0 must be >= 0"
         assert not (run / "run.log").exists()
 
     def test_half_given_data_flags_rejected(self, tmp_path):
@@ -266,6 +276,22 @@ class TestDamagedInputs:
                                              *extra])
         assert "truncated" in message
         assert list(tmp_path.iterdir()) == [ckpt]
+
+    def test_non_finite_pixel_to_eval(self, tmp_path, trained):
+        # 36 header bytes, then 15 float32 images of 8x8x2; row 4 gets a NaN
+        data, run = trained
+        raw = bytearray((data / "test.bin").read_bytes())
+        at = 36 + 4 * (4 * 8 * 8 * 2) + 4 * 7
+        raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "evalout"
+        message = exits_with_one_line("eval", [
+            "eval", "--checkpoint", str(run / "model.ckpt"), "--data",
+            str(bad), "--out", str(out)])
+        assert message == ("sarl eval: row 4: image payload holds the "
+                           "non-finite value nan")
+        assert not out.exists()
 
     def test_eval_on_other_class_count(self, tmp_path, trained):
         _, run = trained

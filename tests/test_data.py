@@ -101,6 +101,29 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match="row 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, value):
+        # 36 header bytes, then the float32 images of 8x8x3; row 2 is bad
+        train, _ = generate(SyntheticConfig(seed=14, n_train=6, n_test=1))
+        path = tmp_path / "train.bin"
+        save_dataset(path, train)
+        raw = bytearray(path.read_bytes())
+        at = 36 + 2 * (4 * 8 * 8 * 3) + 4 * 5
+        raw[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"^row 2: image payload holds "
+                                              f"the non-finite value "
+                                              f"{np.float32(value)}$"):
+            load_dataset(path)
+
+    def test_in_memory_payload_must_be_finite(self):
+        payload = np.zeros((3, 4, 4, 1), dtype=np.float32)
+        payload[1, 2, 3, 0] = np.inf
+        payload[2, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="^row 1: image payload holds "
+                                             "the non-finite value inf$"):
+            Dataset(payload, np.ones((3, 2), dtype=np.uint8))
+
     def test_in_memory_labels_must_be_binary(self):
         labels = np.array([[1, 0], [0, 1], [1, 2]], dtype=np.uint8)
         with pytest.raises(ValueError, match="row 2"):

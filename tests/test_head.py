@@ -7,13 +7,15 @@ import struct
 import numpy as np
 import pytest
 
+from sarl import head
 from sarl import tensor as T
 from sarl.data import FormatError
 from sarl.head import (ClassifierParams, ModelConfig, build_model, forward,
-                       load_checkpoint, region_score_aggregate, save_checkpoint)
+                       load_checkpoint, region_score_aggregate, sample_losses,
+                       save_checkpoint)
 from sarl.representation import ConfigError, EncoderConfig, encode
-from sarl.tensor import Tensor
-from sarl.training import TrainConfig, model_config
+from sarl.tensor import Tape, Tensor
+from sarl.training import TrainConfig, asl_config, loss_weights, model_config
 
 # the manifest of the default training config, byte for byte: the order
 # and spelling of these lines are part of the checkpoint format
@@ -60,8 +62,7 @@ def forward_oracle(x, model, y):
         for c in range(num_c):
             hidden = np.tanh(fu[i] * sv[c])
             mass[i, c] = float(
-                ((hidden @ p["bilinear.mix"] + p["bilinear.bias"])
-                 @ p["bilinear.score"])[0])
+                (hidden @ p["bilinear.mix"] @ p["bilinear.score"])[0])
     b = np_softmax(mass, 1)
     f_r = b @ f_s
     scores = f_r @ p["classifier.weights"] + p["classifier.bias"]
@@ -77,6 +78,31 @@ def forward_oracle(x, model, y):
     bwd = beta[None, :] * np_softmax(mass, 0)
     l_ot = float((fwd * co).sum() + (bwd * co).sum())
     return z, l_ot
+
+
+def checkpoint_bytes(version, manifest, named):
+    """The file layout written out by hand: magic, version, manifest, then
+    per tensor its name, rank, shape and float32 payload."""
+    manifest = manifest.encode()
+    raw = b"SARLCKPT" + struct.pack("<2I", version, len(manifest)) + manifest
+    raw += struct.pack("<I", len(named))
+    for name, data in named.items():
+        raw += struct.pack("<I", len(name)) + name.encode()
+        raw += struct.pack(f"<{data.ndim + 1}I", data.ndim, *data.shape)
+        raw += data.astype("<f4").tobytes()
+    return raw
+
+
+def composite_bilinear_mass(f, f_s, p, bias):
+    """The bilinear scores as eleven tape records, with the bias term that
+    the fused op drops: (tanh((f u) * (f_s v)) mix + bias) score."""
+    fu, sv = T.matmul(f, p.u), T.matmul(f_s, p.v)
+    num_p, d1 = fu.shape
+    num_c = sv.shape[0]
+    pair = T.mul(T.reshape(fu, (num_p, 1, d1)), T.reshape(sv, (1, num_c, d1)))
+    hidden = T.reshape(T.tanh(pair), (num_p * num_c, d1))
+    scores = T.matmul(T.add(T.matmul(hidden, p.mix), bias), p.score)
+    return T.reshape(scores, (num_p, num_c))
 
 
 def tiny_config(**overrides):
@@ -216,6 +242,62 @@ class TestForward:
         assert out.semantic_map is None
 
 
+class TestFusedBilinearGate:
+    """The fused bilinear op against the composite it replaced, float64.
+
+    The composite carries a nonzero random bias. It adds one constant to
+    every score, which each softmax of A cancels, so everything
+    downstream must agree within 1e-12 and the bias gradient must be 0.
+    """
+
+    def run(self, monkeypatch, model, image, labels, bilinear_mass):
+        masses = []
+
+        def recorded(f, f_s, p):
+            masses.append(bilinear_mass(f, f_s, p))
+            return masses[-1]
+
+        cfg = TrainConfig()
+        monkeypatch.setattr(head, "bilinear_mass", recorded)
+        with Tape() as tape:
+            out = forward(image, model, labels=labels)
+            losses = sample_losses(out, labels, asl_config(cfg),
+                                   loss_weights(cfg))
+            tape.backward(losses[0])
+        a = masses[0].data
+        values = {"softmax_rows": np_softmax(a, 1),
+                  "softmax_cols": np_softmax(a, 0),
+                  "logits": out.logits.data}
+        values.update(zip(("total", "cls", "map", "ot"),
+                          (t.data for t in losses)))
+        for name, t in model.parameters().items():
+            values["grad " + name] = t.grad.copy()
+        return values
+
+    @pytest.mark.parametrize("image_size,num_classes,num_p",
+                             [(8, 6, 4), (16, 5, 16)], ids=["default", "p16-c5"])
+    def test_fused_matches_composite(self, monkeypatch, image_size,
+                                     num_classes, num_p):
+        cfg = model_config(TrainConfig(image_size=image_size,
+                                       num_classes=num_classes))
+        assert cfg.encoder.grid_h * cfg.encoder.grid_w == num_p
+        model = build_model(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        image = rng.normal(size=(image_size, image_size, 3))
+        labels = np.zeros(num_classes)
+        labels[[0, 2]] = 1.0
+        bias = Tensor(rng.normal(size=cfg.bilinear_out))
+        fused = self.run(monkeypatch, model, image, labels, head.bilinear_mass)
+        composite = self.run(
+            monkeypatch, model, image, labels,
+            lambda f, f_s, p: composite_bilinear_mass(f, f_s, p, bias))
+        assert fused.keys() == composite.keys()
+        for name, want in composite.items():
+            np.testing.assert_allclose(fused[name], want, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        np.testing.assert_allclose(bias.grad, 0.0, atol=1e-12)
+
+
 class TestAblations:
     def test_disable_ot_bypasses_transport(self):
         model = build_model(tiny_config(disable_ot=True), seed=15)
@@ -255,18 +337,11 @@ class TestCheckpoint:
         return model, load_checkpoint(path)
 
     def test_default_checkpoint_bytes_are_pinned(self, tmp_path):
-        # the file layout written out by hand: magic, version, manifest,
-        # then per tensor its name, rank, shape and float32 payload
         model = build_model(model_config(TrainConfig()), seed=5, dtype=np.float32)
-        manifest = DEFAULT_MANIFEST.encode()
         params = model.parameters()
-        raw = b"SARLCKPT" + struct.pack("<2I", 1, len(manifest)) + manifest
-        raw += struct.pack("<I", len(params))
-        for name, tensor in params.items():
-            shape = tensor.data.shape
-            raw += struct.pack("<I", len(name)) + name.encode()
-            raw += struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
-            raw += tensor.data.astype("<f4").tobytes()
+        assert len(params) == 17
+        raw = checkpoint_bytes(2, DEFAULT_MANIFEST,
+                               {name: t.data for name, t in params.items()})
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         assert path.read_bytes() == raw
@@ -275,6 +350,34 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for name, tensor in params.items():
             np.testing.assert_array_equal(loaded.parameters()[name].data, tensor.data)
+
+    def test_version_1_file_refused(self, tmp_path):
+        # version 1 held one more tensor: bilinear.bias (bilinear_out,)
+        # sat between bilinear.mix and bilinear.score
+        model = build_model(model_config(TrainConfig()), seed=5, dtype=np.float32)
+        named = {}
+        for name, t in model.parameters().items():
+            if name == "bilinear.score":
+                named["bilinear.bias"] = np.zeros(16, dtype=np.float32)
+            named[name] = t.data
+        assert len(named) == 18
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(checkpoint_bytes(1, DEFAULT_MANIFEST, named))
+        with pytest.raises(FormatError, match="^checkpoint version 1 is not "
+                                              "supported: this build reads "
+                                              "version 2$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_refused(self, tmp_path, value):
+        model = build_model(tiny_config(), seed=29, dtype=np.float32)
+        model.classifier.bias.data[1] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(FormatError, match=re.escape(
+                f"tensor 'classifier.bias' holds a non-finite value "
+                f"{np.float32(value)} at flat index 1")):
+            load_checkpoint(path)
 
     def test_parameters_roundtrip_bit_exact(self, tmp_path):
         model, loaded = self.roundtrip(tmp_path, tiny_config())

@@ -147,6 +147,49 @@ class TestAttention:
             T.attention(q, k, v, n_heads)
 
 
+class TestBilinearScores:
+    @pytest.mark.parametrize("num_p,num_c", [(5, 3), (1, 3), (5, 1)])
+    def test_gradients(self, num_p, num_c):
+        rng = np.random.default_rng(60 + num_p + num_c)
+        fu, sv, w = (Tensor(rng.normal(size=s))
+                     for s in ((num_p, 4), (num_c, 4), (4, 1)))
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.bilinear_scores(fu, sv, w), 2)),
+            [fu, sv, w]) < 1e-4
+
+    def test_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(61)
+        fu, sv, w = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=(5, 1))
+        out = T.bilinear_scores(Tensor(fu), Tensor(sv), Tensor(w)).data
+        for p in range(6):
+            for c in range(4):
+                assert abs(out[p, c] - np.tanh(fu[p] * sv[c]) @ w[:, 0]) < 1e-12
+
+    def test_inputs_and_upstream_gradient_untouched(self):
+        # the op works in place, but only on buffers it allocated
+        rng = np.random.default_rng(62)
+        fu, sv, w = (Tensor(rng.normal(size=s)) for s in ((6, 5), (4, 5), (5, 1)))
+        before = [t.data.copy() for t in (fu, sv, w)]
+        upstream = rng.normal(size=(6, 4))
+        with Tape() as tape:
+            out = T.bilinear_scores(fu, sv, w)
+            tape.backward(T.sum_(T.mul(out, upstream)))
+        for t, data in zip((fu, sv, w), before):
+            np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(out.grad, upstream)
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 5), (3, 6), (5, 1)),
+        ((4, 5), (3, 5), (5, 2)),
+        ((4, 5), (3, 5), (5,)),
+        ((2, 4, 5), (3, 5), (5, 1)),
+    ], ids=["width", "w-columns", "w-vector", "stacked"])
+    def test_bad_shapes_rejected(self, shapes):
+        fu, sv, w = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            T.bilinear_scores(fu, sv, w)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -318,6 +361,12 @@ class TestDeterminismAndDtype:
         assert T.matmul(a, b).dtype == np.float32
         assert T.add(a, 1.0).dtype == np.float32
         assert T.attention(a, a, a, 2).dtype == np.float32
+        w = Tensor(np.ones((2, 1), dtype=np.float32))
+        with Tape() as tape:
+            out = T.bilinear_scores(a, b, w)
+            tape.backward(T.sum_(out))
+        assert out.dtype == np.float32
+        assert a.grad.dtype == b.grad.dtype == w.grad.dtype == np.float32
 
     def test_default_is_float64(self):
         assert Tensor([1, 2, 3]).dtype == np.float64

@@ -16,13 +16,13 @@ from sarl.transport import (BilinearParams, backward_plan, bilinear_mass,
                             target_distribution)
 
 
-def bilinear_oracle(f, s, u, v, mix, bias, score):
+def bilinear_oracle(f, s, u, v, mix, score):
     """One explicit bilinear form per (patch, class) pair."""
     out = np.zeros((f.shape[0], s.shape[0]))
     for p in range(f.shape[0]):
         for c in range(s.shape[0]):
             hidden = np.tanh((f[p] @ u) * (s[c] @ v))
-            out[p, c] = float(((hidden @ mix + bias) @ score)[0])
+            out[p, c] = float((hidden @ mix @ score)[0])
     return out
 
 
@@ -48,7 +48,6 @@ def seeded_params(rng, d_v, d1, d2):
         Tensor(rng.normal(size=(d_v, d1)) * 0.5),
         Tensor(rng.normal(size=(d_v, d1)) * 0.5),
         Tensor(rng.normal(size=(d1, d2)) * 0.5),
-        Tensor(rng.normal(size=d2) * 0.1),
         Tensor(rng.normal(size=(d2, 1)) * 0.5),
     )
 
@@ -168,18 +167,17 @@ class TestTargetDistribution:
 
 class TestBilinearMass:
     def test_zero_u_gives_constant(self):
+        # tanh(0) = 0 and there is no bias, so the constant is 0
         rng = np.random.default_rng(2)
         p = seeded_params(rng, 5, 3, 2)
         p.u.data = np.zeros((5, 3))
         f, s = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
         mass = bilinear_mass(Tensor(f), Tensor(s), p).data
-        expect = float((p.bias.data @ p.score.data)[0])
-        np.testing.assert_allclose(mass, expect, atol=1e-12)
+        np.testing.assert_array_equal(mass, np.zeros((4, 3)))
 
     def test_scalar_case(self):
         one = lambda *shape: Tensor(np.ones(shape))
-        p = BilinearParams(one(1, 1), one(1, 1), one(1, 1),
-                           Tensor(np.zeros(1)), one(1, 1))
+        p = BilinearParams(one(1, 1), one(1, 1), one(1, 1), one(1, 1))
         mass = bilinear_mass(one(1, 1), one(1, 1), p)
         np.testing.assert_allclose(mass.data, math.tanh(1.0), atol=1e-12)
 
@@ -190,7 +188,7 @@ class TestBilinearMass:
             f, s = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
             mass = bilinear_mass(Tensor(f), Tensor(s), p).data
             expect = bilinear_oracle(f, s, p.u.data, p.v.data, p.mix.data,
-                                     p.bias.data, p.score.data)
+                                     p.score.data)
             np.testing.assert_allclose(mass, expect, atol=1e-10)
 
 
@@ -368,7 +366,7 @@ class TestTransportGradients:
             bwd = backward_plan(mass, beta)
             return ct_loss(fwd, bwd, cost_matrix(f, s))
 
-        check_gradients(loss, [f, s, p.u, p.v, p.mix, p.bias, p.score, w_map],
+        check_gradients(loss, [f, s, p.u, p.v, p.mix, p.score, w_map],
                         tol=1e-4)
 
     def test_semantic_repr_chain(self):
@@ -381,4 +379,4 @@ class TestTransportGradients:
             out = semantic_repr(semantic_attention(bilinear_mass(f, s, p)), s)
             return T.sum_(T.pow_const(out, 2))
 
-        check_gradients(loss, [f, s, p.u, p.v, p.mix, p.bias, p.score], tol=1e-4)
+        check_gradients(loss, [f, s, p.u, p.v, p.mix, p.score], tol=1e-4)

@@ -83,10 +83,10 @@ class ModelConfig:
     disable_gsp_fusion: bool = False
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes={self.num_classes} must be >= 1")
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim={self.feature_dim} must be >= 1")
+        for name in ("num_classes", "feature_dim", "label_dim", "bilinear_dim",
+                     "bilinear_out"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
         if self.gsp_mode not in ("avg", "max"):
             raise ConfigError(f"gsp_mode={self.gsp_mode!r} must be 'avg' or 'max'")
 
@@ -150,23 +150,22 @@ class ModelBundle:
 
 
 def build_model(cfg: ModelConfig, seed=0, dtype=np.float64) -> ModelBundle:
-    """Initialize every parameter group from one seeded stream."""
+    """Draw every parameter from one seeded stream in float64, then cast
+    each once to ``dtype``, the precision of every step on the model."""
     rng = np.random.default_rng(seed)
     d_v = cfg.feature_dim
-    enc = init_encoder(rng, cfg.encoder, d_v, dtype)
-    labels = init_label_embeddings(rng, cfg.num_classes, cfg.label_dim,
-                                   dtype=dtype)
-    attention = init_self_attention(rng, d_v, cfg.n_heads, dtype)
-    fusion = init_fusion(rng, d_v, cfg.label_dim, dtype)
-    map_weights = xavier_uniform(rng, d_v, cfg.num_classes, dtype)
-    bilinear = init_bilinear(rng, d_v, cfg.bilinear_dim, cfg.bilinear_out,
-                             dtype)
-    classifier = ClassifierParams(
-        xavier_uniform(rng, d_v, cfg.num_classes, dtype),
-        Tensor(np.zeros(cfg.num_classes, dtype=dtype)),
-    )
-    return ModelBundle(cfg, enc, labels, attention, fusion, map_weights,
-                       bilinear, classifier)
+    model = ModelBundle(
+        cfg, init_encoder(rng, cfg.encoder, d_v),
+        init_label_embeddings(rng, cfg.num_classes, cfg.label_dim),
+        init_self_attention(rng, d_v, cfg.n_heads),
+        init_fusion(rng, d_v, cfg.label_dim),
+        xavier_uniform(rng, d_v, cfg.num_classes),
+        init_bilinear(rng, d_v, cfg.bilinear_dim, cfg.bilinear_out),
+        ClassifierParams(xavier_uniform(rng, d_v, cfg.num_classes),
+                         Tensor(np.zeros(cfg.num_classes))))
+    for p in model.parameters().values():
+        p.data = p.data.astype(dtype, copy=False)
+    return model
 
 
 def region_score_aggregate(f_r: Tensor, cls: ClassifierParams) -> Tensor:

@@ -37,10 +37,9 @@ class AslConfig:
     clip: float = 0.05
 
     def __post_init__(self):
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise ValueError("focusing exponents must be >= 0")
+        _check_nonnegative(self, "gamma_pos", "gamma_neg")
         if not 0.0 <= self.clip < 1.0:
-            raise ValueError(f"clip {self.clip} outside [0, 1)")
+            raise ValueError(f"clip={self.clip} must be in [0, 1)")
 
 
 @dataclass
@@ -51,8 +50,13 @@ class LossWeights:
     lambda2: float = 0.5
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be >= 0")
+        _check_nonnegative(self, "lambda1", "lambda2")
+
+
+def _check_nonnegative(cfg, *names):
+    for name in names:
+        if not getattr(cfg, name) >= 0:  # NaN fails too
+            raise ValueError(f"{name}={getattr(cfg, name)} must be >= 0")
 
 
 def asl(p, y, cfg: AslConfig) -> Tensor:
@@ -63,7 +67,7 @@ def asl(p, y, cfg: AslConfig) -> Tensor:
     are clamped to [1e-7, 1 - 1e-7] first so the result stays finite.
     Always nonnegative.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     p = T.clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     pos = T.mul(T.pow_const(T.sub(1.0, p), cfg.gamma_pos), T.log(p))
     p_m = T.clamp(T.sub(p, cfg.clip), 0.0, 1.0)

@@ -58,6 +58,9 @@ class EncoderConfig:
     conv_blocks: int = 2
 
     def __post_init__(self):
+        for name in ("in_channels", "conv_blocks"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
         if self.grid_h < 1 or self.grid_w < 1:
             raise ConfigError(f"grid_h={self.grid_h}, grid_w={self.grid_w} must be >= 1")
 
@@ -111,43 +114,40 @@ class FusionParams:
     bias: Tensor
 
 
-def xavier_uniform(rng, n_in, n_out, dtype=np.float64):
+def xavier_uniform(rng, n_in, n_out):
     limit = math.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(dtype))
+    return Tensor(rng.uniform(-limit, limit, size=(n_in, n_out)))
 
 
-def init_encoder(rng, cfg: EncoderConfig, feature_dim,
-                 dtype=np.float64) -> EncoderParams:
+def init_encoder(rng, cfg: EncoderConfig, feature_dim) -> EncoderParams:
     kernels, biases = [], []
     c_in = cfg.in_channels
     for _ in range(cfg.conv_blocks):
         kernels.append(xavier_uniform(rng, T.CONV_KERNEL ** 2 * c_in,
-                                      feature_dim, dtype))
-        biases.append(Tensor(np.zeros(feature_dim, dtype=dtype)))
+                                      feature_dim))
+        biases.append(Tensor(np.zeros(feature_dim)))
         c_in = feature_dim
     return EncoderParams(kernels, biases)
 
 
-def init_label_embeddings(rng, num_classes, label_dim,
-                          dtype=np.float64) -> Tensor:
+def init_label_embeddings(rng, num_classes, label_dim) -> Tensor:
     """The label table: one learnable label_dim row per class."""
-    table = rng.normal(0.0, LABEL_INIT_STD, size=(num_classes, label_dim))
-    return Tensor(table.astype(dtype))
+    return Tensor(rng.normal(0.0, LABEL_INIT_STD, size=(num_classes, label_dim)))
 
 
-def init_self_attention(rng, d_v, n_heads=8, dtype=np.float64) -> SelfAttentionParams:
+def init_self_attention(rng, d_v, n_heads=8) -> SelfAttentionParams:
     return SelfAttentionParams(
-        xavier_uniform(rng, d_v, d_v, dtype),
-        xavier_uniform(rng, d_v, d_v, dtype),
-        xavier_uniform(rng, d_v, d_v, dtype),
+        xavier_uniform(rng, d_v, d_v),
+        xavier_uniform(rng, d_v, d_v),
+        xavier_uniform(rng, d_v, d_v),
         n_heads=n_heads,
     )
 
 
-def init_fusion(rng, d_v, label_dim, dtype=np.float64) -> FusionParams:
+def init_fusion(rng, d_v, label_dim) -> FusionParams:
     return FusionParams(
-        xavier_uniform(rng, d_v + label_dim, d_v, dtype),
-        Tensor(np.zeros(d_v, dtype=dtype)),
+        xavier_uniform(rng, d_v + label_dim, d_v),
+        Tensor(np.zeros(d_v)),
     )
 
 

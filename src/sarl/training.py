@@ -1,7 +1,10 @@
 """Training loop, optimizer, evaluation, and attention export.
 
-Everything runs in float32 so that a saved checkpoint reloads into an
-evaluation that is bit-identical to the one before saving. One tape per
+The parameters' dtype sets the precision of a step: ``train`` builds a
+float32 model and casts its label matrix once to that dtype, so every
+value and gradient of a step is float32, and a saved checkpoint reloads
+into an evaluation that is bit-identical to the one before saving.
+Tests build float64 models and pass float64 labels. One tape per
 sample, gradients averaged over the batch, AdamW with decoupled weight
 decay, and an optional EMA shadow of every parameter. Shuffling draws
 from a dedicated seeded stream, so two runs with the same config produce
@@ -101,14 +104,17 @@ class TrainConfig:
             raise ValueError(f"weight_decay={self.weight_decay} must be >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
+        asl_config(self)
+        loss_weights(self)
 
 
 def config_from_file(path, base: TrainConfig = None) -> TrainConfig:
     """Read key=value lines into a TrainConfig.
 
     Values go through :func:`sarl.data.parse_value` by field type. An
-    unknown key, a bad value or a key given twice is a ValueError naming
-    the key and its line.
+    unknown key, a value that does not parse or fails the TrainConfig
+    checks, or a key given twice is a ValueError naming the key and its
+    line.
     """
     base = base if base is not None else TrainConfig()
     kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
@@ -118,6 +124,7 @@ def config_from_file(path, base: TrainConfig = None) -> TrainConfig:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
             updates[key] = parse_value(key, value, kinds[key])
+            replace(base, **{key: updates[key]})  # each check reads one field
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return replace(base, **updates)
@@ -232,7 +239,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     mcfg = model_config(cfg)
     acfg = asl_config(cfg)
     weights = loss_weights(cfg)
-    model = build_model(mcfg, seed=cfg.seed, dtype=np.float32)
+    dtype = np.float32  # the one precision of every step
+    model = build_model(mcfg, seed=cfg.seed, dtype=dtype)
     params = model.parameters()
     state = init_optimizer(params)
     shadow = ({name: p.data.copy() for name, p in params.items()}
@@ -240,7 +248,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = len(train_ds)
     images = train_ds.payload
-    labels = train_ds.labels.astype(np.float64)
+    labels = train_ds.labels.astype(dtype)
     empty = np.flatnonzero(labels.sum(axis=1) == 0)
     if empty.size:
         rows = ", ".join(map(str, empty[:20])) + (", ..." if empty.size > 20 else "")

@@ -59,12 +59,12 @@ class BilinearParams:
     score: Tensor
 
 
-def init_bilinear(rng, d_v, d1, d2, dtype=np.float64) -> BilinearParams:
+def init_bilinear(rng, d_v, d1, d2) -> BilinearParams:
     return BilinearParams(
-        xavier_uniform(rng, d_v, d1, dtype),
-        xavier_uniform(rng, d_v, d1, dtype),
-        xavier_uniform(rng, d1, d2, dtype),
-        xavier_uniform(rng, d2, 1, dtype),
+        xavier_uniform(rng, d_v, d1),
+        xavier_uniform(rng, d_v, d1),
+        xavier_uniform(rng, d1, d2),
+        xavier_uniform(rng, d2, 1),
     )
 
 
@@ -93,7 +93,7 @@ def source_distribution(m: Tensor, y) -> Tensor:
     The label vector steers mass toward patches whose map logits support
     the positive classes, so theta needs at least one positive label.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y)
     total = y.sum()
     if total <= 0:
         raise ValueError("source distribution needs at least one positive label")
@@ -103,7 +103,7 @@ def source_distribution(m: Tensor, y) -> Tensor:
 
 def target_distribution(y) -> Tensor:
     """Class mass beta = softmax(y), shape (C,)."""
-    return T.softmax(Tensor(np.asarray(y, dtype=float)), axis=0)
+    return T.softmax(Tensor(np.asarray(y)), axis=0)
 
 
 def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:

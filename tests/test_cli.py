@@ -106,8 +106,16 @@ class TestTrainVerb:
         (["--epochs", "1_0"], "'--epochs' is '1_0', not an integer"),
         (["--lr", "nan"], "'--lr' is 'nan', not a finite number"),
         (["--weight-decay", "-1"], "weight_decay=-1.0 must be >= 0"),
+        (["--lambda1", "-1"], "lambda1=-1.0 must be >= 0"),
+        (["--gamma-neg", "-2"], "gamma_neg=-2.0 must be >= 0"),
+        (["--clip", "1"], "clip=1.0 must be in [0, 1)"),
+        (["--label-dim", "0"], "label_dim=0 must be >= 1"),
+        (["--bilinear-dim", "0"], "bilinear_dim=0 must be >= 1"),
+        (["--bilinear-out", "0"], "bilinear_out=0 must be >= 1"),
+        (["--conv-blocks", "0"], "conv_blocks=0 must be >= 1"),
     ], ids=["gsp-mode", "feature-dim", "batch-size", "n-train", "noise",
-            "epochs", "lr", "weight-decay"])
+            "epochs", "lr", "weight-decay", "lambda1", "gamma-neg", "clip",
+            "label-dim", "bilinear-dim", "bilinear-out", "conv-blocks"])
     def test_bad_config_refused_before_run_log(self, tmp_path, flags, why):
         run = tmp_path / "run"
         with pytest.raises(SystemExit, match=f"^sarl train: {re.escape(why)}$"):
@@ -121,7 +129,7 @@ class TestTrainVerb:
         run = tmp_path / "run"
         message = exits_with_one_line("train", [
             "train", "--out", str(run), "--config", str(cfg), *TINY_TRAIN])
-        assert message == "sarl train: weight_decay=-1.0 must be >= 0"
+        assert message == "sarl train: line 1: weight_decay=-1.0 must be >= 0"
         assert not (run / "run.log").exists()
 
     def test_half_given_data_flags_rejected(self, tmp_path):

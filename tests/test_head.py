@@ -119,6 +119,19 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="^feature_dim=0 must be >= 1$"):
             tiny_config(feature_dim=0)
 
+    @pytest.mark.parametrize("field", ["label_dim", "bilinear_dim",
+                                       "bilinear_out"])
+    def test_zero_width_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"^{field}=0 must be >= 1$"):
+            tiny_config(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["in_channels", "conv_blocks"])
+    def test_zero_encoder_field_rejected(self, field):
+        kwargs = dict(in_channels=2, grid_h=2, grid_w=2, conv_blocks=2)
+        kwargs[field] = 0
+        with pytest.raises(ConfigError, match=f"^{field}=0 must be >= 1$"):
+            EncoderConfig(**kwargs)
+
 
 class TestRegionScoreAggregate:
     def test_identical_patch_rows_pass_through(self):
@@ -489,6 +502,17 @@ class TestCheckpoint:
     def test_zero_feature_dim_in_manifest_rejected(self, tmp_path):
         path, _ = self.edited(tmp_path, b"\nfeature_dim=8\n", b"\nfeature_dim=0\n")
         with pytest.raises(FormatError, match="feature_dim=0 must be >= 1$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("label_dim", 6), ("bilinear_dim", 4), ("bilinear_out", 4),
+        ("encoder.in_channels", 2), ("encoder.conv_blocks", 2)])
+    def test_zero_width_in_manifest_rejected(self, tmp_path, key, value):
+        path, _ = self.edited(tmp_path, f"\n{key}={value}\n".encode(),
+                              f"\n{key}=0\n".encode())
+        field = key.rpartition(".")[2]
+        with pytest.raises(FormatError, match=f"describes no valid model: "
+                                              f"{field}=0 must be >= 1$"):
             load_checkpoint(path)
 
     def test_unknown_gsp_mode_rejected(self, tmp_path):

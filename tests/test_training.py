@@ -140,10 +140,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^weight_decay={value} must be >= 0$"):
             TrainConfig(weight_decay=value)
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "gamma_pos",
+                                       "gamma_neg"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_loss_knob_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}={value} must be >= 0$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0, math.nan])
+    def test_clip_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"^clip={value} must be in \[0, 1\)$"):
+            TrainConfig(clip=value)
+
     def test_negative_weight_decay_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("weight_decay=-0.5\n")
-        with pytest.raises(ValueError, match="^weight_decay=-0.5 must be >= 0$"):
+        with pytest.raises(ValueError,
+                           match="^line 1: weight_decay=-0.5 must be >= 0$"):
+            config_from_file(path)
+
+    def test_failed_check_names_its_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr=0.1\n# comment\nlambda2=-2\nepochs=1\n")
+        with pytest.raises(ValueError, match="^line 3: lambda2=-2.0 must be >= 0$"):
             config_from_file(path)
 
     def test_file_round_trip(self, tmp_path):
@@ -246,6 +265,36 @@ class TestTrainLoop:
             sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
         assert len(tape) == 94
 
+    def test_float32_step_stays_float32(self, monkeypatch):
+        # the parameters' dtype is the only precision in a step: no value
+        # or gradient on the tape, and no parameter gradient, is float64
+        cfg = tiny_config(epochs=1, n_train=16)
+        train_ds, test_ds = generate(synthetic_config(cfg))
+        models, calls, wrong = [], [], set()
+        real_build, real_backward = Tr.build_model, Tape.backward
+
+        def building(*args, **kwargs):
+            models.append(real_build(*args, **kwargs))
+            return models[-1]
+
+        def backward(tape, loss):
+            real_backward(tape, loss)
+            for t in tape.tensors():
+                for kind, arr in (("value", t.data), ("grad", t.grad)):
+                    if arr is not None and arr.dtype != np.float32:
+                        wrong.add(f"{kind} of op {t.op!r}: {arr.dtype}")
+            for name, p in models[0].parameters().items():
+                if p.grad is None or p.grad.dtype != np.float32:
+                    wrong.add(f"grad of {name}: "
+                              f"{None if p.grad is None else p.grad.dtype}")
+            calls.append(loss)
+
+        monkeypatch.setattr(Tr, "build_model", building)
+        monkeypatch.setattr(Tape, "backward", backward)
+        train(cfg, train_ds, test_ds)
+        assert len(calls) == 16
+        assert sorted(wrong) == []
+
     def test_zero_weights_reduce_total_to_cls(self):
         cfg = tiny_config(lambda1=0.0, lambda2=0.0, epochs=2)
         train_ds, test_ds = generate(synthetic_config(cfg))
@@ -267,15 +316,26 @@ class TestTrainLoop:
             with pytest.raises(TrainingError, match="non-finite"):
                 train(cfg, train_ds, test_ds)
 
-    def test_nan_loss_names_epoch_and_row(self):
-        # a NaN weight makes the first sample's loss NaN; that sample is
-        # the first row of epoch 1's shuffle
-        cfg = tiny_config(lambda1=math.nan, use_ema=False)
+    def test_nan_loss_names_epoch_and_row(self, monkeypatch):
+        # the sixth sample of epoch 2 sees a NaN image, so its loss is NaN;
+        # its training row sits at position 5 of epoch 2's shuffle
+        cfg = tiny_config(use_ema=False)
         train_ds, test_ds = generate(synthetic_config(cfg))
-        row = np.random.default_rng([cfg.seed, 0x5EED]).permutation(len(train_ds))[0]
-        with pytest.raises(TrainingError, match=f"^non-finite loss at epoch 1, "
+        n = len(train_ds)
+        shuffle = np.random.default_rng([cfg.seed, 0x5EED])
+        row = [shuffle.permutation(n) for _ in range(2)][1][5]
+        real_forward, calls = Tr.forward, []
+
+        def poisoned(x, model, labels=None):
+            calls.append(None)
+            if len(calls) == n + 6:
+                x = np.full_like(x, np.nan)
+            return real_forward(x, model, labels=labels)
+
+        monkeypatch.setattr(Tr, "forward", poisoned)
+        with pytest.raises(TrainingError, match=f"^non-finite loss at epoch 2, "
                                                 f"training row {row}; first bad "
-                                                f"tensor: op 'mul' output of shape"):
+                                                f"tensor: op 'conv2d' output of shape"):
             train(cfg, train_ds, test_ds)
 
     def test_row_without_positive_rejected_before_training(self):

@@ -47,6 +47,8 @@ def check_gradients(fn, tensors, tol=DEFAULT_TOL):
     scratch on each call. Returns the worst error seen; raises
     AssertionError when any leaf exceeds ``tol``.
     """
+    for t in tensors:  # a leaf fn never reaches keeps no stale gradient
+        t.grad = None
     with Tape() as tape:
         loss = fn()
         tape.backward(loss)
@@ -68,7 +70,8 @@ def run_suite(verbose=True):
     """Run the full finite-difference suite; returns True when all pass.
 
     Covers every primitive op, every loss, and the composite model on a
-    tiny configuration. Imported lazily so the CLI can expose this as a
+    tiny configuration, one image with labels and a 3-image stack
+    without. Imported lazily so the CLI can expose this as a
     standalone verb.
     """
     from . import losses, transport
@@ -198,6 +201,11 @@ def run_suite(verbose=True):
 
     check("full_model", full, [image] + list(model.parameters().values()),
           tol=1e-3)
+
+    stack = Tensor(rng.normal(size=(3, 8, 8, 2)))
+    check("full_model_stack3",
+          lambda: T.sum_(T.pow_const(forward(stack, model).logits, 2)),
+          [stack] + list(model.parameters().values()), tol=1e-3)
 
     ok = True
     for name, passed, info in results:

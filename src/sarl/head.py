@@ -5,7 +5,8 @@ pool, fuse) into the transport stage (bilinear scores, attention,
 aligned features) and finishes with region score aggregation, which
 turns per-patch class scores into one logit per class. Training mode
 additionally produces the semantic map, the two mass distributions and
-the transport loss; inference mode never touches labels.
+the transport loss; inference mode never touches labels. Inference also
+takes an (N, H, W, C) stack of images in one call, through the same ops.
 
 Checkpoints hold every parameter tensor as named 32-bit little-endian
 payloads after a key=value manifest of the architecture, so a saved
@@ -174,38 +175,68 @@ def region_score_aggregate(f_r: Tensor, cls: ClassifierParams) -> Tensor:
     Patch scores w~ = F_R W + b are weighted by their own per-class
     softmax over patches: z_c = sum_p softmax_p(w~)[p, c] * w~[p, c].
     Adding a constant to one class's patch scores therefore shifts that
-    logit by exactly the constant.
+    logit by exactly the constant. F_R is (P, d_v) for one sample or
+    (N, P, d_v) for a stack, giving (C,) or (N, C) logits.
     """
     scores = T.add(T.matmul(f_r, cls.weights), cls.bias)
-    weights = T.softmax(scores, axis=0)
-    return T.sum_(T.mul(weights, scores), axis=0)
+    weights = T.softmax(scores, axis=-2)
+    return T.sum_(T.mul(weights, scores), axis=-2)
 
 
 def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
-    """Run one sample through the full head.
+    """Run one sample, or a stack of samples, through the full head.
 
-    x is an (H, W, channels) image. Given the sample's binary label
-    vector, the forward pass also builds the transport terms training
-    needs: source and target distributions, plans and transport cost.
+    x is an (H, W, channels) image or an (N, H, W, channels) stack. A
+    stack runs through the same ops as one image, with a leading N axis
+    on the logits (N, C), the features and the attention (see
+    :mod:`sarl.representation`); only self-attention and the bilinear
+    scores are called once per sample. :func:`sarl.training.evaluate`
+    scores a split this way, one call per chunk of samples.
+
+    Given one image's binary label vector, cast once here to the
+    parameters' dtype, the forward pass also builds the transport terms
+    training needs: source and target distributions, plans and
+    transport cost. Training still records one tape per sample, so
+    labels go with one image only.
     """
     cfg = model.config
+    shape = x.shape
+    if len(shape) not in (3, 4):
+        raise ConfigError(f"forward takes an (H, W, C) image or an "
+                          f"(N, H, W, C) stack, got shape {shape}")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=model.labels.dtype)
+        if len(shape) != 3 or labels.shape != (cfg.num_classes,):
+            raise ConfigError(
+                f"labels go with one (H, W, C) image and {cfg.num_classes} "
+                f"classes, got labels {labels.shape} for images {shape}")
 
+    # self_attention and bilinear_mass take a stack as they are, but are
+    # called once per sample: perfbench's tracer prices every call of
+    # these two stages from its argument shapes and averages per call, so
+    # chunk-sized calls mixed with training's one-sample calls would make
+    # its per-layer counts depend on timing (ROADMAP item 4).
     fm = encode(x, cfg.encoder, model.encoder)
+    parts = fm.split()
     if not cfg.disable_self_attn:
-        fm = self_attention(fm, model.attention)
+        parts = [self_attention(one, model.attention) for one in parts]
+        fm = FeatureMap.join(parts, fm.samples)
 
     if cfg.disable_gsp_fusion:
-        f_g = Tensor(np.zeros(cfg.feature_dim, dtype=fm.f.dtype))
+        f_g = Tensor(np.zeros((*fm.samples, 1, cfg.feature_dim), dtype=fm.f.dtype))
     else:
         f_g = global_spatial_pool(fm, cfg.gsp_mode)
     f_s = fuse_semantic(f_g, model.labels, model.fusion)
 
     if cfg.disable_ot:
-        logits = region_score_aggregate(fm.f, model.classifier)
+        patches = fm.per_sample()
+        logits = region_score_aggregate(patches, model.classifier)
         return ForwardOutput(logits=logits, features=fm,
-                             semantic_features=f_s, aligned=fm.f)
+                             semantic_features=f_s, aligned=patches)
 
-    mass = bilinear_mass(fm.f, f_s, model.bilinear)
+    masses = [bilinear_mass(one.f, s, model.bilinear) for one, s in
+              zip(parts, T.unstack(f_s) if fm.samples else [f_s])]
+    mass = T.stack(masses) if fm.samples else masses[0]
     attn = semantic_attention(mass)
     aligned = semantic_repr(attn, f_s)
     logits = region_score_aggregate(aligned, model.classifier)

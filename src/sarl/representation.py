@@ -2,9 +2,13 @@
 
 One image becomes a grid of patch features F (P x d_v) through a small
 strided conv encoder. Global spatial pooling compresses F into a single
-vector F_G, and fusing F_G with a learnable label-embedding table gives
-one semantic-related feature row per class, F_S (C x d_v). F, F_G and
-F_S are everything the transport stage downstream needs.
+row F_G (1 x d_v), and fusing F_G with a learnable label-embedding table
+gives one semantic-related feature row per class, F_S (C x d_v). F, F_G
+and F_S are everything the transport stage downstream needs.
+
+An (N, H, W, C) stack of images runs through the same functions: F
+stacks the N samples' patch rows into (N*P, d_v), and F_G and F_S gain a
+leading sample axis, (N, 1, d_v) and (N, C, d_v).
 """
 
 from __future__ import annotations
@@ -79,16 +83,44 @@ class EncoderParams:
 
 @dataclass
 class FeatureMap:
-    """Patch features F (P x d_v) plus the grid shape they came from."""
+    """Patch features F plus the grid shape they came from.
+
+    ``f`` holds the P = h*w patch rows of every sample, one after the
+    other: (P, d_v) for one image (``samples=()``), (N*P, d_v) for a
+    stack of N (``samples=(N,)``). :meth:`split` and :meth:`join` go
+    between a stack and its single-image maps.
+    """
 
     f: Tensor
     h: int
     w: int
+    samples: tuple = ()
 
     def __post_init__(self):
-        if self.f.shape[0] != self.h * self.w:
-            raise ConfigError(
-                f"{self.f.shape[0]} patch rows cannot tile a {self.h}x{self.w} grid")
+        if self.f.shape[0] != math.prod(self.samples) * self.h * self.w:
+            grids = f"{self.samples} stack of" if self.samples else "a"
+            raise ConfigError(f"{self.f.shape[0]} patch rows cannot tile "
+                              f"{grids} {self.h}x{self.w} grid")
+
+    def per_sample(self) -> Tensor:
+        """F as (*samples, P, d_v); for one image, F itself, unrecorded."""
+        if not self.samples:
+            return self.f
+        return T.reshape(self.f, (*self.samples, self.h * self.w, self.f.shape[1]))
+
+    def split(self) -> list:
+        """One single-image map per sample; [self] for one image."""
+        if not self.samples:
+            return [self]
+        return [FeatureMap(f, self.h, self.w) for f in T.unstack(self.per_sample())]
+
+    @staticmethod
+    def join(parts: list, samples: tuple) -> "FeatureMap":
+        """The inverse of :meth:`split`: the parts' rows stacked in order."""
+        if not samples:
+            return parts[0]
+        return FeatureMap(T.concat([p.f for p in parts], axis=0),
+                          parts[0].h, parts[0].w, samples)
 
 
 @dataclass
@@ -152,7 +184,8 @@ def init_fusion(rng, d_v, label_dim) -> FusionParams:
 
 
 def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
-    """Turn an (H, W, C) image (array or Tensor) into patch features."""
+    """Turn an (H, W, C) image or an (N, H, W, C) stack (array or Tensor)
+    into patch features."""
     if x.shape[-1] != cfg.in_channels:
         raise ConfigError(
             f"image has {x.shape[-1]} channels, config says {cfg.in_channels}")
@@ -162,37 +195,38 @@ def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
         h = T.conv2d(h, kern, bias)
         if i != last:
             h = T.relu(h)
-    if h.shape[:2] != (cfg.grid_h, cfg.grid_w):
+    if h.shape[-3:-1] != (cfg.grid_h, cfg.grid_w):
         raise ConfigError(
-            f"encoder produced a {h.shape[0]}x{h.shape[1]} grid, "
+            f"encoder produced a {h.shape[-3]}x{h.shape[-2]} grid, "
             f"config says {cfg.grid_h}x{cfg.grid_w}")
-    f = T.reshape(h, (cfg.grid_h * cfg.grid_w, h.shape[2]))
-    return FeatureMap(f, cfg.grid_h, cfg.grid_w)
+    f = T.reshape(h, (-1, h.shape[-1]))
+    return FeatureMap(f, cfg.grid_h, cfg.grid_w, tuple(h.shape[:-3]))
 
 
 def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
     """Scaled dot-product self-attention over patches, heads concatenated.
 
     Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads, computed
-    by one :func:`sarl.tensor.attention` call. There is no output
-    projection, residual, or layer norm; head outputs are concatenated
-    back to width d_v.
+    by one :func:`sarl.tensor.attention` call, each sample attending
+    over its own patches. There is no output projection, residual, or
+    layer norm; head outputs are concatenated back to width d_v.
     """
-    f = fm.f
-    d_v = f.shape[1]
+    d_v = fm.f.shape[1]
     if p.w_q.shape != (d_v, d_v):
         raise ConfigError(f"attention weights {p.w_q.shape} vs d_v={d_v}")
+    f = fm.per_sample()
     heads = T.attention(T.matmul(f, p.w_q), T.matmul(f, p.w_k),
                         T.matmul(f, p.w_v), p.n_heads)
-    return FeatureMap(heads, fm.h, fm.w)
+    return FeatureMap(T.reshape(heads, fm.f.shape), fm.h, fm.w, fm.samples)
 
 
 def global_spatial_pool(fm: FeatureMap, mode="avg") -> Tensor:
-    """Columnwise mean (or max) over patches: F (P x d_v) -> F_G (d_v)."""
+    """Columnwise mean (or max) over each sample's patches:
+    F (P x d_v) -> F_G (1 x d_v), or (N, 1, d_v) for a stack."""
     if mode == "avg":
-        return T.mean(fm.f, axis=0)
+        return T.mean(fm.per_sample(), axis=-2, keepdims=True)
     if mode == "max":
-        return T.max_reduce(fm.f, axis=0)
+        return T.max_reduce(fm.per_sample(), axis=-2, keepdims=True)
     raise ConfigError(f"unknown pooling mode {mode!r}")
 
 
@@ -200,8 +234,9 @@ def fuse_semantic(f_g: Tensor, table: Tensor, p: FusionParams) -> Tensor:
     """Per-class affine fusion: row c = Linear(concat(F_G, l_c)).
 
     F_G acts as a shared prompt prepended to every label row; the output
-    is the semantic-related feature table F_S (C x d_v).
+    is the semantic-related feature table F_S (C x d_v), or (N, C, d_v)
+    for an (N, 1, d_v) stack of F_G rows.
     """
     rows = T.mul(np.ones((table.shape[0], 1), dtype=f_g.dtype), f_g)
-    stacked = T.concat([rows, table], axis=1)
+    stacked = T.concat([rows, table], axis=-1)
     return T.add(T.matmul(stacked, p.weight), p.bias)

@@ -29,6 +29,8 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
+    "unstack",
+    "stack",
     "log",
     "sqrt",
     "tanh",
@@ -241,16 +243,29 @@ def neg(a):
 # linear algebra and shape ops
 
 def matmul(a, b):
+    """(..., m, k) x (k, n) or (..., m, k) x (..., k, n) -> (..., m, n).
+
+    A 2-D right operand is shared by every leading index, so the product
+    is one 2-D product over all rows; otherwise the leading axes must be
+    equal and each index multiplies its own pair.
+    """
     ad, at = _lift(a)
     bd, bt = _lift(b)
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"matmul needs (m,k)x(k,n), got {ad.shape} x {bd.shape}")
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or bd.ndim > 2 and bd.shape[:-2] != ad.shape[:-2]):
+        raise DimensionError(f"matmul needs (...,m,k)x(k,n) or "
+                             f"(...,m,k)x(...,k,n), got {ad.shape} x {bd.shape}")
+    if bd.ndim < ad.ndim:
+        rows = matmul(reshape(a, (-1, ad.shape[-1])), b)
+        return reshape(rows, ad.shape[:-1] + bd.shape[1:])
+
+    stacked = ad.ndim > 2
 
     def backward_fn(g):
         if at is not None:
-            _accumulate(at, g @ bd.T)
+            _accumulate(at, g @ (bd.swapaxes(-1, -2) if stacked else bd.T))
         if bt is not None:
-            _accumulate(bt, ad.T @ g)
+            _accumulate(bt, (ad.swapaxes(-1, -2) if stacked else ad.T) @ g)
 
     return _make(ad @ bd, "matmul", (at, bt), backward_fn)
 
@@ -267,26 +282,68 @@ def transpose(a):
 
 
 def reshape(a, shape):
+    """Reshape; a tensor reshaped to its own shape is returned unrecorded."""
     ad, at = _lift(a)
+    out_data = ad.reshape(shape)
+    if at is not None and out_data.shape == ad.shape:
+        return at
 
     def backward_fn(g):
         _accumulate(at, g.reshape(ad.shape))
 
-    return _make(ad.reshape(shape).copy(), "reshape", (at,), backward_fn)
+    return _make(out_data.copy(), "reshape", (at,), backward_fn)
 
 
 def concat(parts, axis=0):
+    """Join along ``axis`` of the widest part; the other axes broadcast as
+    in numpy arithmetic, so one table can be joined to every sample of a
+    stack."""
     lifted = [_lift(p) for p in parts]
-    datas = [d for d, _ in lifted]
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+    ndim = max(d.ndim for d, _ in lifted)
+    axis %= ndim
+    datas = [d if d.ndim == ndim else d.reshape((1,) * (ndim - d.ndim) + d.shape)
+             for d, _ in lifted]
+    others = {d.shape[:axis] + d.shape[axis + 1:] for d in datas}
+    if len(others) > 1:
+        rest = np.broadcast_shapes(*others)
+        datas = [np.broadcast_to(d, rest[:axis] + d.shape[axis:axis + 1] + rest[axis:])
+                 for d in datas]
+    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def backward_fn(g):
-        for piece, (_, t) in zip(np.split(g, splits, axis=axis), lifted):
+        for piece, (d, t) in zip(np.split(g, splits, axis=axis), lifted):
+            if t is not None:
+                _accumulate(t, _unbroadcast(piece, d.shape))
+
+    return _make(np.concatenate(datas, axis=axis), "concat",
+                 [t for _, t in lifted], backward_fn)
+
+
+def unstack(a):
+    """The slices a[0], a[1], ... along the first axis, one record each."""
+    ad, at = _lift(a)
+
+    def part(i):
+        def backward_fn(g):
+            whole = np.zeros_like(ad)
+            whole[i] = g
+            _accumulate(at, whole)
+
+        return _make(ad[i], "unstack", (at,), backward_fn)
+
+    return [part(i) for i in range(ad.shape[0])]
+
+
+def stack(parts):
+    """Equal-shape parts joined along a new first axis."""
+    lifted = [_lift(p) for p in parts]
+
+    def backward_fn(g):
+        for piece, (_, t) in zip(g, lifted):
             if t is not None:
                 _accumulate(t, piece)
 
-    return _make(np.concatenate(datas, axis=axis), "concat",
+    return _make(np.stack([d for d, _ in lifted]), "stack",
                  [t for _, t in lifted], backward_fn)
 
 
@@ -395,51 +452,53 @@ def softmax(a, axis):
 def attention(q, k, v, n_heads):
     """Multi-head scaled dot-product attention over the rows of q, k, v.
 
-    q, k and v are (P, d_v); head h owns columns h*d to (h+1)*d with
-    d = d_v / n_heads and computes softmax(Q_h K_h^T / sqrt(d)) V_h. The
-    (P, d_v) result holds the heads side by side. One tape record: the
-    backward uses rowsum(dA * A) = rowsum(dO * O) (FlashAttention), so the
-    only (H, P, P) array kept is the unnormalised exp(logits).
+    q, k and v are (..., P, d_v): each leading index, one sample of a
+    stack, attends over its own P rows. Head h owns columns h*d to
+    (h+1)*d with d = d_v / n_heads and computes softmax(Q_h K_h^T /
+    sqrt(d)) V_h. The (..., P, d_v) result holds the heads side by side.
+    One tape record: the backward uses rowsum(dA * A) = rowsum(dO * O)
+    (FlashAttention), so the only (..., H, P, P) array kept is the
+    unnormalised exp(logits).
     """
     qd, qt = _lift(q)
     kd, kt = _lift(k)
     vd, vt = _lift(v)
-    if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
+    if qd.ndim < 2 or kd.shape != qd.shape or vd.shape != qd.shape:
         raise DimensionError(
-            f"attention needs equal (P,d_v) q, k, v, got "
+            f"attention needs equal (...,P,d_v) q, k, v, got "
             f"{qd.shape}, {kd.shape}, {vd.shape}")
-    num_p, d_v = qd.shape
+    *lead, num_p, d_v = qd.shape
     if n_heads < 1 or d_v % n_heads:
         raise DimensionError(f"n_heads={n_heads} must be >= 1 and divide d_v={d_v}")
     d = d_v // n_heads
     scale = 1.0 / math.sqrt(d)
 
-    def heads(x):  # (P, d_v) -> (H, P, d) view
-        return x.reshape(num_p, n_heads, d).transpose(1, 0, 2)
+    def heads(x):  # (..., P, d_v) -> (..., H, P, d) view
+        return x.reshape(*lead, num_p, n_heads, d).swapaxes(-2, -3)
 
-    def merge(x):  # (H, P, d) -> (P, d_v) copy
-        return x.transpose(1, 0, 2).reshape(num_p, d_v)
+    def merge(x):  # (..., H, P, d) -> (..., P, d_v) copy
+        return x.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
 
     qh, kh, vh = heads(qd * scale), heads(kd), heads(vd)
-    # in place on buffers this op owns: e is (H, P, P)
-    e = qh @ kh.transpose(0, 2, 1)
-    e -= e.max(axis=2, keepdims=True)
+    # in place on buffers this op owns: e is (..., H, P, P)
+    e = qh @ kh.swapaxes(-1, -2)
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    s = e.sum(axis=2, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     o = e @ vh
     o /= s
 
     def backward_fn(g):
         go = heads(g) / s
         if vt is not None:
-            _accumulate(vt, merge(e.transpose(0, 2, 1) @ go))
-        dp = go @ vh.transpose(0, 2, 1)
-        dp -= (go * o).sum(axis=2, keepdims=True)
+            _accumulate(vt, merge(e.swapaxes(-1, -2) @ go))
+        dp = go @ vh.swapaxes(-1, -2)
+        dp -= (go * o).sum(axis=-1, keepdims=True)
         dp *= e
         if qt is not None:
             _accumulate(qt, merge(dp @ kh) * scale)
         if kt is not None:
-            _accumulate(kt, merge(dp.transpose(0, 2, 1) @ qh))
+            _accumulate(kt, merge(dp.swapaxes(-1, -2) @ qh))
 
     return _make(merge(o), "attention", (qt, kt, vt), backward_fn)
 
@@ -447,37 +506,37 @@ def attention(q, k, v, n_heads):
 def bilinear_scores(fu, sv, w):
     """Score every (row of fu, row of sv) pair: A[p, c] = tanh(fu_p * sv_c) w.
 
-    fu is (P, d), sv is (C, d) and w is (d, 1); the result is (P, C). One
-    tape record that keeps only the (P, C, d) tanh.
+    fu is (..., P, d), sv is (..., C, d) with the same leading axes, and
+    w is (d, 1); the result is (..., P, C), each leading index pairing
+    only its own rows. One tape record that keeps only the (..., P, C, d)
+    tanh.
     """
     fd, ft = _lift(fu)
     sd, st = _lift(sv)
     wd, wt = _lift(w)
-    if (fd.ndim != 2 or sd.ndim != 2 or sd.shape[1] != fd.shape[1]
-            or wd.shape != (fd.shape[1], 1)):
+    if (fd.ndim < 2 or sd.ndim != fd.ndim or sd.shape[:-2] != fd.shape[:-2]
+            or sd.shape[-1] != fd.shape[-1] or wd.shape != (fd.shape[-1], 1)):
         raise DimensionError(
-            f"bilinear_scores needs (P,d), (C,d), (d,1), got "
+            f"bilinear_scores needs (...,P,d), (...,C,d), (d,1), got "
             f"{fd.shape}, {sd.shape}, {wd.shape}")
-    num_p, d = fd.shape
-    num_c = sd.shape[0]
-    # in place on a buffer this op owns: t is (P, C, d)
-    t = fd[:, None, :] * sd[None, :, :]
+    # in place on a buffer this op owns: t is (..., P, C, d)
+    t = fd[..., :, None, :] * sd[..., None, :, :]
     np.tanh(t, out=t)
-    flat = t.reshape(num_p * num_c, d)
+    flat = t.reshape(-1, t.shape[-1])
 
     def backward_fn(g):
         if wt is not None:
             _accumulate(wt, flat.T @ g.reshape(-1, 1))
         dp = t * t
         np.subtract(1.0, dp, out=dp)
-        dp *= g[:, :, None]
+        dp *= g[..., None]
         dp *= wd[:, 0]
         if ft is not None:
-            _accumulate(ft, np.einsum("pcd,cd->pd", dp, sd))
+            _accumulate(ft, np.einsum("...pcd,...cd->...pd", dp, sd))
         if st is not None:
-            _accumulate(st, np.einsum("pcd,pd->cd", dp, fd))
+            _accumulate(st, np.einsum("...pcd,...pd->...cd", dp, fd))
 
-    return _make((flat @ wd).reshape(num_p, num_c), "bilinear_scores",
+    return _make((flat @ wd).reshape(t.shape[:-1]), "bilinear_scores",
                  (ft, st, wt), backward_fn)
 
 
@@ -493,31 +552,32 @@ def sum_(a, axis=None):
     return _make(ad.sum(axis=axis), "sum", (at,), backward_fn)
 
 
-def mean(a, axis=None):
+def mean(a, axis=None, keepdims=False):
     ad, at = _lift(a)
     n = ad.size if axis is None else ad.shape[axis]
 
     def backward_fn(g):
-        if axis is None:
-            _accumulate(at, np.broadcast_to(g / n, ad.shape).copy())
-        else:
-            _accumulate(at, np.broadcast_to(np.expand_dims(g, axis) / n, ad.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(at, np.broadcast_to(g / n, ad.shape).copy())
 
-    return _make(ad.mean(axis=axis), "mean", (at,), backward_fn)
+    return _make(ad.mean(axis=axis, keepdims=keepdims), "mean", (at,), backward_fn)
 
 
-def max_reduce(a, axis):
+def max_reduce(a, axis, keepdims=False):
     """Max along an axis; gradient routes to the first argmax on ties."""
     ad, at = _lift(a)
     idx = np.expand_dims(np.argmax(ad, axis=axis), axis)
-    out_data = np.take_along_axis(ad, idx, axis=axis).squeeze(axis=axis)
+    out_data = np.take_along_axis(ad, idx, axis=axis)
 
     def backward_fn(g):
         gz = np.zeros_like(ad)
-        np.put_along_axis(gz, idx, np.expand_dims(g, axis), axis=axis)
+        np.put_along_axis(gz, idx, g if keepdims else np.expand_dims(g, axis),
+                          axis=axis)
         _accumulate(at, gz)
 
-    return _make(out_data, "max", (at,), backward_fn)
+    return _make(out_data if keepdims else out_data.squeeze(axis=axis), "max",
+                 (at,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +593,20 @@ def conv_output_size(n):
 
 
 def conv2d(image, kernel, bias):
-    """2-D convolution over an (H, W, Cin) image with the CONV_* geometry.
+    """2-D convolution over (..., H, W, Cin) images with the CONV_* geometry.
 
     ``kernel`` is flattened to (CONV_KERNEL**2 * Cin, Cout) with rows in
-    (dy, dx, channel) order; output is (Hout, Wout, Cout).
+    (dy, dx, channel) order; output is (..., Hout, Wout, Cout), one image
+    per leading index.
     """
     xd, xt = _lift(image)
     kd, kt = _lift(kernel)
     bd, bt = _lift(bias)
-    if xd.ndim != 3:
-        raise DimensionError(f"conv2d expects an (H, W, C) image, got shape {xd.shape}")
+    if xd.ndim < 3:
+        raise DimensionError(
+            f"conv2d expects (..., H, W, C) images, got shape {xd.shape}")
     ks, stride, padding = CONV_KERNEL, CONV_STRIDE, CONV_PADDING
-    h, w, cin = xd.shape
+    *lead, h, w, cin = xd.shape
     if kd.shape[0] != ks * ks * cin:
         raise DimensionError(
             f"kernel has {kd.shape[0]} rows, expected {ks * ks * cin}")
@@ -553,26 +615,27 @@ def conv2d(image, kernel, bias):
     if hout < 1 or wout < 1:
         raise DimensionError(f"image {xd.shape} too small for kernel {ks}")
 
-    xp = np.zeros((h + 2 * padding, w + 2 * padding, cin), dtype=xd.dtype)
-    xp[padding:padding + h, padding:padding + w] = xd
-    # one (Hout, Wout) strided view per window tap, in the kernel's row order
-    taps = [(slice(dy, dy + stride * hout, stride),
-             slice(dx, dx + stride * wout, stride))
+    xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding, cin), dtype=xd.dtype)
+    inner = (..., slice(padding, padding + h), slice(padding, padding + w), slice(None))
+    xp[inner] = xd
+    # one (..., Hout, Wout, Cin) strided view per window tap, in the kernel's row order
+    taps = [(..., slice(dy, dy + stride * hout, stride),
+             slice(dx, dx + stride * wout, stride), slice(None))
             for dy in range(ks) for dx in range(ks)]
-    cols = np.stack([xp[t] for t in taps], axis=2).reshape(hout * wout, ks * ks * cin)
-    out_data = (cols @ kd + bd).reshape(hout, wout, cout)
+    cols = np.stack([xp[t] for t in taps], axis=-2).reshape(-1, ks * ks * cin)
+    out_data = (cols @ kd + bd).reshape(*lead, hout, wout, cout)
 
     def backward_fn(g):
-        gf = g.reshape(hout * wout, cout)
+        gf = g.reshape(-1, cout)
         if bt is not None:
             _accumulate(bt, gf.sum(axis=0))
         if kt is not None:
             _accumulate(kt, cols.T @ gf)
         if xt is not None:
-            gcols = (gf @ kd.T).reshape(hout, wout, ks * ks, cin)
+            gcols = (gf @ kd.T).reshape(*lead, hout, wout, ks * ks, cin)
             gpad = np.zeros_like(xp)
             for i, t in enumerate(taps):
-                gpad[t] += gcols[:, :, i]
-            _accumulate(xt, gpad[padding:padding + h, padding:padding + w].copy())
+                gpad[t] += gcols[..., i, :]
+            _accumulate(xt, gpad[inner].copy())
 
     return _make(out_data, "conv2d", (xt, kt, bt), backward_fn)

@@ -4,11 +4,18 @@ The parameters' dtype sets the precision of a step: ``train`` builds a
 float32 model and casts its label matrix once to that dtype, so every
 value and gradient of a step is float32, and a saved checkpoint reloads
 into an evaluation that is bit-identical to the one before saving.
-Tests build float64 models and pass float64 labels. One tape per
-sample, gradients averaged over the batch, AdamW with decoupled weight
-decay, and an optional EMA shadow of every parameter. Shuffling draws
-from a dedicated seeded stream, so two runs with the same config produce
-identical epoch logs and identical checkpoints.
+Tests build float64 models and pass float64 labels. Training records
+one tape per sample, gradients averaged over the batch, AdamW with
+decoupled weight decay, and an optional EMA shadow of every parameter.
+Shuffling draws from a dedicated seeded stream, so two runs with the
+same config produce identical epoch logs and identical checkpoints.
+
+``evaluate`` has no tape: it scores a split with one forward call per
+chunk of samples, the chunk size fixed by an element budget
+(``CHUNK_ELEMENTS``) on the largest array one sample builds. A sample's
+scores do not depend on how a split is cut into calls: each chunk
+starts a fresh set of rows, and a 2-D product gives each row the same
+bits whatever the number of rows (checked at the default shape).
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ __all__ = [
     "adamw_step",
     "ema_update",
     "train",
+    "chunk_size",
     "evaluate",
     "export_attention",
     "write_pgm",
@@ -51,6 +59,9 @@ __all__ = [
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# evaluate's budget, in array elements, for the largest per-sample
+# intermediate times the samples in one forward call
+CHUNK_ELEMENTS = 2 ** 16
 
 
 class TrainingError(RuntimeError):
@@ -320,18 +331,44 @@ def shadow_model(model: ModelBundle, shadow: dict) -> ModelBundle:
     return twin
 
 
+def chunk_size(cfg: ModelConfig, image_shape) -> int:
+    """Samples per evaluate call of forward: CHUNK_ELEMENTS over the
+    largest array one (H, W, C) image builds on the inference path, and
+    at least 1. The candidates are each conv block's window columns and
+    output, the attention's (heads, P, P) exp(logits) and the bilinear
+    (P, C, d1) tanh."""
+    h, w, c_in = image_shape
+    largest = 0
+    for _ in range(cfg.encoder.conv_blocks):
+        h, w = T.conv_output_size(h), T.conv_output_size(w)
+        largest = max(largest, h * w * max(T.CONV_KERNEL ** 2 * c_in,
+                                           cfg.feature_dim))
+        c_in = cfg.feature_dim
+    num_p = h * w
+    largest = max(largest, cfg.n_heads * num_p * num_p,
+                  num_p * cfg.num_classes * cfg.bilinear_dim)
+    return max(1, CHUNK_ELEMENTS // largest)
+
+
 def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
-    """Score every sample (inference mode) and build the metric report."""
+    """Score every sample (inference mode) and build the metric report.
+
+    One forward call per chunk of :func:`chunk_size` samples.
+    """
     n = len(ds)
     num_c = model.config.num_classes
     if ds.num_classes != num_c:
         raise ValueError(
             f"dataset has {ds.num_classes} classes, model wants {num_c}")
     check_cutoffs(threshold, top_k, num_c)
+    if ds.payload.ndim != 4:
+        raise ValueError(f"evaluate needs (N, H, W, C) images, got payload "
+                         f"shape {ds.payload.shape}")
+    step = chunk_size(model.config, ds.payload.shape[1:])
     scores = np.zeros((n, num_c))
-    for i in range(n):
-        out = forward(ds.payload[i], model)
-        scores[i] = T.sigmoid(out.logits).data
+    for lo in range(0, n, step):
+        out = forward(ds.payload[lo:lo + step], model)
+        scores[lo:lo + step] = T.sigmoid(out.logits).data
     preds = PredictionSet(scores, ds.labels.astype(np.uint8))
     return compute_report(preds, threshold=threshold, top_k=top_k), preds
 
@@ -347,6 +384,9 @@ def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
                          f"{model.config.num_classes} classes")
     if model.config.disable_ot:
         raise ValueError("transport is disabled; no attention to export")
+    if len(x.shape) != 3:
+        raise ValueError(f"export_attention takes one (H, W, C) image, "
+                         f"got shape {x.shape}")
     out = forward(x, model)
     grid_h, grid_w = out.features.h, out.features.w
     m = semantic_map(out.features.f, model.map_weights).data[:, class_id]

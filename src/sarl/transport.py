@@ -14,6 +14,11 @@ mixture of class features (F_R), which is the only part the inference
 path needs: everything involving labels runs at train time only. The
 scores carry no bias: a constant added to every score would cancel in
 each of these softmaxes.
+
+The inference path also takes a stack of N samples: F as the (N*P, d_v)
+patch rows of all of them and F_S as (N, C, d_v); the scores, the
+attention and F_R then carry the leading N axis. The label-side terms
+take one sample.
 """
 
 from __future__ import annotations
@@ -107,9 +112,14 @@ def target_distribution(y) -> Tensor:
 
 
 def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:
-    """Transport scores A (P x C), one bilinear form per (patch, class)."""
-    return T.bilinear_scores(T.matmul(f, p.u), T.matmul(f_s, p.v),
-                             T.matmul(p.mix, p.score))
+    """Transport scores A (P x C), one bilinear form per (patch, class).
+
+    For f_s with a leading sample axis, (N, C, d_v), f holds the N
+    samples' patch rows in turn and A is (N, P, C).
+    """
+    fu = T.matmul(f, p.u)
+    fu = T.reshape(fu, (*f_s.shape[:-2], -1, fu.shape[1]))
+    return T.bilinear_scores(fu, T.matmul(f_s, p.v), T.matmul(p.mix, p.score))
 
 
 def forward_plan(mass: Tensor, theta) -> Tensor:
@@ -141,11 +151,12 @@ def ct_loss(fwd: Tensor, bwd: Tensor, co: Tensor) -> Tensor:
 
 def semantic_attention(mass: Tensor) -> Tensor:
     """Row-softmax of the transport scores: each patch row on the simplex."""
-    return T.softmax(mass, axis=1)
+    return T.softmax(mass, axis=-1)
 
 
 def semantic_repr(attn: Tensor, f_s) -> Tensor:
-    """Rebuild patches from class features: F_R = B F_S (P x d_v).
+    """Rebuild patches from class features: F_R = B F_S (P x d_v), per
+    sample for a stack.
 
     Every output row is a convex combination of F_S rows.
     """

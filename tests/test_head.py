@@ -254,6 +254,43 @@ class TestForward:
         assert out.transport_cost is None
         assert out.semantic_map is None
 
+    def test_stack_gives_one_logit_row_per_image(self):
+        model = build_model(tiny_config(), seed=13)
+        out = forward(np.random.default_rng(14).normal(size=(3, 8, 8, 2)), model)
+        assert out.logits.shape == (3, 3)
+        assert out.attention.shape == (3, 4, 3)
+        assert out.features.f.shape == (12, 8)  # patch rows stay 2-D
+        assert out.features.samples == (3,)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([1, 0, 1], np.uint8), np.array([True, False, True])],
+        ids=["uint8", "bool"])
+    def test_labels_take_the_parameters_dtype(self, labels):
+        model = build_model(tiny_config(), seed=13, dtype=np.float32)
+        x = np.random.default_rng(14).normal(size=(8, 8, 2)).astype(np.float32)
+        out = forward(x, model, labels=labels)
+        for name in ("logits", "theta", "beta", "transport_cost"):
+            assert getattr(out, name).dtype == np.float32, name
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8,), (1, 2, 8, 8, 2)])
+    def test_image_rank_outside_three_or_four_rejected(self, shape):
+        model = build_model(tiny_config(), seed=13)
+        with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+            forward(np.zeros(shape), model)
+
+    def test_labels_with_a_stack_rejected(self):
+        # the label branch is per sample: training records one tape per image
+        model = build_model(tiny_config(), seed=13)
+        with pytest.raises(ConfigError, match=re.escape(
+                "got labels (3,) for images (2, 8, 8, 2)")):
+            forward(np.zeros((2, 8, 8, 2)), model, labels=np.array([1.0, 0.0, 1.0]))
+
+    def test_labels_of_the_wrong_length_rejected(self):
+        model = build_model(tiny_config(), seed=13)
+        with pytest.raises(ConfigError, match=re.escape(
+                "got labels (4,) for images (8, 8, 2)")):
+            forward(np.zeros((8, 8, 2)), model, labels=np.ones(4))
+
 
 class TestFusedBilinearGate:
     """The fused bilinear op against the composite it replaced, float64.

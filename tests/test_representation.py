@@ -1,6 +1,7 @@
 """Encoder, self-attention, pooling, and semantic fusion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ class TestSelfAttention:
             counts.append(len(tape))
         assert counts == [4, 4, 4]
 
+    def test_stack_attends_within_each_sample(self):
+        rng = np.random.default_rng(16)
+        f = rng.normal(size=(12, 8))
+        p = self.params(rng, 8, 2)
+        out = self_attention(FeatureMap(Tensor(f), 2, 2, samples=(3,)), p)
+        assert out.f.shape == (12, 8) and out.samples == (3,)
+        for i in range(3):
+            one = self_attention(feature_map(f[4 * i:4 * i + 4], 2, 2), p).f.data
+            np.testing.assert_allclose(out.f.data[4 * i:4 * i + 4], one,
+                                       rtol=0, atol=1e-12)
+
     def test_head_count_must_divide(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ConfigError):
@@ -162,21 +174,58 @@ class TestSelfAttention:
         check_gradients(loss, [f, p.w_q, p.w_k, p.w_v], tol=1e-4)
 
 
+class TestFeatureMapStack:
+    def test_rows_must_tile_every_grid(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "10 patch rows cannot tile (3,) stack of 2x2 grid")):
+            FeatureMap(Tensor(np.ones((10, 2))), 2, 2, samples=(3,))
+
+    def test_split_then_join_is_the_identity(self):
+        rng = np.random.default_rng(17)
+        f = Tensor(rng.normal(size=(12, 3)))
+        fm = FeatureMap(f, 2, 2, samples=(3,))
+        parts = fm.split()
+        assert [p.samples for p in parts] == [(), (), ()]
+        for i, part in enumerate(parts):
+            np.testing.assert_array_equal(part.f.data, f.data[4 * i:4 * i + 4])
+        joined = FeatureMap.join(parts, fm.samples)
+        np.testing.assert_array_equal(joined.f.data, f.data)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(FeatureMap.join(fm.split(), (3,)).f, 2)),
+            [f]) < 1e-4
+
+    def test_one_image_splits_into_itself_unrecorded(self):
+        fm = FeatureMap(Tensor(np.ones((4, 3))), 2, 2)
+        with Tape() as tape:
+            parts = fm.split()
+            assert parts == [fm] and FeatureMap.join(parts, ()) is fm
+        assert len(tape) == 0
+
+
 class TestGlobalSpatialPool:
     def test_identical_rows_pass_through(self):
         row = np.array([1.5, -2.0, 0.25])
         fm = feature_map(np.tile(row, (4, 1)), 2, 2)
         for mode in ("avg", "max"):
             np.testing.assert_allclose(
-                global_spatial_pool(fm, mode).data, row, atol=1e-15)
+                global_spatial_pool(fm, mode).data, [row], atol=1e-15)
 
     def test_avg(self):
         fm = feature_map(np.array([[1.0, 3.0], [3.0, 1.0]]), 1, 2)
-        np.testing.assert_array_equal(global_spatial_pool(fm, "avg").data, [2.0, 2.0])
+        np.testing.assert_array_equal(global_spatial_pool(fm, "avg").data, [[2.0, 2.0]])
 
     def test_max(self):
         fm = feature_map(np.array([[1.0, 3.0], [3.0, 1.0]]), 1, 2)
-        np.testing.assert_array_equal(global_spatial_pool(fm, "max").data, [3.0, 3.0])
+        np.testing.assert_array_equal(global_spatial_pool(fm, "max").data, [[3.0, 3.0]])
+
+    def test_stack_pools_each_sample(self):
+        # two samples' 1x2 grids stacked as four rows pool to one row each
+        f = Tensor(np.array([[1.0, 3.0], [3.0, 1.0], [0.0, 2.0], [4.0, 2.0]]))
+        fm = FeatureMap(f, 1, 2, samples=(2,))
+        np.testing.assert_array_equal(global_spatial_pool(fm, "avg").data,
+                                      [[[2.0, 2.0]], [[2.0, 2.0]]])
+        np.testing.assert_array_equal(global_spatial_pool(fm, "max").data,
+                                      [[[3.0, 3.0]], [[4.0, 2.0]]])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)

@@ -65,13 +65,32 @@ class TestMatmul:
 
     @pytest.mark.parametrize("shape_a,shape_b", [
         ((2, 3, 4), (3, 4, 5)),
-        ((2, 3, 4), (4, 5)),
+        ((2, 3, 4), (3, 5)),
         ((3, 4), (2, 4, 5)),
-    ], ids=["unequal-leading-dims", "3d-by-2d", "2d-by-3d"])
+        ((2, 3, 4), (2, 5, 6)),
+    ], ids=["unequal-leading-dims", "3d-by-2d", "2d-by-3d", "stacked-inner-dims"])
     def test_stacked_shapes_must_match(self, shape_a, shape_b):
-        # matmul is 2-D only: stacked operands are refused, both shapes named
+        # a right operand has a's leading axes or none, and the inner
+        # dims agree; a (2, 3, 4) x (4, 5) product is legal (see below)
         with pytest.raises(DimensionError, match=re.escape(f"{shape_a} x {shape_b}")):
             T.matmul(Tensor(np.ones(shape_a)), Tensor(np.ones(shape_b)))
+
+    @pytest.mark.parametrize("shape_b", [(4, 2), (3, 4, 2)], ids=["shared", "stacked"])
+    def test_leading_axis_matches_loop(self, shape_b):
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(3, 5, 4)))
+        b = Tensor(rng.normal(size=shape_b))
+        before = [a.data.copy(), b.data.copy()]
+        out = T.matmul(a, b).data
+        assert out.shape == (3, 5, 2)
+        for i in range(3):
+            b_i = b.data if b.data.ndim == 2 else b.data[i]
+            np.testing.assert_allclose(out[i], matmul_oracle(a.data[i], b_i),
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(a.data, before[0])
+        np.testing.assert_array_equal(b.data, before[1])
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.matmul(a, b), 2)), [a, b]) < 1e-4
 
 
 class TestSoftmax:
@@ -137,14 +156,36 @@ class TestAttention:
     @pytest.mark.parametrize("shapes,n_heads", [
         (((4, 8), (4, 8), (3, 8)), 2),
         (((4, 8), (4, 6), (4, 8)), 2),
-        (((2, 4, 8), (2, 4, 8), (2, 4, 8)), 2),
+        (((2, 4, 8), (3, 4, 8), (2, 4, 8)), 2),
         (((4, 8), (4, 8), (4, 8)), 3),
         (((4, 8), (4, 8), (4, 8)), 0),
     ], ids=["rows", "width", "stacked", "heads-divide", "no-heads"])
     def test_bad_shapes_rejected(self, shapes, n_heads):
+        # mismatched leading axes are refused like any other mismatch
         q, k, v = (Tensor(np.ones(s)) for s in shapes)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                ", ".join(map(str, shapes)) if n_heads == 2 else "n_heads")):
             T.attention(q, k, v, n_heads)
+
+    def test_stack_of_three(self):
+        # each leading index attends over its own rows: a per-sample loop
+        # is the oracle, gradients pass, inputs and upstream stay intact
+        rng = np.random.default_rng(52)
+        q, k, v = (Tensor(rng.normal(size=(3, 5, 8))) for _ in range(3))
+        before = [t.data.copy() for t in (q, k, v)]
+        upstream = rng.normal(size=(3, 5, 8))
+        with Tape() as tape:
+            out = T.attention(q, k, v, 4)
+            tape.backward(T.sum_(T.mul(out, upstream)))
+        for i in range(3):
+            one = T.attention(q.data[i], k.data[i], v.data[i], 4).data
+            np.testing.assert_allclose(out.data[i], one, rtol=0, atol=1e-12)
+        for t, data in zip((q, k, v), before):
+            np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(out.grad, upstream)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.attention(q, k, v, 4), 2)),
+            [q, k, v]) < 1e-4
 
 
 class TestBilinearScores:
@@ -183,11 +224,32 @@ class TestBilinearScores:
         ((4, 5), (3, 5), (5, 2)),
         ((4, 5), (3, 5), (5,)),
         ((2, 4, 5), (3, 5), (5, 1)),
-    ], ids=["width", "w-columns", "w-vector", "stacked"])
+        ((2, 4, 5), (3, 3, 5), (5, 1)),
+    ], ids=["width", "w-columns", "w-vector", "stacked", "unequal-leading-dims"])
     def test_bad_shapes_rejected(self, shapes):
         fu, sv, w = (Tensor(np.ones(s)) for s in shapes)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=re.escape(
+                ", ".join(map(str, shapes)))):
             T.bilinear_scores(fu, sv, w)
+
+    def test_stack_of_three(self):
+        rng = np.random.default_rng(63)
+        fu, sv, w = (Tensor(rng.normal(size=s))
+                     for s in ((3, 5, 4), (3, 2, 4), (4, 1)))
+        before = [t.data.copy() for t in (fu, sv, w)]
+        upstream = rng.normal(size=(3, 5, 2))
+        with Tape() as tape:
+            out = T.bilinear_scores(fu, sv, w)
+            tape.backward(T.sum_(T.mul(out, upstream)))
+        for i in range(3):
+            one = T.bilinear_scores(fu.data[i], sv.data[i], w.data).data
+            np.testing.assert_allclose(out.data[i], one, rtol=0, atol=1e-12)
+        for t, data in zip((fu, sv, w), before):
+            np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(out.grad, upstream)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.bilinear_scores(fu, sv, w), 2)),
+            [fu, sv, w]) < 1e-4
 
 
 class TestBackward:
@@ -323,6 +385,81 @@ class TestConv2d:
         np.testing.assert_allclose(T.conv2d(x, kernel, bias).data,
                                    conv2d_oracle(x, kernel, bias),
                                    rtol=0, atol=1e-12)
+
+    def test_stack_of_three(self):
+        rng = np.random.default_rng(27)
+        img = Tensor(rng.normal(size=(3, 5, 6, 2)))
+        kern = Tensor(rng.normal(size=(18, 3)) * 0.5)
+        bias = Tensor(rng.normal(size=(3,)) * 0.1)
+        before = [t.data.copy() for t in (img, kern, bias)]
+        upstream = rng.normal(size=(3, 3, 3, 3))
+        with Tape() as tape:
+            out = T.conv2d(img, kern, bias)
+            tape.backward(T.sum_(T.mul(out, upstream)))
+        for i in range(3):
+            np.testing.assert_allclose(
+                out.data[i], conv2d_oracle(img.data[i], kern.data, bias.data),
+                rtol=0, atol=1e-12)
+        for t, data in zip((img, kern, bias), before):
+            np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(out.grad, upstream)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.conv2d(img, kern, bias), 2)),
+            [img, kern, bias]) < 1e-4
+
+    def test_rank_below_three_rejected(self):
+        with pytest.raises(DimensionError, match=re.escape("(4, 4)")):
+            T.conv2d(np.ones((4, 4)), np.ones((9, 2)), np.zeros(2))
+
+
+class TestSampleAxisHelpers:
+    """The shape ops the sample axis leans on."""
+
+    def test_reshape_to_own_shape_records_nothing(self):
+        x = Tensor(np.ones((4, 3)))
+        with Tape() as tape:
+            assert T.reshape(x, (4, 3)) is x
+            assert T.reshape(x, (-1, 3)) is x
+            T.reshape(x, (1, 4, 3))
+        assert len(tape) == 1
+
+    def test_unstack_and_stack(self):
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(size=(3, 2, 4)))
+        parts = T.unstack(x)
+        assert len(parts) == 3
+        for i, part in enumerate(parts):
+            np.testing.assert_array_equal(part.data, x.data[i])
+        np.testing.assert_array_equal(T.stack(parts).data, x.data)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.stack(T.unstack(x)[::-1]), 3)), [x]) < 1e-4
+
+    def test_concat_broadcasts_the_other_axes(self):
+        rng = np.random.default_rng(28)
+        rows = Tensor(rng.normal(size=(3, 4, 2)))
+        table = Tensor(rng.normal(size=(4, 5)))
+        before = table.data.copy()
+        out = T.concat([rows, table], axis=-1).data
+        assert out.shape == (3, 4, 7)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                out[i], np.concatenate([rows.data[i], table.data], axis=1))
+        np.testing.assert_array_equal(table.data, before)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(T.concat([rows, table], axis=-1), 2)),
+            [rows, table]) < 1e-4
+
+    @pytest.mark.parametrize("reduce", [T.mean, T.max_reduce], ids=["mean", "max"])
+    def test_keepdims_reduction(self, reduce):
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(3, 5, 4)))
+        kept = reduce(x, axis=-2, keepdims=True).data
+        assert kept.shape == (3, 1, 4)
+        for i in range(3):
+            np.testing.assert_array_equal(kept[i, 0], reduce(x.data[i], axis=0).data)
+        assert check_gradients(
+            lambda: T.sum_(T.pow_const(reduce(x, axis=-2, keepdims=True), 2)),
+            [x]) < 1e-4
 
 
 class TestMaxReduce:

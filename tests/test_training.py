@@ -7,6 +7,7 @@ shared helpers with the implementation.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -431,6 +432,63 @@ class TestTrainLoop:
                 evaluate(model, test_ds, threshold=threshold)
 
 
+class TestChunkedEvaluate:
+    """evaluate scores a split in chunks of samples through one forward
+    call each; the per-image forward is the oracle."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"disable_self_attn": True}, {"disable_ot": True},
+        {"disable_gsp_fusion": True}, {"gsp_mode": "max"}, {"image_size": 16},
+    ], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "gsp-max",
+            "image-16"])
+    def test_stack_matches_per_sample_float64(self, overrides):
+        cfg = TrainConfig(**overrides)
+        model = build_model(model_config(cfg), seed=5)
+        rng = np.random.default_rng(6)
+        images = rng.normal(size=(7, cfg.image_size, cfg.image_size, cfg.channels))
+        batched = forward(images, model).logits.data
+        assert batched.shape == (7, cfg.num_classes)
+        for i, image in enumerate(images):
+            assert_allclose(batched[i], forward(image, model).logits.data,
+                            rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:classes without positives")
+    def test_scores_do_not_depend_on_the_cut(self):
+        cfg = TrainConfig()
+        _, test_ds = generate(synthetic_config(cfg))
+        model = build_model(model_config(cfg), seed=cfg.seed, dtype=np.float32)
+        _, whole = evaluate(model, test_ds)
+        parts = [evaluate(model, Dataset(test_ds.payload[a:b],
+                                         test_ds.labels[a:b]))[1].scores
+                 for a, b in ((0, 37), (37, 38), (38, len(test_ds)))]
+        assert_array_equal(np.concatenate(parts), whole.scores)
+
+    def test_payload_of_the_wrong_rank_rejected(self):
+        model = build_model(model_config(tiny_config()))
+        flat = Dataset(np.zeros((5, 8, 8)), np.zeros((5, 4)))
+        with pytest.raises(ValueError, match=re.escape("(5, 8, 8)")):
+            evaluate(model, flat)
+
+    def test_chunk_size_rule(self, monkeypatch):
+        large = TrainConfig(image_size=64, num_classes=20)
+        assert Tr.chunk_size(model_config(large), (64, 64, 3)) == 1
+        cfg = TrainConfig()
+        step = Tr.chunk_size(model_config(cfg), (8, 8, 3))
+        assert 32 <= step <= 64
+        _, test_ds = generate(synthetic_config(cfg))
+        model = build_model(model_config(cfg), dtype=np.float32)
+        sizes, real_forward = [], Tr.forward
+
+        def counting(x, model, labels=None):
+            sizes.append(len(x))
+            return real_forward(x, model, labels=labels)
+
+        monkeypatch.setattr(Tr, "forward", counting)
+        evaluate(model, test_ds)
+        n = len(test_ds)
+        assert sizes == [step] * (n // step) + ([n % step] if n % step else [])
+
+
 class TestPgmExport:
     def test_two_by_two_fixture(self, tmp_path):
         path = tmp_path / "m.pgm"
@@ -463,6 +521,15 @@ class TestPgmExport:
         with pytest.raises(ValueError, match="range"):
             export_attention(res.model, test_ds.payload[0], 9,
                              tmp_path / "m.pgm", tmp_path / "a.pgm")
+
+    def test_export_rejects_a_stack(self, tmp_path):
+        cfg = tiny_config()
+        _, test_ds = generate(synthetic_config(cfg))
+        model = build_model(model_config(cfg))
+        with pytest.raises(ValueError, match=re.escape("got shape (2, 8, 8, 2)")):
+            export_attention(model, test_ds.payload[:2], 0,
+                             tmp_path / "m.pgm", tmp_path / "a.pgm")
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_export_rejects_transport_disabled(self, tmp_path):
         cfg = tiny_config(epochs=1, disable_ot=True)

@@ -5,13 +5,16 @@ positives get a focal factor (1 - p)^gamma_pos, negatives get p_m^gamma_neg
 where p_m = max(p - clip, 0) shifts easy negatives to exactly zero loss.
 The total objective adds the semantic-map loss and the transport loss to
 the classification loss with two weights.
+
+The loss itself is one closed-form tape op,
+:func:`sarl.tensor.asymmetric_loss`: the probability clamp and the clip
+act as masks on its gradient. So the classification loss records two ops
+(sigmoid, loss) and the semantic-map loss three (max, sigmoid, loss).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
@@ -65,15 +68,10 @@ def asl(p, y, cfg: AslConfig) -> Tensor:
     Positive labels contribute -(1-p)^g+ log p, negatives contribute
     -(p_m)^g- log(1 - p_m) with p_m = max(p - clip, 0). Probabilities
     are clamped to [1e-7, 1 - 1e-7] first so the result stays finite.
-    Always nonnegative.
+    Always nonnegative. One tape record (:func:`sarl.tensor.asymmetric_loss`).
     """
-    y = np.asarray(y)
-    p = T.clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pos = T.mul(T.pow_const(T.sub(1.0, p), cfg.gamma_pos), T.log(p))
-    p_m = T.clamp(T.sub(p, cfg.clip), 0.0, 1.0)
-    neg = T.mul(T.pow_const(p_m, cfg.gamma_neg), T.log(T.sub(1.0, p_m)))
-    per_class = T.add(T.mul(pos, y), T.mul(neg, 1.0 - y))
-    return T.neg(T.mean(per_class))
+    return T.asymmetric_loss(p, y, cfg.gamma_pos, cfg.gamma_neg, cfg.clip,
+                             PROB_FLOOR)
 
 
 def classification_loss(z: Tensor, y, cfg: AslConfig) -> Tensor:

@@ -237,6 +237,5 @@ def fuse_semantic(f_g: Tensor, table: Tensor, p: FusionParams) -> Tensor:
     is the semantic-related feature table F_S (C x d_v), or (N, C, d_v)
     for an (N, 1, d_v) stack of F_G rows.
     """
-    rows = T.mul(np.ones((table.shape[0], 1), dtype=f_g.dtype), f_g)
-    stacked = T.concat([rows, table], axis=-1)
+    stacked = T.concat([f_g, table], axis=-1)
     return T.add(T.matmul(stacked, p.weight), p.bias)

@@ -23,24 +23,21 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
-    "transpose",
     "reshape",
     "concat",
     "unstack",
     "stack",
-    "log",
-    "sqrt",
-    "tanh",
     "sigmoid",
     "relu",
     "pow_const",
-    "clamp",
     "softmax",
     "attention",
     "bilinear_scores",
+    "asymmetric_loss",
+    "cosine_cost",
+    "scaled_softmax",
+    "plan_cost",
     "sum_",
     "mean",
     "max_reduce",
@@ -217,28 +214,6 @@ def mul(a, b):
     return _make(ad * bd, "mul", (at, bt), backward_fn)
 
 
-def div(a, b):
-    ad, at = _lift(a)
-    bd, bt = _lift(b)
-
-    def backward_fn(g):
-        if at is not None:
-            _accumulate(at, _unbroadcast(g / bd, ad.shape))
-        if bt is not None:
-            _accumulate(bt, _unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    return _make(ad / bd, "div", (at, bt), backward_fn)
-
-
-def neg(a):
-    ad, at = _lift(a)
-
-    def backward_fn(g):
-        _accumulate(at, -g)
-
-    return _make(-ad, "neg", (at,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 
@@ -270,17 +245,6 @@ def matmul(a, b):
     return _make(ad @ bd, "matmul", (at, bt), backward_fn)
 
 
-def transpose(a):
-    ad, at = _lift(a)
-    if ad.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {ad.shape}")
-
-    def backward_fn(g):
-        _accumulate(at, g.T)
-
-    return _make(ad.T.copy(), "transpose", (at,), backward_fn)
-
-
 def reshape(a, shape):
     """Reshape; a tensor reshaped to its own shape is returned unrecorded."""
     ad, at = _lift(a)
@@ -301,22 +265,30 @@ def concat(parts, axis=0):
     lifted = [_lift(p) for p in parts]
     ndim = max(d.ndim for d, _ in lifted)
     axis %= ndim
-    datas = [d if d.ndim == ndim else d.reshape((1,) * (ndim - d.ndim) + d.shape)
-             for d, _ in lifted]
-    others = {d.shape[:axis] + d.shape[axis + 1:] for d in datas}
-    if len(others) > 1:
-        rest = np.broadcast_shapes(*others)
-        datas = [np.broadcast_to(d, rest[:axis] + d.shape[axis:axis + 1] + rest[axis:])
-                 for d in datas]
-    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
+    shapes = [(1,) * (ndim - d.ndim) + d.shape for d, _ in lifted]
+    rest = []
+    for sizes in zip(*(s[:axis] + s[axis + 1:] for s in shapes)):
+        wide = set(sizes) - {1}
+        if len(wide) > 1:
+            raise DimensionError(f"concat cannot broadcast "
+                                 f"{[d.shape for d, _ in lifted]} along axis {axis}")
+        rest.append(wide.pop() if wide else 1)
+    # one slice of the output per part, in order along axis
+    cuts, lo = [], 0
+    for s in shapes:
+        cuts.append((slice(None),) * axis + (slice(lo, lo + s[axis]),))
+        lo += s[axis]
+    out = np.empty((*rest[:axis], lo, *rest[axis:]),
+                   dtype=np.result_type(*(d for d, _ in lifted)))
+    for (d, _), s, cut in zip(lifted, shapes, cuts):
+        out[cut] = d.reshape(s)
 
     def backward_fn(g):
-        for piece, (d, t) in zip(np.split(g, splits, axis=axis), lifted):
+        for (d, t), cut in zip(lifted, cuts):
             if t is not None:
-                _accumulate(t, _unbroadcast(piece, d.shape))
+                _accumulate(t, _unbroadcast(g[cut], d.shape))
 
-    return _make(np.concatenate(datas, axis=axis), "concat",
-                 [t for _, t in lifted], backward_fn)
+    return _make(out, "concat", [t for _, t in lifted], backward_fn)
 
 
 def unstack(a):
@@ -350,35 +322,6 @@ def stack(parts):
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
 
-def log(a):
-    ad, at = _lift(a)
-
-    def backward_fn(g):
-        _accumulate(at, g / ad)
-
-    return _make(np.log(ad), "log", (at,), backward_fn)
-
-
-def sqrt(a):
-    ad, at = _lift(a)
-    out_data = np.sqrt(ad)
-
-    def backward_fn(g):
-        _accumulate(at, g * 0.5 / out_data)
-
-    return _make(out_data, "sqrt", (at,), backward_fn)
-
-
-def tanh(a):
-    ad, at = _lift(a)
-    out_data = np.tanh(ad)
-
-    def backward_fn(g):
-        _accumulate(at, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, "tanh", (at,), backward_fn)
-
-
 def sigmoid(a):
     ad, at = _lift(a)
     out_data = 1.0 / (1.0 + np.exp(-ad))
@@ -404,29 +347,21 @@ def pow_const(a, exponent):
     e = float(exponent)
 
     def backward_fn(g):
-        if e == 0.0:
-            return
-        if e == 1.0:
-            _accumulate(at, g)
-            return
-        if e < 1.0:
-            # subgradient 0 at x == 0 keeps fractional powers finite
-            safe = np.where(ad == 0.0, 1.0, ad)
-            d = np.where(ad == 0.0, 0.0, e * safe ** (e - 1.0))
-        else:
-            d = e * ad ** (e - 1.0)
-        _accumulate(at, g * d)
+        if e != 0.0:
+            _accumulate(at, g * _pow_slope(ad, e))
 
     return _make(ad ** e, "pow", (at,), backward_fn)
 
 
-def clamp(a, lo, hi):
-    ad, at = _lift(a)
-
-    def backward_fn(g):
-        _accumulate(at, g * ((ad >= lo) & (ad <= hi)))
-
-    return _make(np.clip(ad, lo, hi), "clamp", (at,), backward_fn)
+def _pow_slope(x, e):
+    """d(x ** e)/dx for a constant e != 0; subgradient 0 at x == 0 keeps
+    fractional powers finite."""
+    if e == 1.0:
+        return 1.0
+    if e < 1.0:
+        safe = np.where(x == 0.0, 1.0, x)
+        return np.where(x == 0.0, 0.0, e * safe ** (e - 1.0))
+    return e * x ** (e - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +513,146 @@ def max_reduce(a, axis, keepdims=False):
 
     return _make(out_data if keepdims else out_data.squeeze(axis=axis), "max",
                  (at,), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused label-side ops: the training losses and the transport terms, one
+# tape record each with a closed-form backward
+
+def asymmetric_loss(p, y, gamma_pos, gamma_neg, clip, floor):
+    """Mean asymmetric loss (Ridnik et al., ICCV 2021) over probabilities p.
+
+    p is clamped to [floor, 1 - floor] and p_m = clamp(p - clip, 0, 1).
+    A positive label (y = 1) scores -(1 - p)^gamma_pos log p, a negative
+    one -(p_m)^gamma_neg log(1 - p_m); y weighs the two, and the result
+    is the mean over every entry. One tape record: both clamps pass
+    gradient where p lies inside them or on an edge, and the powers
+    follow :func:`pow_const` (no gradient for exponent 0, subgradient 0
+    at p_m == 0 for a fractional one).
+    """
+    pd, pt = _lift(p)
+    yd = np.asarray(y, dtype=pd.dtype)
+    if yd.shape != pd.shape:
+        raise DimensionError(f"asymmetric_loss needs labels shaped like p, "
+                             f"got {yd.shape} for {pd.shape}")
+    gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
+    lo, hi = floor, 1.0 - floor
+    pc = np.clip(pd, lo, hi)
+    q = 1.0 - pc
+    log_p = np.log(pc)
+    shifted = pc - clip
+    pm = np.clip(shifted, 0.0, 1.0)
+    qm = 1.0 - pm
+    log_qm = np.log(qm)
+    focus_pos = q ** gamma_pos
+    focus_neg = pm ** gamma_neg
+    y_neg = 1.0 - yd
+    per = (focus_pos * log_p) * yd + (focus_neg * log_qm) * y_neg
+
+    def backward_fn(g):
+        w = -g / pd.size
+        d_pos, d_neg = w * yd, w * y_neg
+        dpc = d_pos * focus_pos / pc
+        if gamma_pos != 0.0:
+            dpc -= d_pos * log_p * _pow_slope(q, gamma_pos)
+        dpm = -(d_neg * focus_neg / qm)
+        if gamma_neg != 0.0:
+            dpm += d_neg * log_qm * _pow_slope(pm, gamma_neg)
+        dpc += dpm * ((shifted >= 0.0) & (shifted <= 1.0))
+        _accumulate(pt, dpc * ((pd >= lo) & (pd <= hi)))
+
+    return _make(-per.mean(), "asymmetric_loss", (pt,), backward_fn)
+
+
+def cosine_cost(f, s, eps):
+    """Cosine distance of every row of f (P, d) to every row of s (C, d).
+
+    co[p, c] = 1 - <f_p, s_c> / ((|f_p| + eps)(|s_c| + eps)). One tape
+    record. A zero row costs 1 against every row, and its norm takes
+    subgradient 0, so its gradient is the finite -sum_c g[p, c] s_c /
+    (eps (|s_c| + eps)) (and likewise for a zero row of s).
+    """
+    fd, ft = _lift(f)
+    sd, st = _lift(s)
+    if fd.ndim != 2 or sd.ndim != 2 or fd.shape[1] != sd.shape[1]:
+        raise DimensionError(f"cosine_cost needs (P,d) and (C,d) rows, got "
+                             f"{fd.shape}, {sd.shape}")
+    sim = fd @ sd.T
+    fn = np.sqrt((fd * fd).sum(axis=1))
+    sn = np.sqrt((sd * sd).sum(axis=1))
+    fe, se = fn + eps, sn + eps
+    denom = fe[:, None] * se[None, :]
+
+    def norm_grad(rows, norms, d_norm):
+        # d|x|/dx = x / |x|, taken as 0 for a zero row
+        scale = np.divide(d_norm, norms, out=np.zeros_like(norms),
+                          where=norms != 0.0)
+        return scale[:, None] * rows
+
+    def backward_fn(g):
+        d_sim = -g / denom
+        d_den = g * sim / (denom * denom)
+        if ft is not None:
+            _accumulate(ft, norm_grad(fd, fn, (d_den * se).sum(axis=1))
+                        + d_sim @ sd)
+        if st is not None:
+            _accumulate(st, norm_grad(sd, sn, (d_den * fe[:, None]).sum(axis=0))
+                        + d_sim.T @ fd)
+
+    return _make(1.0 - sim / denom, "cosine_cost", (ft, st), backward_fn)
+
+
+def scaled_softmax(a, scale, axis):
+    """softmax(a, axis) times scale, broadcast along ``axis``.
+
+    scale has a's shape without ``axis``, so every slice along ``axis``
+    sums to its entry of scale. One tape record.
+    """
+    ad, at = _lift(a)
+    sd, st = _lift(scale)
+    axis %= ad.ndim
+    if sd.shape != ad.shape[:axis] + ad.shape[axis + 1:]:
+        raise DimensionError(f"scaled_softmax over axis {axis} of {ad.shape} "
+                             f"needs a scale of that shape without the axis, "
+                             f"got {sd.shape}")
+    # in place on a buffer this op owns: soft is softmax(a, axis)
+    soft = ad - ad.max(axis=axis, keepdims=True)
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=axis, keepdims=True)
+    sdx = np.expand_dims(sd, axis)
+
+    def backward_fn(g):
+        if st is not None:
+            _accumulate(st, (g * soft).sum(axis=axis))
+        if at is not None:
+            d = g * sdx
+            d -= (d * soft).sum(axis=axis, keepdims=True)
+            d *= soft
+            _accumulate(at, d)
+
+    return _make(sdx * soft, "scaled_softmax", (at, st), backward_fn)
+
+
+def plan_cost(fwd, bwd, cost):
+    """sum(fwd * cost) + sum(bwd * cost) over equal-shape arrays. One
+    tape record."""
+    fd, ft = _lift(fwd)
+    bd, bt = _lift(bwd)
+    cd, ct = _lift(cost)
+    if fd.shape != cd.shape or bd.shape != cd.shape:
+        raise DimensionError(f"plan_cost needs equal shapes, got {fd.shape}, "
+                             f"{bd.shape}, {cd.shape}")
+
+    def backward_fn(g):
+        if ft is not None:
+            _accumulate(ft, g * cd)
+        if bt is not None:
+            _accumulate(bt, g * cd)
+        if ct is not None:
+            _accumulate(ct, g * bd + g * fd)
+
+    return _make((fd * cd).sum() + (bd * cd).sum(), "plan_cost",
+                 (ft, bt, ct), backward_fn)
 
 
 # ---------------------------------------------------------------------------

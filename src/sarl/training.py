@@ -244,7 +244,10 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     Logs one line per epoch with the total loss and its three
     components, all averaged over the epoch's samples. When out_dir is
     given, writes model.ckpt (and model_ema.ckpt), predictions.txt and
-    metrics.txt there.
+    metrics.txt there. A non-finite sample loss, or a non-finite batch
+    gradient before the optimizer step, aborts with a TrainingError that
+    names the epoch, the training rows and the first bad tensor or
+    parameter.
     """
     say = log if log is not None else (lambda line: None)
     mcfg = model_config(cfg)
@@ -295,6 +298,11 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                 sums["cls"] += l_cls.item()
                 sums["map"] += l_m.item()
                 sums["ot"] += l_ot.item()
+            for name, g in grad_sum.items():
+                if not np.isfinite(g).all():
+                    raise TrainingError(
+                        f"non-finite gradient of parameter {name} at epoch "
+                        f"{epoch}, training rows {', '.join(map(str, batch))}")
             grads = {name: g / len(batch) for name, g in grad_sum.items()}
             adamw_step(params, grads, state, cfg.lr,
                        weight_decay=cfg.weight_decay)

@@ -18,7 +18,10 @@ each of these softmaxes.
 The inference path also takes a stack of N samples: F as the (N*P, d_v)
 patch rows of all of them and F_S as (N, C, d_v); the scores, the
 attention and F_R then carry the leading N axis. The label-side terms
-take one sample.
+take one sample, each as one closed-form tape op: the cosine cost
+(:func:`sarl.tensor.cosine_cost`), each plan as a softmax scaled by its
+marginal (:func:`sarl.tensor.scaled_softmax`) and the transport loss
+(:func:`sarl.tensor.plan_cost`).
 """
 
 from __future__ import annotations
@@ -82,14 +85,12 @@ def cost_matrix(f: Tensor, f_s: Tensor) -> Tensor:
     """Cosine distance between every patch row and every class row.
 
     co[p, c] = 1 - <f_p, s_c> / ((|f_p| + eps)(|s_c| + eps)), always in
-    [0, 2]; the eps keeps zero rows finite (their cost is near 1).
+    [0, 2]. A zero row (an all-black image's patches at init) costs
+    exactly 1; its norm takes subgradient 0, so its gradient is finite:
+    -sum_c g[p, c] s_c / (eps (|s_c| + eps)). One tape record
+    (:func:`sarl.tensor.cosine_cost`).
     """
-    sim = T.matmul(f, T.transpose(f_s))
-    fn = T.sqrt(T.sum_(T.pow_const(f, 2), axis=1))
-    sn = T.sqrt(T.sum_(T.pow_const(f_s, 2), axis=1))
-    denom = T.mul(T.reshape(T.add(fn, NORM_EPS), (f.shape[0], 1)),
-                  T.reshape(T.add(sn, NORM_EPS), (1, f_s.shape[0])))
-    return T.sub(1.0, T.div(sim, denom))
+    return T.cosine_cost(f, f_s, NORM_EPS)
 
 
 def source_distribution(m: Tensor, y) -> Tensor:
@@ -127,8 +128,7 @@ def forward_plan(mass: Tensor, theta) -> Tensor:
 
     The (P x C) plan is nonnegative and its row sums equal theta.
     """
-    num_p = mass.shape[0]
-    return T.mul(T.reshape(theta, (num_p, 1)), T.softmax(mass, axis=1))
+    return T.scaled_softmax(mass, theta, axis=1)
 
 
 def backward_plan(mass: Tensor, beta) -> Tensor:
@@ -136,17 +136,17 @@ def backward_plan(mass: Tensor, beta) -> Tensor:
 
     The (P x C) plan is nonnegative and its column sums equal beta.
     """
-    num_c = mass.shape[1]
-    return T.mul(T.reshape(beta, (1, num_c)), T.softmax(mass, axis=0))
+    return T.scaled_softmax(mass, beta, axis=0)
 
 
 def ct_loss(fwd: Tensor, bwd: Tensor, co: Tensor) -> Tensor:
-    """Total transported cost, summed over both directions.
+    """Total transported cost, summed over both directions:
+    sum(fwd * co) + sum(bwd * co).
 
     Nonnegative because plans are nonnegative and costs sit in [0, 2];
     each plan carries total mass 1, so constant cost k gives exactly 2k.
     """
-    return T.add(T.sum_(T.mul(fwd, co)), T.sum_(T.mul(bwd, co)))
+    return T.plan_cost(fwd, bwd, co)
 
 
 def semantic_attention(mass: Tensor) -> Tensor:

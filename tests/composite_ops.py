@@ -1,0 +1,108 @@
+"""Test-side oracles: the label-side terms as chains of primitive ops.
+
+The library computes the asymmetric loss, the cosine cost, the two
+transport plans and the transport loss as one closed-form tape op each
+(:mod:`sarl.tensor`). These are the same terms written the long way, one
+tape record per primitive, so the tape's own chain rule is the oracle
+for each closed-form backward. The primitives the library no longer
+needs (log, sqrt, tanh, division, negation, transpose, clamp) live here
+with the gradient rules they had in the library, kinks included: a
+clamp passes gradient on both edges, and powers follow
+:func:`sarl.tensor.pow_const`.
+"""
+
+import numpy as np
+
+from sarl import tensor as T
+from sarl.losses import PROB_FLOOR
+from sarl.transport import NORM_EPS
+
+
+def _unary(name, forward, slope):
+    """An elementwise op whose gradient is g * slope(input, output)."""
+    def op(a):
+        ad, at = T._lift(a)
+        out = forward(ad)
+
+        def backward_fn(g):
+            T._accumulate(at, g * slope(ad, out))
+
+        return T._make(out, name, (at,), backward_fn)
+
+    return op
+
+
+log = _unary("log", np.log, lambda x, out: 1.0 / x)
+sqrt = _unary("sqrt", np.sqrt, lambda x, out: 0.5 / out)
+tanh = _unary("tanh", np.tanh, lambda x, out: 1.0 - out * out)
+neg = _unary("neg", np.negative, lambda x, out: -1.0)
+
+
+def clamp(a, lo, hi):
+    return _unary("clamp", lambda x: np.clip(x, lo, hi),
+                  lambda x, out: (x >= lo) & (x <= hi))(a)
+
+
+def transpose(a):
+    ad, at = T._lift(a)
+
+    def backward_fn(g):
+        T._accumulate(at, g.T)
+
+    return T._make(ad.T.copy(), "transpose", (at,), backward_fn)
+
+
+def div(a, b):
+    ad, at = T._lift(a)
+    bd, bt = T._lift(b)
+
+    def backward_fn(g):
+        if at is not None:
+            T._accumulate(at, T._unbroadcast(g / bd, ad.shape))
+        if bt is not None:
+            T._accumulate(bt, T._unbroadcast(-g * ad / (bd * bd), bd.shape))
+
+    return T._make(ad / bd, "div", (at, bt), backward_fn)
+
+
+def asl(p, y, cfg):
+    """sarl.losses.asl as sixteen records."""
+    y = np.asarray(y)
+    p = clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    pos = T.mul(T.pow_const(T.sub(1.0, p), cfg.gamma_pos), log(p))
+    p_m = clamp(T.sub(p, cfg.clip), 0.0, 1.0)
+    negative = T.mul(T.pow_const(p_m, cfg.gamma_neg), log(T.sub(1.0, p_m)))
+    per_class = T.add(T.mul(pos, y), T.mul(negative, 1.0 - y))
+    return neg(T.mean(per_class))
+
+
+def cost_matrix(f, f_s):
+    """sarl.transport.cost_matrix as fifteen records."""
+    sim = T.matmul(f, transpose(f_s))
+    fn = sqrt(T.sum_(T.pow_const(f, 2), axis=1))
+    sn = sqrt(T.sum_(T.pow_const(f_s, 2), axis=1))
+    denom = T.mul(T.reshape(T.add(fn, NORM_EPS), (f.shape[0], 1)),
+                  T.reshape(T.add(sn, NORM_EPS), (1, f_s.shape[0])))
+    return T.sub(1.0, div(sim, denom))
+
+
+def forward_plan(mass, theta):
+    return T.mul(T.reshape(theta, (mass.shape[0], 1)), T.softmax(mass, axis=1))
+
+
+def backward_plan(mass, beta):
+    return T.mul(T.reshape(beta, (1, mass.shape[1])), T.softmax(mass, axis=0))
+
+
+def ct_loss(fwd, bwd, co):
+    return T.add(T.sum_(T.mul(fwd, co)), T.sum_(T.mul(bwd, co)))
+
+
+# the library functions each oracle stands for, by module attribute
+LABEL_SIDE = {
+    ("sarl.losses", "asl"): asl,
+    ("sarl.transport", "cost_matrix"): cost_matrix,
+    ("sarl.transport", "forward_plan"): forward_plan,
+    ("sarl.transport", "backward_plan"): backward_plan,
+    ("sarl.transport", "ct_loss"): ct_loss,
+}

@@ -1,0 +1,287 @@
+"""The closed-form label-side ops against their primitive-op oracles.
+
+Each fused op (asymmetric loss, cosine cost, scaled softmax, plan cost)
+must give the value and every gradient of its chain of primitive ops
+(``composite_ops``) to within GATE in float64, kinks included, and a
+whole model must train on the same loss and the same 17 parameter
+gradients with either. Errors are measured as in
+:func:`sarl.gradcheck.gradient_error`: absolute, and relative for
+entries above 1 (the loss's gradient at the probability floor is about
+1e6).
+"""
+
+import dataclasses
+import itertools
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sarl import head
+from sarl import tensor as T
+from sarl.gradcheck import gradient_error, numeric_gradient
+from sarl.losses import PROB_FLOOR, AslConfig, asl
+from sarl.tensor import DimensionError, Tape, Tensor
+from sarl.training import TrainConfig, loss_weights, model_config
+from sarl.transport import (NORM_EPS, backward_plan, cost_matrix, ct_loss,
+                            forward_plan)
+
+import composite_ops
+
+GATE = 1e-12
+GAMMA_POS = (0.0, 1.0)
+GAMMA_NEG = (0.0, 0.5, 1.0, 2.0, 4.0)
+CLIPS = (0.0, 0.05)
+# p values on every kink of the loss: the clamp edges, the clip, 0 and 1
+KINKS = (0.0, 1.0, PROB_FLOOR, 1.0 - PROB_FLOOR, 0.05)
+
+
+def value_and_grads(fn, leaves):
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        out = fn()
+        tape.backward(out)
+    return out.data.copy(), [np.zeros_like(t.data) if t.grad is None
+                             else t.grad.copy() for t in leaves]
+
+
+def assert_gate(fused, oracle, leaves):
+    """Value and every leaf gradient of the two builders within GATE."""
+    v_fused, g_fused = value_and_grads(fused, leaves)
+    v_oracle, g_oracle = value_and_grads(oracle, leaves)
+    assert np.isfinite(v_oracle)
+    assert gradient_error(v_fused, v_oracle) <= GATE
+    for a, b in zip(g_fused, g_oracle):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert gradient_error(a, b) <= GATE
+
+
+def upstream(fn, weights):
+    """A scalar from an array op: its output dotted with fixed weights."""
+    return lambda: T.sum_(T.mul(fn(), weights))
+
+
+class TestAsymmetricLoss:
+    @pytest.mark.parametrize("gamma_pos,gamma_neg,clip",
+                             list(itertools.product(GAMMA_POS, GAMMA_NEG, CLIPS)))
+    def test_gate_with_kinks(self, gamma_pos, gamma_neg, clip):
+        rng = np.random.default_rng(int(10 * gamma_pos + 100 * gamma_neg
+                                        + 1000 * clip))
+        cfg = AslConfig(gamma_pos, gamma_neg, clip)
+        p = Tensor(np.concatenate([KINKS, [clip, -0.5, 1.5],
+                                   rng.uniform(0, 1, size=9)]))
+        for y in (np.ones(p.shape), np.zeros(p.shape),
+                  (rng.random(p.shape) < 0.5).astype(float)):
+            assert_gate(lambda: asl(p, y, cfg),
+                        lambda: composite_ops.asl(p, y, cfg), [p])
+
+    def test_clamp_edges_pass_gradient(self):
+        # inclusive at both edges of both clamps: p on the probability
+        # floor and p exactly at the clip (p_m == 0, where exponent 0
+        # still has slope -1/(1 - p_m)); outside the floor, nothing
+        cfg = AslConfig(gamma_pos=0.0, gamma_neg=0.0, clip=0.05)
+        p = Tensor([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.05, 0.0, 1.0])
+        y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+        _, (grad,) = value_and_grads(lambda: asl(p, y, cfg), [p])
+        np.testing.assert_allclose(
+            grad, [-1 / (5 * PROB_FLOOR), 1 / (5 * (0.05 + PROB_FLOOR)),
+                   0.2, 0.0, 0.0], rtol=1e-9)
+
+    def test_fractional_gamma_at_zero_has_no_gradient(self):
+        # p at or below the clip: p_m == 0, subgradient 0 for gamma_neg 0.5
+        cfg = AslConfig(gamma_pos=0.0, gamma_neg=0.5, clip=0.05)
+        p = Tensor([0.05, 0.01])
+        value, (grad,) = value_and_grads(lambda: asl(p, np.zeros(2), cfg), [p])
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, [0.0, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(KINKS),
+                                        st.floats(0.0, 1.0)),
+                              st.booleans()), min_size=1, max_size=8),
+           st.sampled_from(GAMMA_POS), st.sampled_from(GAMMA_NEG),
+           st.sampled_from(CLIPS))
+    def test_property_matches_oracle(self, entries, gamma_pos, gamma_neg, clip):
+        p = Tensor([v for v, _ in entries])
+        y = np.array([float(b) for _, b in entries])
+        cfg = AslConfig(gamma_pos, gamma_neg, clip)
+        assert_gate(lambda: asl(p, y, cfg),
+                    lambda: composite_ops.asl(p, y, cfg), [p])
+
+    def test_labels_must_match_shape(self):
+        with pytest.raises(DimensionError, match=r"\(3,\) for \(4,\)"):
+            T.asymmetric_loss(Tensor(np.full(4, 0.5)), np.ones(3), 0.0, 2.0,
+                              0.05, PROB_FLOOR)
+
+
+class TestCosineCost:
+    @pytest.mark.parametrize("num_p,num_c", [(4, 6), (1, 3), (5, 1)])
+    def test_gate(self, num_p, num_c):
+        rng = np.random.default_rng(num_p * 10 + num_c)
+        f, s = Tensor(rng.normal(size=(num_p, 7))), Tensor(rng.normal(size=(num_c, 7)))
+        w = rng.normal(size=(num_p, num_c))
+        assert_gate(upstream(lambda: cost_matrix(f, s), w),
+                    upstream(lambda: composite_ops.cost_matrix(f, s), w), [f, s])
+
+    def test_zero_row_costs_one_with_finite_gradient(self):
+        # the norm's subgradient is 0 at a zero row: the cost there is 1,
+        # its gradient the finite -sum_c g[p, c] s_c / (eps (|s_c| + eps)),
+        # and every other entry matches central differences
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(4, 5))
+        f[1] = 0.0
+        f, s = Tensor(f), Tensor(rng.normal(size=(3, 5)))
+        w = rng.normal(size=(4, 3))
+        co = cost_matrix(f, s).data
+        np.testing.assert_array_equal(co[1], 1.0)
+        loss = upstream(lambda: cost_matrix(f, s), w)
+        _, (gf, gs) = value_and_grads(loss, [f, s])
+        assert np.isfinite(gf).all() and np.isfinite(gs).all()
+        sn = np.linalg.norm(s.data, axis=1)
+        np.testing.assert_allclose(
+            gf[1], -(w[1] / (NORM_EPS * (sn + NORM_EPS))) @ s.data, rtol=1e-12)
+        keep = [0, 2, 3]
+        np.testing.assert_allclose(gf[keep], numeric_gradient(loss, [f, s], 0)[keep],
+                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(gs, numeric_gradient(loss, [f, s], 1),
+                                   rtol=1e-6, atol=1e-8)
+
+    def test_zero_class_row(self):
+        rng = np.random.default_rng(4)
+        f, s = Tensor(rng.normal(size=(3, 4))), Tensor(np.zeros((2, 4)))
+        _, (gf, gs) = value_and_grads(lambda: T.sum_(cost_matrix(f, s)), [f, s])
+        np.testing.assert_array_equal(cost_matrix(f, s).data, 1.0)
+        assert np.isfinite(gf).all() and np.isfinite(gs).all()
+
+    @pytest.mark.parametrize("shapes", [((4, 5), (3, 6)), ((2, 4, 5), (3, 5))],
+                             ids=["width", "stacked"])
+    def test_bad_shapes_rejected(self, shapes):
+        with pytest.raises(DimensionError, match=r"cosine_cost"):
+            T.cosine_cost(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])),
+                          NORM_EPS)
+
+
+class TestScaledSoftmax:
+    @pytest.mark.parametrize("plan", ["forward", "backward"])
+    def test_gate(self, plan):
+        rng = np.random.default_rng(5)
+        mass = Tensor(rng.normal(size=(4, 6)) * 3.0)
+        marginal = Tensor(rng.dirichlet(np.ones(4 if plan == "forward" else 6)))
+        fused = forward_plan if plan == "forward" else backward_plan
+        oracle = getattr(composite_ops, f"{plan}_plan")
+        w = rng.normal(size=(4, 6))
+        assert_gate(upstream(lambda: fused(mass, marginal), w),
+                    upstream(lambda: oracle(mass, marginal), w), [mass, marginal])
+
+    def test_slices_sum_to_scale(self):
+        rng = np.random.default_rng(6)
+        a, scale = rng.normal(size=(2, 3, 4)), rng.random((2, 4))
+        out = T.scaled_softmax(Tensor(a), Tensor(scale), axis=1).data
+        np.testing.assert_allclose(out.sum(axis=1), scale, rtol=1e-12)
+        np.testing.assert_allclose(out / scale[:, None, :],
+                                   T.softmax(Tensor(a), axis=1).data, rtol=1e-12)
+
+    def test_scale_shape_checked(self):
+        with pytest.raises(DimensionError, match=r"got \(4,\)"):
+            T.scaled_softmax(Tensor(np.ones((4, 6))), Tensor(np.ones(4)), axis=0)
+
+
+class TestPlanCost:
+    def test_gate(self):
+        rng = np.random.default_rng(7)
+        fwd, bwd, co = (Tensor(rng.random((4, 6))) for _ in range(3))
+        assert_gate(lambda: ct_loss(fwd, bwd, co),
+                    lambda: composite_ops.ct_loss(fwd, bwd, co), [fwd, bwd, co])
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError, match="plan_cost"):
+            T.plan_cost(np.ones((4, 6)), np.ones((4, 6)), np.ones((6, 4)))
+
+
+def swap_in(monkeypatch, impls):
+    """Point every binding of the label-side functions at ``impls``."""
+    for (module, name), fn in impls.items():
+        monkeypatch.setattr(sys.modules[module], name, fn)
+        if hasattr(head, name):
+            monkeypatch.setattr(head, name, fn)
+
+
+class TestModelGate:
+    """A float64 training sample: the same loss and 17 parameter
+    gradients with the fused ops as with the primitive chains."""
+
+    @pytest.mark.parametrize("variant", [
+        {}, {"disable_self_attn": True}, {"disable_ot": True},
+        {"disable_gsp_fusion": True}, {"gsp_mode": "max"},
+    ], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "gsp-max"])
+    def test_loss_and_gradients(self, monkeypatch, variant):
+        cfg = TrainConfig()
+        mcfg = dataclasses.replace(model_config(cfg), **variant)
+        weights = loss_weights(cfg)
+        rng = np.random.default_rng(len(variant) + 17 * len(str(variant)))
+        model = head.build_model(mcfg, seed=3, dtype=np.float64)
+        params = model.parameters()
+        assert len(params) == 17
+        for p in params.values():  # move off the zero init of the biases
+            p.data = p.data + rng.normal(size=p.data.shape) * 0.1
+        image = rng.normal(size=(cfg.image_size, cfg.image_size, cfg.channels))
+        labels = (rng.random(cfg.num_classes) < 0.4).astype(float)
+        labels[0] = 1.0
+
+        def sample(asl_cfg):
+            out = head.forward(image, model, labels=labels)
+            return head.sample_losses(out, labels, asl_cfg, weights)[0]
+
+        with monkeypatch.context() as m:  # the swap reaches every caller
+            swap_in(m, composite_ops.LABEL_SIDE)
+            with Tape() as tape:
+                sample(AslConfig())
+            assert "clamp" in {t.op for t in tape.tensors()}
+        leaves = list(params.values())
+        for gammas in itertools.product(GAMMA_POS, GAMMA_NEG, CLIPS):
+            asl_cfg = AslConfig(*gammas)
+            fused = value_and_grads(lambda: sample(asl_cfg), leaves)
+            with monkeypatch.context() as m:
+                swap_in(m, composite_ops.LABEL_SIDE)
+                oracle = value_and_grads(lambda: sample(asl_cfg), leaves)
+            assert gradient_error(fused[0], oracle[0]) <= GATE
+            for name, a, b in zip(params, fused[1], oracle[1]):
+                assert gradient_error(a, b) <= GATE, name
+
+
+class TestRecordsAndDtype:
+    def test_one_record_each(self):
+        rng = np.random.default_rng(8)
+        p = Tensor(rng.random(6))
+        f, s = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=(6, 5)))
+        theta = Tensor(rng.random(4))
+        with Tape() as tape:
+            asl(p, np.ones(6), AslConfig())
+            co = cost_matrix(f, s)
+            fwd = forward_plan(co, theta)
+            bwd = backward_plan(co, p)
+            ct_loss(fwd, bwd, co)
+        assert [t.op for t in tape.tensors()] == [
+            "asymmetric_loss", "cosine_cost", "scaled_softmax",
+            "scaled_softmax", "plan_cost"]
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(9)
+
+        def t32(*shape):
+            return Tensor(rng.random(shape).astype(np.float32))
+
+        p, f, s, theta, beta = t32(6), t32(4, 5), t32(6, 5), t32(4), t32(6)
+        leaves = [p, f, s, theta, beta]
+        with Tape() as tape:
+            l_asl = asl(p, np.ones(6), AslConfig(1.0, 0.5, 0.05))
+            co = cost_matrix(f, s)
+            l_ot = ct_loss(forward_plan(co, theta), backward_plan(co, beta), co)
+            total = T.add(l_asl, l_ot)
+            tape.backward(total)
+            outs = list(tape.tensors())
+        for t in outs + leaves:
+            assert t.data.dtype == np.float32, t.op
+            assert t.grad.dtype == np.float32, t.op

@@ -17,6 +17,8 @@ from sarl.representation import ConfigError, EncoderConfig, encode
 from sarl.tensor import Tape, Tensor
 from sarl.training import TrainConfig, asl_config, loss_weights, model_config
 
+import composite_ops
+
 # the manifest of the default training config, byte for byte: the order
 # and spelling of these lines are part of the checkpoint format
 DEFAULT_MANIFEST = (
@@ -100,7 +102,7 @@ def composite_bilinear_mass(f, f_s, p, bias):
     num_p, d1 = fu.shape
     num_c = sv.shape[0]
     pair = T.mul(T.reshape(fu, (num_p, 1, d1)), T.reshape(sv, (1, num_c, d1)))
-    hidden = T.reshape(T.tanh(pair), (num_p * num_c, d1))
+    hidden = T.reshape(composite_ops.tanh(pair), (num_p * num_c, d1))
     scores = T.matmul(T.add(T.matmul(hidden, p.mix), bias), p.score)
     return T.reshape(scores, (num_p, num_c))
 

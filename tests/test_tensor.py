@@ -294,7 +294,7 @@ class TestBackward:
         c = Tensor(rng.normal(size=(5,)))
 
         def build():
-            h = T.tanh(T.matmul(a, b))
+            h = T.sigmoid(T.matmul(a, b))
             s = T.softmax(T.add(h, c), axis=1)
             return T.mean(T.mul(s, h))
 
@@ -317,11 +317,9 @@ class TestPrimitiveGradients:
         assert check_gradients(lambda: builder(a, b), [a, b]) < 1e-4
 
     @pytest.mark.parametrize("name,builder", [
-        ("tanh", lambda x: T.sum_(T.tanh(x))),
         ("sigmoid", lambda x: T.sum_(T.sigmoid(x))),
         ("softmax", lambda x: T.sum_(T.pow_const(T.softmax(x, axis=1), 2))),
         ("mean_axis", lambda x: T.sum_(T.pow_const(T.mean(x, axis=0), 2))),
-        ("transpose", lambda x: T.sum_(T.pow_const(T.transpose(x), 2))),
         ("reshape", lambda x: T.sum_(T.pow_const(T.reshape(x, (4, 3)), 2))),
     ])
     def test_unary(self, name, builder):
@@ -332,15 +330,8 @@ class TestPrimitiveGradients:
     def test_positive_domain_ops(self):
         rng = np.random.default_rng(21)
         x = Tensor(rng.uniform(0.2, 2.0, size=(3, 4)))
-        assert check_gradients(lambda: T.sum_(T.log(x)), [x]) < 1e-4
-        assert check_gradients(lambda: T.sum_(T.sqrt(x)), [x]) < 1e-4
         assert check_gradients(lambda: T.sum_(T.pow_const(x, 1.7)), [x]) < 1e-4
-
-    def test_div(self):
-        rng = np.random.default_rng(22)
-        a = Tensor(rng.normal(size=(3, 4)))
-        b = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)))
-        assert check_gradients(lambda: T.sum_(T.div(a, b)), [a, b]) < 1e-4
+        assert check_gradients(lambda: T.sum_(T.pow_const(x, 0.5)), [x]) < 1e-4
 
     def test_broadcast_vector_over_rows(self):
         rng = np.random.default_rng(23)
@@ -355,15 +346,6 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(24)
         x = Tensor(np.where(np.abs(z := rng.normal(size=(3, 4))) < 0.1, 0.5, z))
         assert check_gradients(lambda: T.sum_(T.relu(x)), [x]) < 1e-4
-
-    def test_clamp_interior(self):
-        x = Tensor([[-2.0, 0.3], [0.9, 4.0]])
-        out = T.clamp(x, 0.0, 1.0)
-        np.testing.assert_array_equal(out.data, [[0.0, 0.3], [0.9, 1.0]])
-        with Tape() as tape:
-            loss = T.sum_(T.clamp(x, 0.0, 1.0))
-            tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_conv2d(self):
         rng = np.random.default_rng(25)
@@ -449,6 +431,10 @@ class TestSampleAxisHelpers:
             lambda: T.sum_(T.pow_const(T.concat([rows, table], axis=-1), 2)),
             [rows, table]) < 1e-4
 
+    def test_concat_refuses_shapes_that_do_not_broadcast(self):
+        with pytest.raises(DimensionError, match=re.escape("[(2, 3), (4, 5)]")):
+            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5)))], axis=1)
+
     @pytest.mark.parametrize("reduce", [T.mean, T.max_reduce], ids=["mean", "max"])
     def test_keepdims_reduction(self, reduce):
         rng = np.random.default_rng(29)
@@ -488,7 +474,7 @@ class TestDeterminismAndDtype:
             rng = np.random.default_rng(99)
             a = Tensor(rng.normal(size=(5, 5)))
             b = Tensor(rng.normal(size=(5, 5)))
-            return T.softmax(T.matmul(T.tanh(a), b), axis=1).data.tobytes()
+            return T.softmax(T.matmul(T.sigmoid(a), b), axis=1).data.tobytes()
 
         assert run() == run()
 

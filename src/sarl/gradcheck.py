@@ -107,7 +107,8 @@ def run_suite(verbose=True):
     d = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)))
     check("pow", lambda: T.sum_(T.pow_const(d, 2.0)), [d])
     check("softmax", lambda: T.sum_(T.pow_const(T.softmax(a, axis=1), 2)), [a])
-    for num_p, n_heads in ((5, 1), (5, 4), (1, 4)):
+    # 12 rows: the reductions over keys sum more than numpy's 8-row block
+    for num_p, n_heads in ((5, 1), (5, 4), (1, 4), (12, 4)):
         q, k, v = rt(num_p, 8), rt(num_p, 8), rt(num_p, 8)
         check(f"attention_p{num_p}_h{n_heads}",
               lambda: T.sum_(T.pow_const(T.attention(q, k, v, n_heads), 2)),
@@ -141,6 +142,10 @@ def run_suite(verbose=True):
     kern, kb = rt(18, 3, scale=0.5), rt(3, scale=0.1)
     check("conv2d", lambda: T.sum_(T.pow_const(T.conv2d(img, kern, kb), 2)),
           [img, kern, kb])
+    imgs = rt(2, 5, 6, 2)
+    check("conv2d_stack2",
+          lambda: T.sum_(T.pow_const(T.conv2d(imgs, kern, kb), 2)),
+          [imgs, kern, kb])
 
     # losses
     cfg = losses.AslConfig(gamma_pos=1.0, gamma_neg=2.0, clip=0.05)

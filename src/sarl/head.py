@@ -248,7 +248,7 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
         out.beta = target_distribution(labels)
         out.cost = cost_matrix(fm.f, f_s)
         fwd = forward_plan(mass, out.theta)
-        bwd = backward_plan(mass, out.beta)
+        bwd = backward_plan(mass, out.beta.data)
         out.plans = (fwd, bwd)
         out.transport_cost = ct_loss(fwd, bwd, out.cost)
     return out

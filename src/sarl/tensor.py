@@ -394,6 +394,13 @@ def attention(q, k, v, n_heads):
     One tape record: the backward uses rowsum(dA * A) = rowsum(dO * O)
     (FlashAttention), so the only (..., H, P, P) array kept is the
     unnormalised exp(logits).
+
+    That array is keys-major, (..., H, P_keys, P_queries), so the
+    softmax's max and sum over keys run across rows, combining whole
+    contiguous rows elementwise, which numpy does faster than a reduction
+    along each row. The backward gets dP^T, its rowsum(dO * O) term
+    included, from one product of [V, 1] and [dO, -rowsum(dO * O)]: one
+    pass fewer over the (..., H, P, P) array.
     """
     qd, qt = _lift(q)
     kd, kt = _lift(k)
@@ -415,25 +422,27 @@ def attention(q, k, v, n_heads):
         return x.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
 
     qh, kh, vh = heads(qd * scale), heads(kd), heads(vd)
-    # in place on buffers this op owns: e is (..., H, P, P)
-    e = qh @ kh.swapaxes(-1, -2)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
-    o = e @ vh
+    # in place on buffers this op owns: et is (..., H, P_keys, P_queries)
+    et = kh @ qh.swapaxes(-1, -2)
+    et -= et.max(axis=-2, keepdims=True)
+    np.exp(et, out=et)
+    s = et.sum(axis=-2, keepdims=True).swapaxes(-1, -2)
+    o = et.swapaxes(-1, -2) @ vh
     o /= s
 
     def backward_fn(g):
         go = heads(g) / s
         if vt is not None:
-            _accumulate(vt, merge(e.swapaxes(-1, -2) @ go))
-        dp = go @ vh.swapaxes(-1, -2)
-        dp -= (go * o).sum(axis=-1, keepdims=True)
-        dp *= e
+            _accumulate(vt, merge(et @ go))
+        # dP^T = [V, 1] [dO, -rowsum(dO * O)]^T, one product of depth d + 1
+        gx = np.concatenate([go, -(go * o).sum(axis=-1, keepdims=True)], axis=-1)
+        v1 = np.concatenate([vh, np.ones_like(vh[..., :1])], axis=-1)
+        dpt = v1 @ gx.swapaxes(-1, -2)
+        dpt *= et
         if qt is not None:
-            _accumulate(qt, merge(dp @ kh) * scale)
+            _accumulate(qt, merge(dpt.swapaxes(-1, -2) @ kh) * scale)
         if kt is not None:
-            _accumulate(kt, merge(dp.swapaxes(-1, -2) @ qh))
+            _accumulate(kt, merge(dpt @ qh))
 
     return _make(merge(o), "attention", (qt, kt, vt), backward_fn)
 
@@ -693,11 +702,13 @@ def conv2d(image, kernel, bias):
     xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding, cin), dtype=xd.dtype)
     inner = (..., slice(padding, padding + h), slice(padding, padding + w), slice(None))
     xp[inner] = xd
-    # one (..., Hout, Wout, Cin) strided view per window tap, in the kernel's row order
-    taps = [(..., slice(dy, dy + stride * hout, stride),
-             slice(dx, dx + stride * wout, stride), slice(None))
-            for dy in range(ks) for dx in range(ks)]
-    cols = np.stack([xp[t] for t in taps], axis=-2).reshape(-1, ks * ks * cin)
+    # every window at once as one (..., Hout, Wout, ks, ks, Cin) view of xp,
+    # then one copy into rows in the kernel's (dy, dx, channel) order
+    *lead_strides, s_row, s_col, s_chan = xp.strides
+    windows = np.ndarray((*lead, hout, wout, ks, ks, cin), dtype=xp.dtype, buffer=xp,
+                         strides=(*lead_strides, stride * s_row, stride * s_col,
+                                  s_row, s_col, s_chan))
+    cols = windows.reshape(-1, ks * ks * cin)
     out_data = (cols @ kd + bd).reshape(*lead, hout, wout, cout)
 
     def backward_fn(g):
@@ -707,6 +718,11 @@ def conv2d(image, kernel, bias):
         if kt is not None:
             _accumulate(kt, cols.T @ gf)
         if xt is not None:
+            # overlapping windows scatter tap by tap: one (..., Hout, Wout,
+            # Cin) strided slice of the padded image per tap, in row order
+            taps = [(..., slice(dy, dy + stride * hout, stride),
+                     slice(dx, dx + stride * wout, stride), slice(None))
+                    for dy in range(ks) for dx in range(ks)]
             gcols = (gf @ kd.T).reshape(*lead, hout, wout, ks * ks, cin)
             gpad = np.zeros_like(xp)
             for i, t in enumerate(taps):

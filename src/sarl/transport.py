@@ -108,8 +108,12 @@ def source_distribution(m: Tensor, y) -> Tensor:
 
 
 def target_distribution(y) -> Tensor:
-    """Class mass beta = softmax(y), shape (C,)."""
-    return T.softmax(Tensor(np.asarray(y)), axis=0)
+    """Class mass beta = softmax(y), shape (C,).
+
+    Nothing differentiates the labels, so the softmax takes their array,
+    not a leaf tensor, and no tape records it.
+    """
+    return T.softmax(Tensor(y).data, axis=0)
 
 
 def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:

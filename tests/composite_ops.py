@@ -1,4 +1,5 @@
-"""Test-side oracles: the label-side terms as chains of primitive ops.
+"""Test-side oracles: the label-side terms as chains of primitive ops,
+and the earlier forms of the attention and convolution kernels.
 
 The library computes the asymmetric loss, the cosine cost, the two
 transport plans and the transport loss as one closed-form tape op each
@@ -9,7 +10,14 @@ needs (log, sqrt, tanh, division, negation, transpose, clamp) live here
 with the gradient rules they had in the library, kinks included: a
 clamp passes gradient on both edges, and powers follow
 :func:`sarl.tensor.pow_const`.
+
+:func:`attention` is the queries-major kernel that
+:func:`sarl.tensor.attention` replaced, and :func:`conv2d_columns` the
+nine-slice window columns that :func:`sarl.tensor.conv2d` now takes from
+one strided view: the references the rewritten kernels are held to.
 """
+
+import math
 
 import numpy as np
 
@@ -96,6 +104,60 @@ def backward_plan(mass, beta):
 
 def ct_loss(fwd, bwd, co):
     return T.add(T.sum_(T.mul(fwd, co)), T.sum_(T.mul(bwd, co)))
+
+
+def attention(q, k, v, n_heads):
+    """sarl.tensor.attention with (..., H, P_queries, P_keys) logits: the
+    max and sum over keys reduce along each row, and dP is a product
+    over V followed by a separate rowsum(dO * O) subtraction."""
+    qd, qt = T._lift(q)
+    kd, kt = T._lift(k)
+    vd, vt = T._lift(v)
+    *lead, num_p, d_v = qd.shape
+    d = d_v // n_heads
+    scale = 1.0 / math.sqrt(d)
+
+    def heads(x):
+        return x.reshape(*lead, num_p, n_heads, d).swapaxes(-2, -3)
+
+    def merge(x):
+        return x.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
+
+    qh, kh, vh = heads(qd * scale), heads(kd), heads(vd)
+    e = qh @ kh.swapaxes(-1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    o = e @ vh
+    o /= s
+
+    def backward_fn(g):
+        go = heads(g) / s
+        if vt is not None:
+            T._accumulate(vt, merge(e.swapaxes(-1, -2) @ go))
+        dp = go @ vh.swapaxes(-1, -2)
+        dp -= (go * o).sum(axis=-1, keepdims=True)
+        dp *= e
+        if qt is not None:
+            T._accumulate(qt, merge(dp @ kh) * scale)
+        if kt is not None:
+            T._accumulate(kt, merge(dp.swapaxes(-1, -2) @ qh))
+
+    return T._make(merge(o), "attention", (qt, kt, vt), backward_fn)
+
+
+def conv2d_columns(x, kernel, bias):
+    """sarl.tensor.conv2d's forward with its window columns built as one
+    strided slice of the padded image per tap, joined by np.stack."""
+    ks, stride, pad = T.CONV_KERNEL, T.CONV_STRIDE, T.CONV_PADDING
+    *lead, h, w, cin = x.shape
+    hout, wout = T.conv_output_size(h), T.conv_output_size(w)
+    xp = np.zeros((*lead, h + 2 * pad, w + 2 * pad, cin), dtype=x.dtype)
+    xp[..., pad:pad + h, pad:pad + w, :] = x
+    taps = [xp[..., dy:dy + stride * hout:stride, dx:dx + stride * wout:stride, :]
+            for dy in range(ks) for dx in range(ks)]
+    cols = np.stack(taps, axis=-2).reshape(-1, ks * ks * cin)
+    return (cols @ kernel + bias).reshape(*lead, hout, wout, kernel.shape[1])
 
 
 # the library functions each oracle stands for, by module attribute

@@ -1,4 +1,5 @@
-"""The closed-form label-side ops against their primitive-op oracles.
+"""The closed-form label-side ops against their primitive-op oracles,
+and the keys-major attention kernel against the queries-major one.
 
 Each fused op (asymmetric loss, cosine cost, scaled softmax, plan cost)
 must give the value and every gradient of its chain of primitive ops
@@ -198,6 +199,23 @@ class TestPlanCost:
     def test_shapes_checked(self):
         with pytest.raises(DimensionError, match="plan_cost"):
             T.plan_cost(np.ones((4, 6)), np.ones((4, 6)), np.ones((6, 4)))
+
+
+class TestKeysMajorAttention:
+    """The attention kernel against the queries-major one it replaced,
+    at sizes whose reductions over keys sum more than 8 rows (numpy's
+    pairwise block), in one image and in a stack."""
+
+    @pytest.mark.parametrize("shape,n_heads", [((256, 32), 8), ((3, 16, 32), 4)],
+                             ids=["p256-h8", "stack3-p16-h4"])
+    def test_gate(self, shape, n_heads):
+        rng = np.random.default_rng(shape[-2] + n_heads)
+        q, k, v = (Tensor(rng.normal(size=shape)) for _ in range(3))
+        weights = rng.normal(size=shape)
+        assert_gate(upstream(lambda: T.attention(q, k, v, n_heads), weights),
+                    upstream(lambda: composite_ops.attention(q, k, v, n_heads),
+                             weights),
+                    [q, k, v])
 
 
 def swap_in(monkeypatch, impls):

@@ -10,6 +10,8 @@ from sarl import tensor as T
 from sarl.gradcheck import check_gradients
 from sarl.tensor import DimensionError, Tape, Tensor
 
+import composite_ops
+
 
 def matmul_oracle(a, b):
     """Triple-loop matrix product."""
@@ -140,7 +142,9 @@ class TestAttention:
             [q, k, v]) < 1e-4
 
     def test_inputs_and_upstream_gradient_untouched(self):
-        # the op works in place, but only on buffers it allocated
+        # the op works in place, but only on buffers it allocated: its
+        # inputs, the upstream gradient and the kept exp(logits), which a
+        # second backward on the same tape would read back
         rng = np.random.default_rng(51)
         q, k, v = (Tensor(rng.normal(size=(6, 8))) for _ in range(3))
         before = [t.data.copy() for t in (q, k, v)]
@@ -149,8 +153,11 @@ class TestAttention:
             out = T.attention(q, k, v, 4)
             loss = T.sum_(T.mul(out, upstream))
             tape.backward(loss)
-        for t, data in zip((q, k, v), before):
+        first = [t.grad.copy() for t in (q, k, v)]
+        tape.backward(loss)
+        for t, data, grad in zip((q, k, v), before, first):
             np.testing.assert_array_equal(t.data, data)
+            np.testing.assert_array_equal(t.grad, grad)
         np.testing.assert_array_equal(out.grad, upstream)
 
     @pytest.mark.parametrize("shapes,n_heads", [
@@ -377,17 +384,35 @@ class TestConv2d:
         upstream = rng.normal(size=(3, 3, 3, 3))
         with Tape() as tape:
             out = T.conv2d(img, kern, bias)
-            tape.backward(T.sum_(T.mul(out, upstream)))
+            loss = T.sum_(T.mul(out, upstream))
+            tape.backward(loss)
         for i in range(3):
             np.testing.assert_allclose(
                 out.data[i], conv2d_oracle(img.data[i], kern.data, bias.data),
                 rtol=0, atol=1e-12)
-        for t, data in zip((img, kern, bias), before):
+        # a second backward on the same tape reads the kept columns back
+        first = [t.grad.copy() for t in (img, kern, bias)]
+        tape.backward(loss)
+        for t, data, grad in zip((img, kern, bias), before, first):
             np.testing.assert_array_equal(t.data, data)
+            np.testing.assert_array_equal(t.grad, grad)
         np.testing.assert_array_equal(out.grad, upstream)
         assert check_gradients(
             lambda: T.sum_(T.pow_const(T.conv2d(img, kern, bias), 2)),
             [img, kern, bias]) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (32, 32, 32), (3, 8, 8, 3)])
+    def test_columns_match_tap_stack(self, shape, dtype):
+        # the windows come from one strided view instead of nine stacked
+        # slices; only the copy changes, so the outputs are equal exactly
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape).astype(dtype)
+        kernel = rng.normal(size=(T.CONV_KERNEL ** 2 * shape[-1], 6)).astype(dtype)
+        bias = rng.normal(size=6).astype(dtype)
+        out = T.conv2d(x, kernel, bias).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, composite_ops.conv2d_columns(x, kernel, bias))
 
     def test_rank_below_three_rejected(self):
         with pytest.raises(DimensionError, match=re.escape("(4, 4)")):

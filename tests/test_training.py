@@ -264,7 +264,7 @@ class TestTrainLoop:
         with Tape() as tape:
             out = forward(image, model, labels=labels)
             sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
-        assert len(tape) == 41
+        assert len(tape) == 40
 
     def test_float32_step_stays_float32(self, monkeypatch):
         # the parameters' dtype is the only precision in a step: no value

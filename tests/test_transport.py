@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sarl import tensor as T
 from sarl import transport
 from sarl.gradcheck import check_gradients
-from sarl.tensor import Tensor
+from sarl.tensor import Tape, Tensor
 from sarl.transport import (BilinearParams, backward_plan, bilinear_mass,
                             cost_matrix, ct_loss, forward_plan, semantic_attention,
                             semantic_map, semantic_repr, source_distribution,
@@ -163,6 +163,19 @@ class TestTargetDistribution:
         np.testing.assert_allclose(beta, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)],
                                    atol=1e-12)
         np.testing.assert_allclose(beta, [0.5761, 0.2119, 0.2119], atol=5e-5)
+
+    def test_off_the_tape(self):
+        # the labels are data: their softmax is not recorded, matches the
+        # recorded op bit for bit, and keeps the label dtype
+        y = np.array([1.0, 0.0, 1.0, 0.0], dtype=np.float32)
+        with Tape() as tape:
+            beta = target_distribution(y)
+        assert len(tape) == 0
+        assert beta.dtype == np.float32
+        with Tape() as tape:
+            recorded = T.softmax(Tensor(y), axis=0)
+        assert len(tape) == 1
+        np.testing.assert_array_equal(beta.data, recorded.data)
 
 
 class TestBilinearMass:

@@ -138,6 +138,14 @@ def run_suite(verbose=True):
     check("plan_cost", lambda: T.pow_const(T.plan_cost(a, b, c), 2), [a, b, c])
     check("mean", lambda: T.mean(T.pow_const(a, 2)), [a])
     check("max", lambda: T.sum_(T.pow_const(T.max_reduce(a, axis=0), 2)), [a])
+    # along one axis of an (N, P, d) stack, as global_spatial_pool reduces
+    st = rt(2, 3, 4)
+    check("mean_axis-2_keepdims",
+          lambda: T.sum_(T.pow_const(T.mean(st, axis=-2, keepdims=True), 2)), [st])
+    check("max_axis-2_keepdims",
+          lambda: T.sum_(T.pow_const(T.max_reduce(st, axis=-2, keepdims=True), 2)),
+          [st])
+    check("sum_axis1", lambda: T.sum_(T.pow_const(T.sum_(st, axis=1), 2)), [st])
     img = rt(6, 6, 2)
     kern, kb = rt(18, 3, scale=0.5), rt(3, scale=0.1)
     check("conv2d", lambda: T.sum_(T.pow_const(T.conv2d(img, kern, kb), 2)),

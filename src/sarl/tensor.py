@@ -8,6 +8,15 @@ Float64 is the default dtype and is what all tests and numeric oracles
 use; float32 is supported for faster training. Tensors are treated as
 immutable once recorded on a tape: optimizers replace ``.data`` wholesale
 between steps instead of mutating buffers in place.
+
+Training records about 40 ops per sample on arrays of a few dozen
+entries, so a call's cost is its Python dispatch, not its arithmetic.
+On the tape path, call only C-level numpy: ufuncs, array methods,
+``np.zeros``/``np.empty`` and indexing. A Python-level helper
+(``np.clip``, ``np.expand_dims``, ``np.broadcast_to``,
+``np.take_along_axis``, ``np.zeros_like``, ``ndarray.mean``, ...) costs
+several µs on a 4x32 array, more than the arithmetic it wraps. The
+``.sum()``/``.max()`` methods stay: their shims cost little.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ __all__ = [
 ]
 
 
+# the dtypes a Tensor keeps; any other is cast to float64
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
@@ -62,7 +75,7 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
@@ -121,15 +134,15 @@ class Tape:
         """Fill ``grad`` with d(loss)/d(node) for every node on the tape."""
         if not isinstance(loss, Tensor) or loss.data.shape != ():
             raise ValueError("backward expects a scalar loss tensor")
-        recorded = set()
+        recorded = False
         for out, parents, _ in self._records:
-            recorded.add(id(out))
+            recorded = recorded or out is loss
             out.grad = None
             for p in parents:
                 p.grad = None
-        if id(loss) not in recorded:
+        if not recorded:
             raise ValueError("loss was not recorded on this tape")
-        loss.grad = np.ones((), dtype=loss.data.dtype)
+        loss.grad = np.array(1.0, dtype=loss.data.dtype)
         for out, _, backward_fn in reversed(self._records):
             if out.grad is None:
                 continue
@@ -161,6 +174,14 @@ def _unbroadcast(g, shape):
     if squeezed:
         g = g.sum(axis=squeezed, keepdims=True)
     return g.reshape(shape)
+
+
+def _spread(g, kept, shape):
+    """g, the gradient of a reduction whose keepdims shape is ``kept``,
+    copied along the reduced axes into a new buffer of ``shape``."""
+    out = np.empty(shape, g.dtype)
+    out[...] = g.reshape(kept)
+    return out
 
 
 def _make(data, op, parents, backward_fn):
@@ -297,7 +318,7 @@ def unstack(a):
 
     def part(i):
         def backward_fn(g):
-            whole = np.zeros_like(ad)
+            whole = np.zeros(ad.shape, ad.dtype)
             whole[i] = g
             _accumulate(at, whole)
 
@@ -435,8 +456,12 @@ def attention(q, k, v, n_heads):
         if vt is not None:
             _accumulate(vt, merge(et @ go))
         # dP^T = [V, 1] [dO, -rowsum(dO * O)]^T, one product of depth d + 1
-        gx = np.concatenate([go, -(go * o).sum(axis=-1, keepdims=True)], axis=-1)
-        v1 = np.concatenate([vh, np.ones_like(vh[..., :1])], axis=-1)
+        gx = np.empty((*go.shape[:-1], d + 1), go.dtype)
+        gx[..., :d] = go
+        gx[..., d] = -(go * o).sum(axis=-1)
+        v1 = np.empty(gx.shape, vh.dtype)
+        v1[..., :d] = vh
+        v1[..., d] = 1.0
         dpt = v1 @ gx.swapaxes(-1, -2)
         dpt *= et
         if qt is not None:
@@ -486,42 +511,44 @@ def bilinear_scores(fu, sv, w):
 
 def sum_(a, axis=None):
     ad, at = _lift(a)
+    kept = ad.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
-        if axis is None:
-            _accumulate(at, np.broadcast_to(g, ad.shape).copy())
-        else:
-            _accumulate(at, np.broadcast_to(np.expand_dims(g, axis), ad.shape).copy())
+        _accumulate(at, _spread(g, kept.shape, ad.shape))
 
-    return _make(ad.sum(axis=axis), "sum", (at,), backward_fn)
+    return _make(kept.squeeze(axis), "sum", (at,), backward_fn)
 
 
 def mean(a, axis=None, keepdims=False):
+    """Mean along ``axis`` (of every entry when None) as sum / n: the
+    ufunc calls ``ndarray.mean`` makes, so the same bits."""
     ad, at = _lift(a)
     n = ad.size if axis is None else ad.shape[axis]
+    kept = ad.sum(axis=axis, keepdims=True) / n
 
     def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(at, np.broadcast_to(g / n, ad.shape).copy())
+        _accumulate(at, _spread(g / n, kept.shape, ad.shape))
 
-    return _make(ad.mean(axis=axis, keepdims=keepdims), "mean", (at,), backward_fn)
+    return _make(kept if keepdims else kept.squeeze(axis), "mean", (at,),
+                 backward_fn)
 
 
 def max_reduce(a, axis, keepdims=False):
     """Max along an axis; gradient routes to the first argmax on ties."""
     ad, at = _lift(a)
-    idx = np.expand_dims(np.argmax(ad, axis=axis), axis)
-    out_data = np.take_along_axis(ad, idx, axis=axis)
+    axis %= ad.ndim
 
     def backward_fn(g):
-        gz = np.zeros_like(ad)
-        np.put_along_axis(gz, idx, g if keepdims else np.expand_dims(g, axis),
-                          axis=axis)
+        # g goes to the first argmax along axis and exact zeros elsewhere:
+        # copied through a one-hot, never multiplied by it (0 * inf is NaN)
+        idx = ad.argmax(axis=axis, keepdims=True)
+        n = ad.shape[axis]
+        first = idx == np.arange(n).reshape((n,) + (1,) * (ad.ndim - 1 - axis))
+        gz = np.zeros(ad.shape, g.dtype)
+        np.copyto(gz, g.reshape(idx.shape), where=first)
         _accumulate(at, gz)
 
-    return _make(out_data if keepdims else out_data.squeeze(axis=axis), "max",
-                 (at,), backward_fn)
+    return _make(ad.max(axis=axis, keepdims=keepdims), "max", (at,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +573,11 @@ def asymmetric_loss(p, y, gamma_pos, gamma_neg, clip, floor):
                              f"got {yd.shape} for {pd.shape}")
     gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
     lo, hi = floor, 1.0 - floor
-    pc = np.clip(pd, lo, hi)
+    pc = np.minimum(np.maximum(pd, lo), hi)
     q = 1.0 - pc
     log_p = np.log(pc)
     shifted = pc - clip
-    pm = np.clip(shifted, 0.0, 1.0)
+    pm = np.minimum(np.maximum(shifted, 0.0), 1.0)
     qm = 1.0 - pm
     log_qm = np.log(qm)
     focus_pos = q ** gamma_pos
@@ -570,16 +597,16 @@ def asymmetric_loss(p, y, gamma_pos, gamma_neg, clip, floor):
         dpc += dpm * ((shifted >= 0.0) & (shifted <= 1.0))
         _accumulate(pt, dpc * ((pd >= lo) & (pd <= hi)))
 
-    return _make(-per.mean(), "asymmetric_loss", (pt,), backward_fn)
+    return _make(-(per.sum() / per.size), "asymmetric_loss", (pt,), backward_fn)
 
 
 def cosine_cost(f, s, eps):
     """Cosine distance of every row of f (P, d) to every row of s (C, d).
 
     co[p, c] = 1 - <f_p, s_c> / ((|f_p| + eps)(|s_c| + eps)). One tape
-    record. A zero row costs 1 against every row, and its norm takes
-    subgradient 0, so its gradient is the finite -sum_c g[p, c] s_c /
-    (eps (|s_c| + eps)) (and likewise for a zero row of s).
+    record. A zero row has no direction: it costs exactly 1 against
+    every row and the cost passes it no gradient (likewise for a zero
+    row of s).
     """
     fd, ft = _lift(f)
     sd, st = _lift(s)
@@ -594,12 +621,14 @@ def cosine_cost(f, s, eps):
 
     def norm_grad(rows, norms, d_norm):
         # d|x|/dx = x / |x|, taken as 0 for a zero row
-        scale = np.divide(d_norm, norms, out=np.zeros_like(norms),
+        scale = np.divide(d_norm, norms, out=np.zeros(norms.shape, norms.dtype),
                           where=norms != 0.0)
         return scale[:, None] * rows
 
     def backward_fn(g):
         d_sim = -g / denom
+        # no gradient through a zero row's cosine; its norm term is 0 too
+        np.copyto(d_sim, 0.0, where=(fn == 0.0)[:, None] | (sn == 0.0))
         d_den = g * sim / (denom * denom)
         if ft is not None:
             _accumulate(ft, norm_grad(fd, fn, (d_den * se).sum(axis=1))
@@ -627,8 +656,9 @@ def scaled_softmax(a, scale, axis):
     # in place on a buffer this op owns: soft is softmax(a, axis)
     soft = ad - ad.max(axis=axis, keepdims=True)
     np.exp(soft, out=soft)
-    soft /= soft.sum(axis=axis, keepdims=True)
-    sdx = np.expand_dims(sd, axis)
+    total = soft.sum(axis=axis, keepdims=True)
+    soft /= total
+    sdx = sd.reshape(total.shape)
 
     def backward_fn(g):
         if st is not None:
@@ -724,7 +754,7 @@ def conv2d(image, kernel, bias):
                      slice(dx, dx + stride * wout, stride), slice(None))
                     for dy in range(ks) for dx in range(ks)]
             gcols = (gf @ kd.T).reshape(*lead, hout, wout, ks * ks, cin)
-            gpad = np.zeros_like(xp)
+            gpad = np.zeros(xp.shape, xp.dtype)
             for i, t in enumerate(taps):
                 gpad[t] += gcols[..., i, :]
             _accumulate(xt, gpad[inner].copy())

@@ -278,7 +278,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
         sums = {"total": 0.0, "cls": 0.0, "map": 0.0, "ot": 0.0}
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            grad_sum = {name: np.zeros_like(p.data)
+            grad_sum = {name: np.zeros(p.data.shape, p.data.dtype)
                         for name, p in params.items()}
             for i in batch:
                 with Tape() as tape:

@@ -15,6 +15,13 @@ clamp passes gradient on both edges, and powers follow
 :func:`sarl.tensor.attention` replaced, and :func:`conv2d_columns` the
 nine-slice window columns that :func:`sarl.tensor.conv2d` now takes from
 one strided view: the references the rewritten kernels are held to.
+
+:func:`sum_`, :func:`mean`, :func:`max_reduce`, :func:`asymmetric_loss`
+and :func:`scaled_softmax` are those ops as the library wrote them with
+numpy's Python-level helpers (``np.clip``, ``np.expand_dims``,
+``np.broadcast_to``, ``np.take_along_axis``, ``np.put_along_axis``,
+``ndarray.mean``). The library now calls only C-level numpy on the tape
+path, and its outputs and gradients must be bit-identical to these.
 """
 
 import math
@@ -158,6 +165,98 @@ def conv2d_columns(x, kernel, bias):
             for dy in range(ks) for dx in range(ks)]
     cols = np.stack(taps, axis=-2).reshape(-1, ks * ks * cin)
     return (cols @ kernel + bias).reshape(*lead, hout, wout, kernel.shape[1])
+
+
+def sum_(a, axis=None):
+    ad, at = T._lift(a)
+
+    def backward_fn(g):
+        if axis is None:
+            T._accumulate(at, np.broadcast_to(g, ad.shape).copy())
+        else:
+            T._accumulate(at, np.broadcast_to(np.expand_dims(g, axis), ad.shape).copy())
+
+    return T._make(ad.sum(axis=axis), "sum", (at,), backward_fn)
+
+
+def mean(a, axis=None, keepdims=False):
+    ad, at = T._lift(a)
+    n = ad.size if axis is None else ad.shape[axis]
+
+    def backward_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        T._accumulate(at, np.broadcast_to(g / n, ad.shape).copy())
+
+    return T._make(ad.mean(axis=axis, keepdims=keepdims), "mean", (at,), backward_fn)
+
+
+def max_reduce(a, axis, keepdims=False):
+    ad, at = T._lift(a)
+    idx = np.expand_dims(np.argmax(ad, axis=axis), axis)
+    out_data = np.take_along_axis(ad, idx, axis=axis)
+
+    def backward_fn(g):
+        gz = np.zeros_like(ad)
+        np.put_along_axis(gz, idx, g if keepdims else np.expand_dims(g, axis),
+                          axis=axis)
+        T._accumulate(at, gz)
+
+    return T._make(out_data if keepdims else out_data.squeeze(axis=axis), "max",
+                   (at,), backward_fn)
+
+
+def asymmetric_loss(p, y, gamma_pos, gamma_neg, clip, floor):
+    pd, pt = T._lift(p)
+    yd = np.asarray(y, dtype=pd.dtype)
+    gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
+    lo, hi = floor, 1.0 - floor
+    pc = np.clip(pd, lo, hi)
+    q = 1.0 - pc
+    log_p = np.log(pc)
+    shifted = pc - clip
+    pm = np.clip(shifted, 0.0, 1.0)
+    qm = 1.0 - pm
+    log_qm = np.log(qm)
+    focus_pos = q ** gamma_pos
+    focus_neg = pm ** gamma_neg
+    y_neg = 1.0 - yd
+    per = (focus_pos * log_p) * yd + (focus_neg * log_qm) * y_neg
+
+    def backward_fn(g):
+        w = -g / pd.size
+        d_pos, d_neg = w * yd, w * y_neg
+        dpc = d_pos * focus_pos / pc
+        if gamma_pos != 0.0:
+            dpc -= d_pos * log_p * T._pow_slope(q, gamma_pos)
+        dpm = -(d_neg * focus_neg / qm)
+        if gamma_neg != 0.0:
+            dpm += d_neg * log_qm * T._pow_slope(pm, gamma_neg)
+        dpc += dpm * ((shifted >= 0.0) & (shifted <= 1.0))
+        T._accumulate(pt, dpc * ((pd >= lo) & (pd <= hi)))
+
+    return T._make(-per.mean(), "asymmetric_loss", (pt,), backward_fn)
+
+
+def scaled_softmax(a, scale, axis):
+    ad, at = T._lift(a)
+    sd, st = T._lift(scale)
+    axis %= ad.ndim
+    soft = ad - ad.max(axis=axis, keepdims=True)
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=axis, keepdims=True)
+    sdx = np.expand_dims(sd, axis)
+
+    def backward_fn(g):
+        if st is not None:
+            T._accumulate(st, (g * soft).sum(axis=axis))
+        if at is not None:
+            d = g * sdx
+            d -= (d * soft).sum(axis=axis, keepdims=True)
+            d *= soft
+            T._accumulate(at, d)
+
+    return T._make(sdx * soft, "scaled_softmax", (at, st), backward_fn)
 
 
 # the library functions each oracle stands for, by module attribute

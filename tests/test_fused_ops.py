@@ -127,9 +127,9 @@ class TestCosineCost:
                     upstream(lambda: composite_ops.cost_matrix(f, s), w), [f, s])
 
     def test_zero_row_costs_one_with_finite_gradient(self):
-        # the norm's subgradient is 0 at a zero row: the cost there is 1,
-        # its gradient the finite -sum_c g[p, c] s_c / (eps (|s_c| + eps)),
-        # and every other entry matches central differences
+        # a zero row has no direction: the cost there is 1, the cost
+        # passes it no gradient, and every other entry matches central
+        # differences
         rng = np.random.default_rng(3)
         f = rng.normal(size=(4, 5))
         f[1] = 0.0
@@ -140,9 +140,7 @@ class TestCosineCost:
         loss = upstream(lambda: cost_matrix(f, s), w)
         _, (gf, gs) = value_and_grads(loss, [f, s])
         assert np.isfinite(gf).all() and np.isfinite(gs).all()
-        sn = np.linalg.norm(s.data, axis=1)
-        np.testing.assert_allclose(
-            gf[1], -(w[1] / (NORM_EPS * (sn + NORM_EPS))) @ s.data, rtol=1e-12)
+        np.testing.assert_array_equal(gf[1], 0.0)
         keep = [0, 2, 3]
         np.testing.assert_allclose(gf[keep], numeric_gradient(loss, [f, s], 0)[keep],
                                    rtol=1e-6, atol=1e-8)
@@ -155,6 +153,20 @@ class TestCosineCost:
         _, (gf, gs) = value_and_grads(lambda: T.sum_(cost_matrix(f, s)), [f, s])
         np.testing.assert_array_equal(cost_matrix(f, s).data, 1.0)
         assert np.isfinite(gf).all() and np.isfinite(gs).all()
+
+    def test_zero_class_row_passes_no_gradient(self):
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=(3, 5))
+        s[2] = 0.0
+        f, s = Tensor(rng.normal(size=(4, 5))), Tensor(s)
+        loss = upstream(lambda: cost_matrix(f, s), rng.normal(size=(4, 3)))
+        _, (gf, gs) = value_and_grads(loss, [f, s])
+        np.testing.assert_array_equal(cost_matrix(f, s).data[:, 2], 1.0)
+        np.testing.assert_array_equal(gs[2], 0.0)
+        np.testing.assert_allclose(gs[:2], numeric_gradient(loss, [f, s], 1)[:2],
+                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(gf, numeric_gradient(loss, [f, s], 0),
+                                   rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("shapes", [((4, 5), (3, 6)), ((2, 4, 5), (3, 5))],
                              ids=["width", "stacked"])

@@ -392,6 +392,31 @@ class TestTrainLoop:
             for name, p in res.model.parameters().items():
                 assert np.isfinite(p.data).all(), name
 
+    def test_black_image_gradients_no_larger_than_noise(self):
+        # a zero patch row has no direction, so the cosine cost passes it
+        # no gradient: at init no parameter's gradient on a black image
+        # exceeds the largest on a noise image (it was about 1/eps larger)
+        cfg = TrainConfig()
+        model = build_model(model_config(cfg), seed=cfg.seed, dtype=np.float32)
+        labels = np.zeros(cfg.num_classes, dtype=np.float32)
+        labels[[0, 2]] = 1.0
+        shape = (cfg.image_size, cfg.image_size, cfg.channels)
+
+        def grad_norms(image):
+            with Tape() as tape:
+                out = forward(image, model, labels=labels)
+                total = sample_losses(out, labels, Tr.asl_config(cfg),
+                                      Tr.loss_weights(cfg))[0]
+                tape.backward(total)
+            return {name: float(np.linalg.norm(p.grad))
+                    for name, p in model.parameters().items()}
+
+        noise = grad_norms(np.random.default_rng(0).normal(size=shape)
+                           .astype(np.float32))
+        black = grad_norms(np.zeros(shape, dtype=np.float32))
+        assert np.isfinite(list(black.values())).all()
+        assert max(black.values()) < max(noise.values()), black
+
     def test_row_without_positive_rejected_before_training(self):
         cfg = tiny_config()
         train_ds, test_ds = generate(synthetic_config(cfg))

@@ -107,17 +107,30 @@ def run_suite(verbose=True):
     d = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)))
     check("pow", lambda: T.sum_(T.pow_const(d, 2.0)), [d])
     check("softmax", lambda: T.sum_(T.pow_const(T.softmax(a, axis=1), 2)), [a])
-    # 12 rows: the reductions over keys sum more than numpy's 8-row block
-    for num_p, n_heads in ((5, 1), (5, 4), (1, 4), (12, 4)):
-        q, k, v = rt(num_p, 8), rt(num_p, 8), rt(num_p, 8)
-        check(f"attention_p{num_p}_h{n_heads}",
-              lambda: T.sum_(T.pow_const(T.attention(q, k, v, n_heads), 2)),
-              [q, k, v])
-    for num_p, num_c in ((5, 3), (1, 3), (5, 1)):
-        fu, sv, w = rt(num_p, 4), rt(num_c, 4), rt(4, 1)
-        check(f"bilinear_scores_p{num_p}_c{num_c}",
-              lambda: T.sum_(T.pow_const(T.bilinear_scores(fu, sv, w), 2)),
-              [fu, sv, w])
+    # each fused op on one sample and on a stack of samples; 12 rows: the
+    # reductions over keys sum more than numpy's 8-row block
+    for lead, num_p, n_heads in (((), 5, 1), ((), 5, 4), ((), 1, 4),
+                                 ((), 12, 4), ((3,), 5, 4)):
+        att = [rt(*lead, num_p, 6)] + [rt(6, 8, scale=0.4) for _ in range(3)]
+        check(f"attention_{'stack3_' * bool(lead)}p{num_p}_h{n_heads}",
+              lambda: T.sum_(T.pow_const(T.attention(*att, n_heads), 2)), att)
+    for lead, num_p, num_c in (((), 5, 3), ((), 1, 3), ((), 5, 1), ((3,), 5, 3)):
+        bil = [rt(*lead, num_p, 4), rt(*lead, num_c, 4), rt(4, 3), rt(4, 3),
+               rt(3, 2), rt(2, 1)]
+        check(f"bilinear_scores_{'stack3_' * bool(lead)}p{num_p}_c{num_c}",
+              lambda: T.sum_(T.pow_const(T.bilinear_scores(*bil), 2)), bil)
+    for lead in ((), (3,)):
+        tag = "_stack3" if lead else ""
+        pool = [rt(*lead, 5, 4), rt(4, 3), rt(3)]
+        check("softmax_pool" + tag,
+              lambda: T.sum_(T.pow_const(T.softmax_pool(*pool), 2)), pool)
+        fuse = [rt(*lead, 1, 4), rt(3, 2), rt(6, 5), rt(5)]
+        check("concat_linear" + tag,
+              lambda: T.sum_(T.pow_const(T.concat_linear(*fuse), 2)), fuse)
+        parts = [rt(*lead) for _ in range(3)]
+        check("weighted_sum" + tag,
+              lambda: T.sum_(T.pow_const(T.weighted_sum(*parts, 0.3, 0.7), 2)),
+              parts)
     # fused label-side ops; the loss at a fractional gamma_neg, with clip 0
     # so p_m = p stays off its kink at 0
     p = Tensor(rng.uniform(0.1, 0.9, size=(3, 4)))
@@ -237,5 +250,5 @@ def run_suite(verbose=True):
         if verbose:
             status = "ok" if passed else "FAIL"
             detail = f"max err {info:.2e}" if passed else info
-            print(f"  gradcheck {name:<22s} {status}  ({detail})")
+            print(f"  gradcheck {name:<28s} {status}  ({detail})")
     return ok

@@ -176,11 +176,10 @@ def region_score_aggregate(f_r: Tensor, cls: ClassifierParams) -> Tensor:
     softmax over patches: z_c = sum_p softmax_p(w~)[p, c] * w~[p, c].
     Adding a constant to one class's patch scores therefore shifts that
     logit by exactly the constant. F_R is (P, d_v) for one sample or
-    (N, P, d_v) for a stack, giving (C,) or (N, C) logits.
+    (N, P, d_v) for a stack, giving (C,) or (N, C) logits. One tape
+    record (:func:`sarl.tensor.softmax_pool`).
     """
-    scores = T.add(T.matmul(f_r, cls.weights), cls.bias)
-    weights = T.softmax(scores, axis=-2)
-    return T.sum_(T.mul(weights, scores), axis=-2)
+    return T.softmax_pool(f_r, cls.weights, cls.bias)
 
 
 def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
@@ -193,19 +192,24 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     scores are called once per sample. :func:`sarl.training.evaluate`
     scores a split this way, one call per chunk of samples.
 
-    Given one image's binary label vector, cast once here to the
-    parameters' dtype, the forward pass also builds the transport terms
-    training needs: source and target distributions, plans and
-    transport cost. Training still records one tape per sample, so
-    labels go with one image only.
+    An image array is cast once here to the parameters' dtype, so an
+    integer or float64 image runs a float32 model in float32; a Tensor
+    image is left as it is, to keep its gradient. Given one image's
+    binary label vector, cast likewise, the forward pass also builds the
+    transport terms training needs: source and target distributions,
+    plans and transport cost. Training still records one tape per
+    sample, so labels go with one image only.
     """
     cfg = model.config
+    dtype = model.labels.dtype
+    if not isinstance(x, Tensor):
+        x = np.asarray(x, dtype=dtype)
     shape = x.shape
     if len(shape) not in (3, 4):
         raise ConfigError(f"forward takes an (H, W, C) image or an "
                           f"(N, H, W, C) stack, got shape {shape}")
     if labels is not None:
-        labels = np.asarray(labels, dtype=model.labels.dtype)
+        labels = np.asarray(labels, dtype=dtype)
         if len(shape) != 3 or labels.shape != (cfg.num_classes,):
             raise ConfigError(
                 f"labels go with one (H, W, C) image and {cfg.num_classes} "

@@ -207,16 +207,15 @@ def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
     """Scaled dot-product self-attention over patches, heads concatenated.
 
     Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads, computed
-    by one :func:`sarl.tensor.attention` call, each sample attending
-    over its own patches. There is no output projection, residual, or
-    layer norm; head outputs are concatenated back to width d_v.
+    with the projections by one :func:`sarl.tensor.attention` call (one
+    tape record for one image), each sample attending over its own
+    patches. There is no output projection, residual, or layer norm;
+    head outputs are concatenated back to width d_v.
     """
     d_v = fm.f.shape[1]
     if p.w_q.shape != (d_v, d_v):
         raise ConfigError(f"attention weights {p.w_q.shape} vs d_v={d_v}")
-    f = fm.per_sample()
-    heads = T.attention(T.matmul(f, p.w_q), T.matmul(f, p.w_k),
-                        T.matmul(f, p.w_v), p.n_heads)
+    heads = T.attention(fm.per_sample(), p.w_q, p.w_k, p.w_v, p.n_heads)
     return FeatureMap(T.reshape(heads, fm.f.shape), fm.h, fm.w, fm.samples)
 
 
@@ -235,7 +234,7 @@ def fuse_semantic(f_g: Tensor, table: Tensor, p: FusionParams) -> Tensor:
 
     F_G acts as a shared prompt prepended to every label row; the output
     is the semantic-related feature table F_S (C x d_v), or (N, C, d_v)
-    for an (N, 1, d_v) stack of F_G rows.
+    for an (N, 1, d_v) stack of F_G rows. One tape record
+    (:func:`sarl.tensor.concat_linear`).
     """
-    stacked = T.concat([f_g, table], axis=-1)
-    return T.add(T.matmul(stacked, p.weight), p.bias)
+    return T.concat_linear(f_g, table, p.weight, p.bias)

@@ -9,8 +9,10 @@ use; float32 is supported for faster training. Tensors are treated as
 immutable once recorded on a tape: optimizers replace ``.data`` wholesale
 between steps instead of mutating buffers in place.
 
-Training records about 40 ops per sample on arrays of a few dozen
-entries, so a call's cost is its Python dispatch, not its arithmetic.
+Training records 25 ops per sample at the default shape, on arrays of
+a few dozen entries, so a call's cost is its Python dispatch, not its
+arithmetic. That is why each stage of the head is one fused op that
+computes the chain of primitives it stands for, in the same order.
 On the tape path, call only C-level numpy: ufuncs, array methods,
 ``np.zeros``/``np.empty`` and indexing. A Python-level helper
 (``np.clip``, ``np.expand_dims``, ``np.broadcast_to``,
@@ -43,6 +45,9 @@ __all__ = [
     "softmax",
     "attention",
     "bilinear_scores",
+    "softmax_pool",
+    "concat_linear",
+    "weighted_sum",
     "asymmetric_loss",
     "cosine_cost",
     "scaled_softmax",
@@ -405,16 +410,42 @@ def softmax(a, axis):
     return _make(out_data, "softmax", (at,), backward_fn)
 
 
-def attention(q, k, v, n_heads):
-    """Multi-head scaled dot-product attention over the rows of q, k, v.
+def _rows(a):
+    """a's rows as one 2-D array: a itself when it is 2-D, so skipping
+    the reshapes, which cost as much as a product at 4x32."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
 
-    q, k and v are (..., P, d_v): each leading index, one sample of a
-    stack, attends over its own P rows. Head h owns columns h*d to
+
+def _rows_times(xd, wd):
+    """x's rows times w, (..., k) x (k, n) -> (..., n): one 2-D product
+    over every row, as :func:`matmul` computes it."""
+    out = _rows(xd) @ wd
+    return out if xd.ndim == 2 else out.reshape(xd.shape[:-1] + wd.shape[1:])
+
+
+def _rows_times_back(g, xd, xt, wd, wt):
+    """:func:`matmul`'s backward for ``_rows_times(xd, wd)``: x's
+    gradient, then w's."""
+    g2 = _rows(g)
+    if xt is not None:
+        gx = g2 @ wd.T
+        _accumulate(xt, gx if xd.ndim == 2 else gx.reshape(xd.shape))
+    if wt is not None:
+        _accumulate(wt, _rows(xd).T @ g2)
+
+
+def attention(x, w_q, w_k, w_v, n_heads):
+    """Multi-head scaled dot-product self-attention over the rows of x.
+
+    x is (..., P, d_in): each leading index, one sample of a stack,
+    attends over its own P rows. The projections Q = x W_q, K = x W_k
+    and V = x W_v take (d_in, d_v) weights. Head h owns columns h*d to
     (h+1)*d with d = d_v / n_heads and computes softmax(Q_h K_h^T /
     sqrt(d)) V_h. The (..., P, d_v) result holds the heads side by side.
     One tape record: the backward uses rowsum(dA * A) = rowsum(dO * O)
     (FlashAttention), so the only (..., H, P, P) array kept is the
-    unnormalised exp(logits).
+    unnormalised exp(logits). x's gradient sums its three projections'
+    contributions in the order V, K, Q.
 
     That array is keys-major, (..., H, P_keys, P_queries), so the
     softmax's max and sum over keys run across rows, combining whole
@@ -423,26 +454,30 @@ def attention(q, k, v, n_heads):
     included, from one product of [V, 1] and [dO, -rowsum(dO * O)]: one
     pass fewer over the (..., H, P, P) array.
     """
-    qd, qt = _lift(q)
-    kd, kt = _lift(k)
-    vd, vt = _lift(v)
-    if qd.ndim < 2 or kd.shape != qd.shape or vd.shape != qd.shape:
+    xd, xt = _lift(x)
+    qw, qwt = _lift(w_q)
+    kw, kwt = _lift(w_k)
+    vw, vwt = _lift(w_v)
+    if (xd.ndim < 2 or qw.ndim != 2 or qw.shape[0] != xd.shape[-1]
+            or kw.shape != qw.shape or vw.shape != qw.shape):
         raise DimensionError(
-            f"attention needs equal (...,P,d_v) q, k, v, got "
-            f"{qd.shape}, {kd.shape}, {vd.shape}")
-    *lead, num_p, d_v = qd.shape
+            f"attention needs (...,P,d_in) x and equal (d_in,d_v) weights, "
+            f"got {xd.shape}, {qw.shape}, {kw.shape}, {vw.shape}")
+    *lead, num_p, _ = xd.shape
+    d_v = qw.shape[1]
     if n_heads < 1 or d_v % n_heads:
         raise DimensionError(f"n_heads={n_heads} must be >= 1 and divide d_v={d_v}")
     d = d_v // n_heads
     scale = 1.0 / math.sqrt(d)
 
-    def heads(x):  # (..., P, d_v) -> (..., H, P, d) view
-        return x.reshape(*lead, num_p, n_heads, d).swapaxes(-2, -3)
+    def heads(a):  # (..., P, d_v) -> (..., H, P, d) view
+        return a.reshape(*lead, num_p, n_heads, d).swapaxes(-2, -3)
 
-    def merge(x):  # (..., H, P, d) -> (..., P, d_v) copy
-        return x.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
+    def merge(a):  # (..., H, P, d) -> (..., P, d_v) copy
+        return a.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
 
-    qh, kh, vh = heads(qd * scale), heads(kd), heads(vd)
+    qh = heads(_rows_times(xd, qw) * scale)
+    kh, vh = heads(_rows_times(xd, kw)), heads(_rows_times(xd, vw))
     # in place on buffers this op owns: et is (..., H, P_keys, P_queries)
     et = kh @ qh.swapaxes(-1, -2)
     et -= et.max(axis=-2, keepdims=True)
@@ -453,60 +488,179 @@ def attention(q, k, v, n_heads):
 
     def backward_fn(g):
         go = heads(g) / s
-        if vt is not None:
-            _accumulate(vt, merge(et @ go))
+        gv = merge(et @ go)
         # dP^T = [V, 1] [dO, -rowsum(dO * O)]^T, one product of depth d + 1
-        gx = np.empty((*go.shape[:-1], d + 1), go.dtype)
-        gx[..., :d] = go
-        gx[..., d] = -(go * o).sum(axis=-1)
-        v1 = np.empty(gx.shape, vh.dtype)
+        go1 = np.empty((*go.shape[:-1], d + 1), go.dtype)
+        go1[..., :d] = go
+        go1[..., d] = -(go * o).sum(axis=-1)
+        v1 = np.empty(go1.shape, vh.dtype)
         v1[..., :d] = vh
         v1[..., d] = 1.0
-        dpt = v1 @ gx.swapaxes(-1, -2)
+        dpt = v1 @ go1.swapaxes(-1, -2)
         dpt *= et
-        if qt is not None:
-            _accumulate(qt, merge(dpt.swapaxes(-1, -2) @ kh) * scale)
-        if kt is not None:
-            _accumulate(kt, merge(dpt @ qh))
+        gq = merge(dpt.swapaxes(-1, -2) @ kh) * scale
+        gk = merge(dpt @ qh)
+        _rows_times_back(gv, xd, xt, vw, vwt)
+        _rows_times_back(gk, xd, xt, kw, kwt)
+        _rows_times_back(gq, xd, xt, qw, qwt)
 
-    return _make(merge(o), "attention", (qt, kt, vt), backward_fn)
+    return _make(merge(o), "attention", (xt, qwt, kwt, vwt), backward_fn)
 
 
-def bilinear_scores(fu, sv, w):
-    """Score every (row of fu, row of sv) pair: A[p, c] = tanh(fu_p * sv_c) w.
+def bilinear_scores(f, s, u, v, mix, score):
+    """Score every (row of f, row of s) pair:
+    A[p, c] = tanh((f_p u) * (s_c v)) (mix score).
 
-    fu is (..., P, d), sv is (..., C, d) with the same leading axes, and
-    w is (d, 1); the result is (..., P, C), each leading index pairing
-    only its own rows. One tape record that keeps only the (..., P, C, d)
-    tanh.
+    f is (..., P, d), s is (..., C, d) with the same leading axes; u and
+    v are (d, d1), mix (d1, d2) and score (d2, 1). The result is
+    (..., P, C), each leading index pairing only its own rows. One tape
+    record that keeps only the (..., P, C, d1) tanh; the backward reaches
+    the weights of the score, then s's projection, then f's.
     """
-    fd, ft = _lift(fu)
-    sd, st = _lift(sv)
-    wd, wt = _lift(w)
+    fd, ft = _lift(f)
+    sd, st = _lift(s)
+    ud, ut = _lift(u)
+    vd, vt = _lift(v)
+    md, mt = _lift(mix)
+    cd, ct = _lift(score)
     if (fd.ndim < 2 or sd.ndim != fd.ndim or sd.shape[:-2] != fd.shape[:-2]
-            or sd.shape[-1] != fd.shape[-1] or wd.shape != (fd.shape[-1], 1)):
+            or sd.shape[-1] != fd.shape[-1] or ud.ndim != 2
+            or ud.shape[0] != fd.shape[-1] or vd.shape != ud.shape
+            or md.ndim != 2 or md.shape[0] != ud.shape[1]
+            or cd.shape != (md.shape[1], 1)):
         raise DimensionError(
-            f"bilinear_scores needs (...,P,d), (...,C,d), (d,1), got "
-            f"{fd.shape}, {sd.shape}, {wd.shape}")
-    # in place on a buffer this op owns: t is (..., P, C, d)
-    t = fd[..., :, None, :] * sd[..., None, :, :]
+            f"bilinear_scores needs (...,P,d), (...,C,d), (d,d1), (d,d1), "
+            f"(d1,d2), (d2,1), got {fd.shape}, {sd.shape}, {ud.shape}, "
+            f"{vd.shape}, {md.shape}, {cd.shape}")
+    fu, sv, wd = _rows_times(fd, ud), _rows_times(sd, vd), md @ cd
+    # in place on a buffer this op owns: t is (..., P, C, d1)
+    t = fu[..., :, None, :] * sv[..., None, :, :]
     np.tanh(t, out=t)
     flat = t.reshape(-1, t.shape[-1])
 
     def backward_fn(g):
-        if wt is not None:
-            _accumulate(wt, flat.T @ g.reshape(-1, 1))
+        gw = flat.T @ g.reshape(-1, 1)
         dp = t * t
         np.subtract(1.0, dp, out=dp)
         dp *= g[..., None]
         dp *= wd[:, 0]
-        if ft is not None:
-            _accumulate(ft, np.einsum("...pcd,...cd->...pd", dp, sd))
-        if st is not None:
-            _accumulate(st, np.einsum("...pcd,...pd->...cd", dp, fd))
+        if mt is not None:
+            _accumulate(mt, gw @ cd.T)
+        if ct is not None:
+            _accumulate(ct, md.T @ gw)
+        if st is not None or vt is not None:
+            _rows_times_back(np.einsum("...pcd,...pd->...cd", dp, fu),
+                             sd, st, vd, vt)
+        if ft is not None or ut is not None:
+            _rows_times_back(np.einsum("...pcd,...cd->...pd", dp, sv),
+                             fd, ft, ud, ut)
 
     return _make((flat @ wd).reshape(t.shape[:-1]), "bilinear_scores",
-                 (ft, st, wt), backward_fn)
+                 (ft, st, ut, vt, mt, ct), backward_fn)
+
+
+def softmax_pool(x, weight, bias):
+    """Pool each sample's rows into one row of scores, every row weighted
+    by its own softmax over the rows.
+
+    x is (..., P, d), weight (d, C) and bias (C,). With row scores
+    s = x weight + bias, (..., P, C), the result is
+    z[c] = sum_p softmax_p(s)[p, c] * s[p, c], shaped (..., C). One tape
+    record that computes the chain it stands for (product, bias,
+    softmax over the rows, product, sum) in the same order.
+    """
+    xd, xt = _lift(x)
+    wd, wt = _lift(weight)
+    bd, bt = _lift(bias)
+    if (xd.ndim < 2 or wd.ndim != 2 or wd.shape[0] != xd.shape[-1]
+            or bd.shape != wd.shape[1:]):
+        raise DimensionError(f"softmax_pool needs (...,P,d), (d,C), (C,), got "
+                             f"{xd.shape}, {wd.shape}, {bd.shape}")
+    scores = _rows_times(xd, wd) + bd
+    # in place on a buffer this op owns: soft is softmax over the rows
+    soft = scores - scores.max(axis=-2, keepdims=True)
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=-2, keepdims=True)
+    kept = (soft * scores).sum(axis=-2, keepdims=True)
+
+    def backward_fn(g):
+        gp = _spread(g, kept.shape, scores.shape)
+        g_soft = gp * scores
+        gs = gp * soft
+        d = g_soft - (g_soft * soft).sum(axis=-2, keepdims=True)
+        d *= soft
+        gs += d
+        if bt is not None:
+            _accumulate(bt, _unbroadcast(gs, bd.shape))
+        _rows_times_back(gs, xd, xt, wd, wt)
+
+    return _make(kept.squeeze(-2), "softmax_pool", (xt, wt, bt), backward_fn)
+
+
+def concat_linear(a, table, weight, bias):
+    """An affine map of every table row with a's row prepended: row c of
+    the result is concat(a, table_c) weight + bias.
+
+    a is (..., 1, d_a), one row per sample shared by every row of the
+    (C, d_t) table, or one (d_a,) row; weight is (d_a + d_t, n) and bias
+    (n,), so the result is (..., C, n). One tape record that computes the
+    chain it stands for (concat, product, bias) in the same order.
+    """
+    ad, at = _lift(a)
+    td, tt = _lift(table)
+    wd, wt = _lift(weight)
+    bd, bt = _lift(bias)
+    if (ad.ndim < 1 or ad.shape[-2:-1] not in ((), (1,)) or td.ndim != 2
+            or wd.ndim != 2 or wd.shape[0] != ad.shape[-1] + td.shape[1]
+            or bd.shape != wd.shape[1:]):
+        raise DimensionError(f"concat_linear needs (...,1,d_a) or (d_a,), "
+                             f"(C,d_t), (d_a+d_t,n), (n,), got {ad.shape}, "
+                             f"{td.shape}, {wd.shape}, {bd.shape}")
+    d_a = ad.shape[-1]
+    joined = np.empty((*ad.shape[:-2], td.shape[0], wd.shape[0]),
+                      np.promote_types(ad.dtype, td.dtype))
+    joined[..., :d_a] = ad
+    joined[..., d_a:] = td
+
+    def backward_fn(g):
+        if bt is not None:
+            _accumulate(bt, _unbroadcast(g, bd.shape))
+        g2 = _rows(g)
+        if wt is not None:
+            _accumulate(wt, _rows(joined).T @ g2)
+        if at is not None or tt is not None:
+            gj = (g2 @ wd.T).reshape(joined.shape)
+            if at is not None:
+                _accumulate(at, _unbroadcast(gj[..., :d_a], ad.shape))
+            if tt is not None:
+                _accumulate(tt, _unbroadcast(gj[..., d_a:], td.shape))
+
+    return _make(_rows_times(joined, wd) + bd, "concat_linear",
+                 (at, tt, wt, bt), backward_fn)
+
+
+def weighted_sum(a, b, c, wb, wc):
+    """a + (b * wb + c * wc), summed in that order, for equal-shape a, b
+    and c and constant weights. One tape record; its backward reaches a,
+    then c, then b."""
+    ad, at = _lift(a)
+    bd, bt = _lift(b)
+    cd, ct = _lift(c)
+    shapes = [getattr(d, "shape", ()) for d in (ad, bd, cd)]  # () for a float
+    if shapes[1] != shapes[0] or shapes[2] != shapes[0]:
+        raise DimensionError(f"weighted_sum needs equal shapes, got "
+                             f"{', '.join(map(str, shapes))}")
+
+    def backward_fn(g):
+        if at is not None:
+            _accumulate(at, g.reshape(ad.shape))
+        if ct is not None:
+            _accumulate(ct, (g * wc).reshape(cd.shape))
+        if bt is not None:
+            _accumulate(bt, (g * wb).reshape(bd.shape))
+
+    return _make(ad + (bd * wb + cd * wc), "weighted_sum", (at, bt, ct),
+                 backward_fn)
 
 
 def sum_(a, axis=None):

@@ -247,7 +247,9 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     metrics.txt there. A non-finite sample loss, or a non-finite batch
     gradient before the optimizer step, aborts with a TrainingError that
     names the epoch, the training rows and the first bad tensor or
-    parameter.
+    parameter. An empty split, a test split without a positive label
+    and a training row without one are refused before anything is
+    logged.
     """
     say = log if log is not None else (lambda line: None)
     mcfg = model_config(cfg)
@@ -261,6 +263,13 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
               if cfg.use_ema else None)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = len(train_ds)
+    # here, not after the last epoch, where evaluate would refuse them
+    for split, ds in (("training", train_ds), ("test", test_ds)):
+        if not len(ds):
+            raise TrainingError(f"the {split} split has no samples")
+    if not test_ds.labels.any():
+        raise TrainingError("the test split has no positive label, so its "
+                            "mAP is undefined")
     images = train_ds.payload
     labels = train_ds.labels.astype(dtype)
     empty = np.flatnonzero(labels.sum(axis=1) == 0)

@@ -85,10 +85,9 @@ def cost_matrix(f: Tensor, f_s: Tensor) -> Tensor:
     """Cosine distance between every patch row and every class row.
 
     co[p, c] = 1 - <f_p, s_c> / ((|f_p| + eps)(|s_c| + eps)), always in
-    [0, 2]. A zero row (an all-black image's patches at init) costs
-    exactly 1; its norm takes subgradient 0, so its gradient is finite:
-    -sum_c g[p, c] s_c / (eps (|s_c| + eps)). One tape record
-    (:func:`sarl.tensor.cosine_cost`).
+    [0, 2]. A zero row (an all-black image's patches at init) has no
+    direction: it costs exactly 1 and the cost passes it no gradient.
+    One tape record (:func:`sarl.tensor.cosine_cost`).
     """
     return T.cosine_cost(f, f_s, NORM_EPS)
 
@@ -120,11 +119,12 @@ def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:
     """Transport scores A (P x C), one bilinear form per (patch, class).
 
     For f_s with a leading sample axis, (N, C, d_v), f holds the N
-    samples' patch rows in turn and A is (N, P, C).
+    samples' patch rows in turn and A is (N, P, C). One tape record
+    (:func:`sarl.tensor.bilinear_scores`, projections included) for one
+    image; a stack's rows take one reshape more.
     """
-    fu = T.matmul(f, p.u)
-    fu = T.reshape(fu, (*f_s.shape[:-2], -1, fu.shape[1]))
-    return T.bilinear_scores(fu, T.matmul(f_s, p.v), T.matmul(p.mix, p.score))
+    f = T.reshape(f, (*f_s.shape[:-2], -1, f.shape[-1]))
+    return T.bilinear_scores(f, f_s, p.u, p.v, p.mix, p.score)
 
 
 def forward_plan(mass: Tensor, theta) -> Tensor:

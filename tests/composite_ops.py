@@ -11,10 +11,11 @@ with the gradient rules they had in the library, kinks included: a
 clamp passes gradient on both edges, and powers follow
 :func:`sarl.tensor.pow_const`.
 
-:func:`attention` is the queries-major kernel that
-:func:`sarl.tensor.attention` replaced, and :func:`conv2d_columns` the
-nine-slice window columns that :func:`sarl.tensor.conv2d` now takes from
-one strided view: the references the rewritten kernels are held to.
+:func:`attention` is the queries-major kernel that the keys-major one
+(:func:`attention_kernel`, now inside :func:`sarl.tensor.attention`)
+replaced, and :func:`conv2d_columns` the nine-slice window columns that
+:func:`sarl.tensor.conv2d` now takes from one strided view: the
+references the rewritten kernels are held to.
 
 :func:`sum_`, :func:`mean`, :func:`max_reduce`, :func:`asymmetric_loss`
 and :func:`scaled_softmax` are those ops as the library wrote them with
@@ -22,6 +23,15 @@ numpy's Python-level helpers (``np.clip``, ``np.expand_dims``,
 ``np.broadcast_to``, ``np.take_along_axis``, ``np.put_along_axis``,
 ``ndarray.mean``). The library now calls only C-level numpy on the tape
 path, and its outputs and gradients must be bit-identical to these.
+
+:data:`HEAD_STAGES` holds five stages of the head as the chains of
+tape records they were before each became one fused op:
+self-attention (three projections and :func:`attention_kernel`), the
+bilinear scores (three products and :func:`bilinear_kernel`), the
+semantic fusion (concat, product, bias), the region score aggregation
+(product, bias, softmax, product, sum) and the total loss (two
+products, two sums). The fused ops must give the same bits, values and
+gradients alike.
 """
 
 import math
@@ -30,6 +40,7 @@ import numpy as np
 
 from sarl import tensor as T
 from sarl.losses import PROB_FLOOR
+from sarl.representation import FeatureMap
 from sarl.transport import NORM_EPS
 
 
@@ -266,4 +277,113 @@ LABEL_SIDE = {
     ("sarl.transport", "forward_plan"): forward_plan,
     ("sarl.transport", "backward_plan"): backward_plan,
     ("sarl.transport", "ct_loss"): ct_loss,
+}
+
+
+def attention_kernel(q, k, v, n_heads):
+    """sarl.tensor.attention on projected q, k, v: the keys-major kernel
+    before the projections joined it."""
+    qd, qt = T._lift(q)
+    kd, kt = T._lift(k)
+    vd, vt = T._lift(v)
+    *lead, num_p, d_v = qd.shape
+    d = d_v // n_heads
+    scale = 1.0 / math.sqrt(d)
+
+    def heads(x):
+        return x.reshape(*lead, num_p, n_heads, d).swapaxes(-2, -3)
+
+    def merge(x):
+        return x.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
+
+    qh, kh, vh = heads(qd * scale), heads(kd), heads(vd)
+    et = kh @ qh.swapaxes(-1, -2)
+    et -= et.max(axis=-2, keepdims=True)
+    np.exp(et, out=et)
+    s = et.sum(axis=-2, keepdims=True).swapaxes(-1, -2)
+    o = et.swapaxes(-1, -2) @ vh
+    o /= s
+
+    def backward_fn(g):
+        go = heads(g) / s
+        if vt is not None:
+            T._accumulate(vt, merge(et @ go))
+        gx = np.empty((*go.shape[:-1], d + 1), go.dtype)
+        gx[..., :d] = go
+        gx[..., d] = -(go * o).sum(axis=-1)
+        v1 = np.empty(gx.shape, vh.dtype)
+        v1[..., :d] = vh
+        v1[..., d] = 1.0
+        dpt = v1 @ gx.swapaxes(-1, -2)
+        dpt *= et
+        if qt is not None:
+            T._accumulate(qt, merge(dpt.swapaxes(-1, -2) @ kh) * scale)
+        if kt is not None:
+            T._accumulate(kt, merge(dpt @ qh))
+
+    return T._make(merge(o), "attention", (qt, kt, vt), backward_fn)
+
+
+def bilinear_kernel(fu, sv, w):
+    """sarl.tensor.bilinear_scores on projected rows fu, sv and the
+    score weights w = mix score: the kernel before the products joined
+    it."""
+    fd, ft = T._lift(fu)
+    sd, st = T._lift(sv)
+    wd, wt = T._lift(w)
+    t = fd[..., :, None, :] * sd[..., None, :, :]
+    np.tanh(t, out=t)
+    flat = t.reshape(-1, t.shape[-1])
+
+    def backward_fn(g):
+        if wt is not None:
+            T._accumulate(wt, flat.T @ g.reshape(-1, 1))
+        dp = t * t
+        np.subtract(1.0, dp, out=dp)
+        dp *= g[..., None]
+        dp *= wd[:, 0]
+        if ft is not None:
+            T._accumulate(ft, np.einsum("...pcd,...cd->...pd", dp, sd))
+        if st is not None:
+            T._accumulate(st, np.einsum("...pcd,...pd->...cd", dp, fd))
+
+    return T._make((flat @ wd).reshape(t.shape[:-1]), "bilinear_scores",
+                   (ft, st, wt), backward_fn)
+
+
+def self_attention(fm, p):
+    f = fm.per_sample()
+    heads = attention_kernel(T.matmul(f, p.w_q), T.matmul(f, p.w_k),
+                             T.matmul(f, p.w_v), p.n_heads)
+    return FeatureMap(T.reshape(heads, fm.f.shape), fm.h, fm.w, fm.samples)
+
+
+def bilinear_mass(f, f_s, p):
+    fu = T.matmul(f, p.u)
+    fu = T.reshape(fu, (*f_s.shape[:-2], -1, fu.shape[1]))
+    return bilinear_kernel(fu, T.matmul(f_s, p.v), T.matmul(p.mix, p.score))
+
+
+def fuse_semantic(f_g, table, p):
+    stacked = T.concat([f_g, table], axis=-1)
+    return T.add(T.matmul(stacked, p.weight), p.bias)
+
+
+def region_score_aggregate(f_r, cls):
+    scores = T.add(T.matmul(f_r, cls.weights), cls.bias)
+    weights = T.softmax(scores, axis=-2)
+    return T.sum_(T.mul(weights, scores), axis=-2)
+
+
+def total_loss(l_cls, l_m, l_ot, w):
+    return T.add(l_cls, T.add(T.mul(l_m, w.lambda1), T.mul(l_ot, w.lambda2)))
+
+
+# the library functions each chain stands for, by module attribute
+HEAD_STAGES = {
+    ("sarl.representation", "self_attention"): self_attention,
+    ("sarl.representation", "fuse_semantic"): fuse_semantic,
+    ("sarl.transport", "bilinear_mass"): bilinear_mass,
+    ("sarl.head", "region_score_aggregate"): region_score_aggregate,
+    ("sarl.losses", "total_loss"): total_loss,
 }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sarl.cli import main
-from sarl.data import load_dataset, read_manifest
+from sarl.data import Dataset, load_dataset, read_manifest, save_dataset
 from sarl.metrics import load_predictions
 
 TINY_ARCH = ["--num-classes", "4", "--channels", "2", "--n-heads", "2",
@@ -259,6 +259,25 @@ class TestDamagedInputs:
             "train", "--out", str(run), "--train-data", str(bad),
             "--test-data", str(bad), *TINY_TRAIN])
         assert "truncated" in message
+        assert not (run / "run.log").exists()
+
+    @pytest.mark.parametrize("split,why", [
+        ("train", "the training split has no samples"),
+        ("test", "the test split has no positive label, so its mAP is undefined"),
+    ], ids=["empty-train", "test-without-positive"])
+    def test_split_train_cannot_use(self, tmp_path, split, why):
+        # refused before any run.log line, not after the last epoch
+        data = gen(tmp_path)
+        ds = load_dataset(data / f"{split}.bin")
+        bad = tmp_path / "bad.bin"
+        save_dataset(bad, Dataset(ds.payload[:0], ds.labels[:0]) if split == "train"
+                     else Dataset(ds.payload, 0 * ds.labels))
+        files = {"train": data / "train.bin", "test": data / "test.bin", split: bad}
+        run = tmp_path / "run"
+        message = exits_with_one_line("train", [
+            "train", "--out", str(run), "--train-data", str(files["train"]),
+            "--test-data", str(files["test"]), *TINY_TRAIN])
+        assert message == f"sarl train: {why}"
         assert not (run / "run.log").exists()
 
     def test_short_dataset_to_eval(self, tmp_path, trained):

@@ -1,5 +1,6 @@
 """The closed-form label-side ops against their primitive-op oracles,
-and the keys-major attention kernel against the queries-major one.
+the keys-major attention kernel against the queries-major one, and the
+fused head stages against the chains they replaced.
 
 Each fused op (asymmetric loss, cosine cost, scaled softmax, plan cost)
 must give the value and every gradient of its chain of primitive ops
@@ -9,6 +10,13 @@ gradients with either. Errors are measured as in
 :func:`sarl.gradcheck.gradient_error`: absolute, and relative for
 entries above 1 (the loss's gradient at the probability floor is about
 1e6).
+
+The five head stages that became one fused op each (self-attention, the
+bilinear scores, the semantic fusion, the region score aggregation and
+the total loss) compute what their chains did in the same order, so
+there the gate is bit equality, in float32 and float64, of the values
+and of every gradient, and of a whole model's loss and 17 parameter
+gradients.
 """
 
 import dataclasses
@@ -22,11 +30,12 @@ from hypothesis import given, settings, strategies as st
 from sarl import head
 from sarl import tensor as T
 from sarl.gradcheck import gradient_error, numeric_gradient
-from sarl.losses import PROB_FLOOR, AslConfig, asl
+from sarl.losses import PROB_FLOOR, AslConfig, LossWeights, asl
+from sarl.representation import FeatureMap, FusionParams, SelfAttentionParams
 from sarl.tensor import DimensionError, Tape, Tensor
 from sarl.training import TrainConfig, loss_weights, model_config
-from sarl.transport import (NORM_EPS, backward_plan, cost_matrix, ct_loss,
-                            forward_plan)
+from sarl.transport import (NORM_EPS, BilinearParams, backward_plan,
+                            cost_matrix, ct_loss, forward_plan)
 
 import composite_ops
 
@@ -222,12 +231,101 @@ class TestKeysMajorAttention:
                              ids=["p256-h8", "stack3-p16-h4"])
     def test_gate(self, shape, n_heads):
         rng = np.random.default_rng(shape[-2] + n_heads)
-        q, k, v = (Tensor(rng.normal(size=shape)) for _ in range(3))
+        x = Tensor(rng.normal(size=shape))
+        w = [Tensor(rng.normal(size=(32, 32)) / 6.0) for _ in range(3)]
         weights = rng.normal(size=shape)
-        assert_gate(upstream(lambda: T.attention(q, k, v, n_heads), weights),
-                    upstream(lambda: composite_ops.attention(q, k, v, n_heads),
-                             weights),
-                    [q, k, v])
+
+        def queries_major():
+            q, k, v = (T.matmul(x, wi) for wi in w)
+            return composite_ops.attention(q, k, v, n_heads)
+
+        assert_gate(upstream(lambda: T.attention(x, *w, n_heads), weights),
+                    upstream(queries_major, weights), [x] + w)
+
+
+# the five fused head stages, by name, in the library
+STAGE_MODULES = {name: module for module, name in composite_ops.HEAD_STAGES}
+STAGES = tuple(STAGE_MODULES)
+# each stage's records on one image, and on a 3-sample stack: self-attention
+# and the bilinear scores take the feature map's (N*P, d_v) rows, which a
+# reshape turns into the op's (N, P, d_v) samples and back
+RECORDS = {
+    "self_attention": (["attention"], ["reshape", "attention", "reshape"]),
+    "bilinear_mass": (["bilinear_scores"], ["reshape", "bilinear_scores"]),
+    "fuse_semantic": (["concat_linear"], ["concat_linear"]),
+    "region_score_aggregate": (["softmax_pool"], ["softmax_pool"]),
+    "total_loss": (["weighted_sum"], ["weighted_sum"]),
+}
+
+
+def library_stage(name):
+    return getattr(sys.modules[STAGE_MODULES[name]], name)
+
+
+def head_stage(name, samples, dtype, rng):
+    """(leaves, call) for one head stage at the default widths and a 4x4
+    grid: ``call(impl)`` runs ``impl``, the library's stage or its chain,
+    on the leaves and returns the output tensor."""
+    def leaf(*shape):
+        return Tensor((rng.normal(size=shape) * 0.5).astype(dtype))
+
+    num_p, d_v, num_c = 16, 32, 6
+    rows = (3 if samples else 1) * num_p
+    if name == "self_attention":
+        f = leaf(rows, d_v)
+        p = SelfAttentionParams(leaf(d_v, d_v), leaf(d_v, d_v), leaf(d_v, d_v))
+        return [f, p.w_q, p.w_k, p.w_v], lambda impl: impl(
+            FeatureMap(f, 4, 4, samples), p).f
+    if name == "bilinear_mass":
+        f, f_s = leaf(rows, d_v), leaf(*samples, num_c, d_v)
+        p = BilinearParams(leaf(d_v, 32), leaf(d_v, 32), leaf(32, 16), leaf(16, 1))
+        return [f, f_s, p.u, p.v, p.mix, p.score], lambda impl: impl(f, f_s, p)
+    if name == "fuse_semantic":
+        f_g, table = leaf(*samples, 1, d_v), leaf(num_c, 16)
+        p = FusionParams(leaf(d_v + 16, d_v), leaf(d_v))
+        return [f_g, table, p.weight, p.bias], lambda impl: impl(f_g, table, p)
+    if name == "region_score_aggregate":
+        f_r = leaf(*samples, num_p, d_v)
+        cls = head.ClassifierParams(leaf(d_v, num_c), leaf(num_c))
+        return [f_r, cls.weights, cls.bias], lambda impl: impl(f_r, cls)
+    losses = [leaf(*samples) for _ in range(3)]
+    return losses, lambda impl: impl(*losses, LossWeights(0.04, 0.5))
+
+
+def outputs_and_grads(call, leaves, weights):
+    """The stage's output and every leaf gradient under a loss that uses
+    each leaf again after the stage, so every leaf already holds a
+    gradient when the stage's backward adds its own."""
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        out = call()
+        loss = T.sum_(T.mul(out, weights[0]))
+        for t, w in zip(leaves, weights[1:]):
+            loss = T.add(loss, T.sum_(T.mul(t, w)))
+        tape.backward(loss)
+    return [out.data.copy()] + [t.grad.copy() for t in leaves]
+
+
+class TestHeadStages:
+    """Each fused head stage against the chain it replaced: the same
+    bits, output and gradients, for one image and a 3-sample stack."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("samples", [(), (3,)], ids=["one", "stack3"])
+    @pytest.mark.parametrize("name", STAGES)
+    def test_bit_identical_to_chain(self, name, samples, dtype):
+        rng = np.random.default_rng(STAGES.index(name) + 10 * len(samples))
+        leaves, call = head_stage(name, samples, dtype, rng)
+        chain = composite_ops.HEAD_STAGES[STAGE_MODULES[name], name]
+        shapes = [call(library_stage(name)).shape] + [t.shape for t in leaves]
+        weights = [np.asarray(rng.normal(size=s), dtype=dtype) for s in shapes]
+        got = outputs_and_grads(lambda: call(library_stage(name)), leaves, weights)
+        want = outputs_and_grads(lambda: call(chain), leaves, weights)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
 
 
 def swap_in(monkeypatch, impls):
@@ -238,32 +336,43 @@ def swap_in(monkeypatch, impls):
             monkeypatch.setattr(head, name, fn)
 
 
+VARIANTS = pytest.mark.parametrize("variant", [
+    {}, {"disable_self_attn": True}, {"disable_ot": True},
+    {"disable_gsp_fusion": True}, {"gsp_mode": "max"},
+], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "gsp-max"])
+
+
+def training_sample(variant, dtype):
+    """The parameters of a default model with ``variant`` applied, and
+    a builder of one training sample's loss on them."""
+    cfg = TrainConfig()
+    mcfg = dataclasses.replace(model_config(cfg), **variant)
+    weights = loss_weights(cfg)
+    rng = np.random.default_rng(len(variant) + 17 * len(str(variant)))
+    model = head.build_model(mcfg, seed=3, dtype=dtype)
+    params = model.parameters()
+    for p in params.values():  # move off the zero init of the biases
+        p.data = (p.data + rng.normal(size=p.data.shape) * 0.1).astype(dtype)
+    image = rng.normal(size=(cfg.image_size, cfg.image_size, cfg.channels))
+    labels = (rng.random(cfg.num_classes) < 0.4).astype(float)
+    labels[0] = 1.0
+
+    def sample(asl_cfg):
+        out = head.forward(image.astype(dtype), model, labels=labels)
+        return head.sample_losses(out, labels, asl_cfg, weights)[0]
+
+    return params, sample
+
+
 class TestModelGate:
-    """A float64 training sample: the same loss and 17 parameter
-    gradients with the fused ops as with the primitive chains."""
+    """A training sample: the same loss and 17 parameter gradients with
+    the fused ops as with the chains they replaced, within GATE for the
+    label side in float64 and bit for bit for the head stages."""
 
-    @pytest.mark.parametrize("variant", [
-        {}, {"disable_self_attn": True}, {"disable_ot": True},
-        {"disable_gsp_fusion": True}, {"gsp_mode": "max"},
-    ], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "gsp-max"])
+    @VARIANTS
     def test_loss_and_gradients(self, monkeypatch, variant):
-        cfg = TrainConfig()
-        mcfg = dataclasses.replace(model_config(cfg), **variant)
-        weights = loss_weights(cfg)
-        rng = np.random.default_rng(len(variant) + 17 * len(str(variant)))
-        model = head.build_model(mcfg, seed=3, dtype=np.float64)
-        params = model.parameters()
+        params, sample = training_sample(variant, np.float64)
         assert len(params) == 17
-        for p in params.values():  # move off the zero init of the biases
-            p.data = p.data + rng.normal(size=p.data.shape) * 0.1
-        image = rng.normal(size=(cfg.image_size, cfg.image_size, cfg.channels))
-        labels = (rng.random(cfg.num_classes) < 0.4).astype(float)
-        labels[0] = 1.0
-
-        def sample(asl_cfg):
-            out = head.forward(image, model, labels=labels)
-            return head.sample_losses(out, labels, asl_cfg, weights)[0]
-
         with monkeypatch.context() as m:  # the swap reaches every caller
             swap_in(m, composite_ops.LABEL_SIDE)
             with Tape() as tape:
@@ -279,6 +388,25 @@ class TestModelGate:
             assert gradient_error(fused[0], oracle[0]) <= GATE
             for name, a, b in zip(params, fused[1], oracle[1]):
                 assert gradient_error(a, b) <= GATE, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @VARIANTS
+    def test_head_stages_bit_identical(self, monkeypatch, variant, dtype):
+        params, sample = training_sample(variant, dtype)
+        leaves = list(params.values())
+        fused = value_and_grads(lambda: sample(AslConfig()), leaves)
+        with monkeypatch.context() as m:
+            swap_in(m, composite_ops.HEAD_STAGES)
+            with Tape() as tape:
+                sample(AslConfig())
+            assert {"mul", "sum"} <= {t.op for t in tape.tensors()}
+            chain = value_and_grads(lambda: sample(AslConfig()), leaves)
+        assert fused[0].dtype == dtype
+        np.testing.assert_array_equal(fused[0], chain[0])
+        for name, a, b in zip(params, fused[1], chain[1]):
+            assert a.dtype == b.dtype == dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestRecordsAndDtype:
@@ -296,6 +424,12 @@ class TestRecordsAndDtype:
         assert [t.op for t in tape.tensors()] == [
             "asymmetric_loss", "cosine_cost", "scaled_softmax",
             "scaled_softmax", "plan_cost"]
+        for name in STAGES:
+            for samples, want in zip(((), (3,)), RECORDS[name]):
+                _, call = head_stage(name, samples, np.float64, rng)
+                with Tape() as tape:
+                    call(library_stage(name))
+                assert [t.op for t in tape.tensors()] == want, (name, samples)
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(9)

@@ -274,6 +274,19 @@ class TestForward:
         for name in ("logits", "theta", "beta", "transport_cost"):
             assert getattr(out, name).dtype == np.float32, name
 
+    @pytest.mark.parametrize("shape", [(8, 8, 2), (3, 8, 8, 2)],
+                             ids=["image", "stack3"])
+    @pytest.mark.parametrize("kind", [np.float64, np.int64], ids=["float64", "int64"])
+    def test_image_takes_the_parameters_dtype(self, kind, shape):
+        # a float32 model runs a float64 or integer image in float32, on
+        # the bits of the image cast to float32
+        model = build_model(tiny_config(), seed=13, dtype=np.float32)
+        x = (np.random.default_rng(14).normal(size=shape) * 20).astype(kind)
+        out = forward(x, model)
+        assert out.logits.dtype == np.float32
+        np.testing.assert_array_equal(
+            out.logits.data, forward(x.astype(np.float32), model).logits.data)
+
     @pytest.mark.parametrize("shape", [(8, 8), (8,), (1, 2, 8, 8, 2)])
     def test_image_rank_outside_three_or_four_rejected(self, shape):
         model = build_model(tiny_config(), seed=13)

@@ -132,131 +132,146 @@ class TestSoftmax:
         np.testing.assert_array_equal(out.grad, upstream)
 
 
+def attention_leaves(rng, shape, d_v=8):
+    """x of ``shape`` and three (width, d_v) projection weights."""
+    x = Tensor(rng.normal(size=shape))
+    return [x] + [Tensor(rng.normal(size=(shape[-1], d_v)) / 3.0)
+                  for _ in range(3)]
+
+
 class TestAttention:
     @pytest.mark.parametrize("num_p,n_heads", [(5, 1), (5, 4), (1, 4)])
     def test_gradients(self, num_p, n_heads):
         rng = np.random.default_rng(40 + num_p + n_heads)
-        q, k, v = (Tensor(rng.normal(size=(num_p, 8))) for _ in range(3))
+        leaves = attention_leaves(rng, (num_p, 6))
         assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.attention(q, k, v, n_heads), 2)),
-            [q, k, v]) < 1e-4
+            lambda: T.sum_(T.pow_const(T.attention(*leaves, n_heads), 2)),
+            leaves) < 1e-4
 
     def test_inputs_and_upstream_gradient_untouched(self):
         # the op works in place, but only on buffers it allocated: its
         # inputs, the upstream gradient and the kept exp(logits), which a
         # second backward on the same tape would read back
         rng = np.random.default_rng(51)
-        q, k, v = (Tensor(rng.normal(size=(6, 8))) for _ in range(3))
-        before = [t.data.copy() for t in (q, k, v)]
+        leaves = attention_leaves(rng, (6, 8))
+        before = [t.data.copy() for t in leaves]
         upstream = rng.normal(size=(6, 8))
         with Tape() as tape:
-            out = T.attention(q, k, v, 4)
+            out = T.attention(*leaves, 4)
             loss = T.sum_(T.mul(out, upstream))
             tape.backward(loss)
-        first = [t.grad.copy() for t in (q, k, v)]
+        first = [t.grad.copy() for t in leaves]
         tape.backward(loss)
-        for t, data, grad in zip((q, k, v), before, first):
+        for t, data, grad in zip(leaves, before, first):
             np.testing.assert_array_equal(t.data, data)
             np.testing.assert_array_equal(t.grad, grad)
         np.testing.assert_array_equal(out.grad, upstream)
 
     @pytest.mark.parametrize("shapes,n_heads", [
-        (((4, 8), (4, 8), (3, 8)), 2),
-        (((4, 8), (4, 6), (4, 8)), 2),
-        (((2, 4, 8), (3, 4, 8), (2, 4, 8)), 2),
-        (((4, 8), (4, 8), (4, 8)), 3),
-        (((4, 8), (4, 8), (4, 8)), 0),
+        (((4, 6), (8, 8), (8, 8), (8, 8)), 2),
+        (((4, 8), (8, 8), (8, 6), (8, 8)), 2),
+        (((2, 4, 8), (2, 8, 8), (2, 8, 8), (2, 8, 8)), 2),
+        (((4, 8), (8, 8), (8, 8), (8, 8)), 3),
+        (((4, 8), (8, 8), (8, 8), (8, 8)), 0),
     ], ids=["rows", "width", "stacked", "heads-divide", "no-heads"])
     def test_bad_shapes_rejected(self, shapes, n_heads):
-        # mismatched leading axes are refused like any other mismatch
-        q, k, v = (Tensor(np.ones(s)) for s in shapes)
+        # weights whose rows miss x's width, unequal weights and stacked
+        # weights are refused like a head count that does not divide
+        leaves = [Tensor(np.ones(s)) for s in shapes]
         with pytest.raises(DimensionError, match=re.escape(
                 ", ".join(map(str, shapes)) if n_heads == 2 else "n_heads")):
-            T.attention(q, k, v, n_heads)
+            T.attention(*leaves, n_heads)
 
     def test_stack_of_three(self):
         # each leading index attends over its own rows: a per-sample loop
         # is the oracle, gradients pass, inputs and upstream stay intact
         rng = np.random.default_rng(52)
-        q, k, v = (Tensor(rng.normal(size=(3, 5, 8))) for _ in range(3))
-        before = [t.data.copy() for t in (q, k, v)]
+        x, *w = leaves = attention_leaves(rng, (3, 5, 6))
+        before = [t.data.copy() for t in leaves]
         upstream = rng.normal(size=(3, 5, 8))
         with Tape() as tape:
-            out = T.attention(q, k, v, 4)
+            out = T.attention(*leaves, 4)
             tape.backward(T.sum_(T.mul(out, upstream)))
         for i in range(3):
-            one = T.attention(q.data[i], k.data[i], v.data[i], 4).data
+            one = T.attention(x.data[i], *w, 4).data
             np.testing.assert_allclose(out.data[i], one, rtol=0, atol=1e-12)
-        for t, data in zip((q, k, v), before):
+        for t, data in zip(leaves, before):
             np.testing.assert_array_equal(t.data, data)
         np.testing.assert_array_equal(out.grad, upstream)
         assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.attention(q, k, v, 4), 2)),
-            [q, k, v]) < 1e-4
+            lambda: T.sum_(T.pow_const(T.attention(*leaves, 4), 2)),
+            leaves) < 1e-4
+
+
+def bilinear_leaves(rng, f_shape, s_shape, d1=3, d2=2):
+    """f, s and the scorer's u, v (d, d1), mix (d1, d2), score (d2, 1)."""
+    d = f_shape[-1]
+    return [Tensor(rng.normal(size=shape))
+            for shape in (f_shape, s_shape, (d, d1), (d, d1), (d1, d2), (d2, 1))]
 
 
 class TestBilinearScores:
     @pytest.mark.parametrize("num_p,num_c", [(5, 3), (1, 3), (5, 1)])
     def test_gradients(self, num_p, num_c):
         rng = np.random.default_rng(60 + num_p + num_c)
-        fu, sv, w = (Tensor(rng.normal(size=s))
-                     for s in ((num_p, 4), (num_c, 4), (4, 1)))
+        leaves = bilinear_leaves(rng, (num_p, 4), (num_c, 4))
         assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.bilinear_scores(fu, sv, w), 2)),
-            [fu, sv, w]) < 1e-4
+            lambda: T.sum_(T.pow_const(T.bilinear_scores(*leaves), 2)),
+            leaves) < 1e-4
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(61)
-        fu, sv, w = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=(5, 1))
-        out = T.bilinear_scores(Tensor(fu), Tensor(sv), Tensor(w)).data
+        leaves = bilinear_leaves(rng, (6, 5), (4, 5))
+        f, s, u, v, mix, score = (t.data for t in leaves)
+        out = T.bilinear_scores(*leaves).data
         for p in range(6):
             for c in range(4):
-                assert abs(out[p, c] - np.tanh(fu[p] * sv[c]) @ w[:, 0]) < 1e-12
+                want = np.tanh((f[p] @ u) * (s[c] @ v)) @ mix @ score[:, 0]
+                assert abs(out[p, c] - want) < 1e-12
 
     def test_inputs_and_upstream_gradient_untouched(self):
         # the op works in place, but only on buffers it allocated
         rng = np.random.default_rng(62)
-        fu, sv, w = (Tensor(rng.normal(size=s)) for s in ((6, 5), (4, 5), (5, 1)))
-        before = [t.data.copy() for t in (fu, sv, w)]
+        leaves = bilinear_leaves(rng, (6, 5), (4, 5))
+        before = [t.data.copy() for t in leaves]
         upstream = rng.normal(size=(6, 4))
         with Tape() as tape:
-            out = T.bilinear_scores(fu, sv, w)
+            out = T.bilinear_scores(*leaves)
             tape.backward(T.sum_(T.mul(out, upstream)))
-        for t, data in zip((fu, sv, w), before):
+        for t, data in zip(leaves, before):
             np.testing.assert_array_equal(t.data, data)
         np.testing.assert_array_equal(out.grad, upstream)
 
     @pytest.mark.parametrize("shapes", [
-        ((4, 5), (3, 6), (5, 1)),
-        ((4, 5), (3, 5), (5, 2)),
-        ((4, 5), (3, 5), (5,)),
-        ((2, 4, 5), (3, 5), (5, 1)),
-        ((2, 4, 5), (3, 3, 5), (5, 1)),
+        ((4, 5), (3, 6), (5, 3), (5, 3), (3, 2), (2, 1)),
+        ((4, 5), (3, 5), (5, 3), (5, 3), (3, 2), (2, 2)),
+        ((4, 5), (3, 5), (5, 3), (5, 3), (3, 2), (2,)),
+        ((2, 4, 5), (3, 5), (5, 3), (5, 3), (3, 2), (2, 1)),
+        ((2, 4, 5), (3, 3, 5), (5, 3), (5, 3), (3, 2), (2, 1)),
     ], ids=["width", "w-columns", "w-vector", "stacked", "unequal-leading-dims"])
     def test_bad_shapes_rejected(self, shapes):
-        fu, sv, w = (Tensor(np.ones(s)) for s in shapes)
+        leaves = [Tensor(np.ones(s)) for s in shapes]
         with pytest.raises(DimensionError, match=re.escape(
                 ", ".join(map(str, shapes)))):
-            T.bilinear_scores(fu, sv, w)
+            T.bilinear_scores(*leaves)
 
     def test_stack_of_three(self):
         rng = np.random.default_rng(63)
-        fu, sv, w = (Tensor(rng.normal(size=s))
-                     for s in ((3, 5, 4), (3, 2, 4), (4, 1)))
-        before = [t.data.copy() for t in (fu, sv, w)]
+        f, s, *w = leaves = bilinear_leaves(rng, (3, 5, 4), (3, 2, 4))
+        before = [t.data.copy() for t in leaves]
         upstream = rng.normal(size=(3, 5, 2))
         with Tape() as tape:
-            out = T.bilinear_scores(fu, sv, w)
+            out = T.bilinear_scores(*leaves)
             tape.backward(T.sum_(T.mul(out, upstream)))
         for i in range(3):
-            one = T.bilinear_scores(fu.data[i], sv.data[i], w.data).data
+            one = T.bilinear_scores(f.data[i], s.data[i], *w).data
             np.testing.assert_allclose(out.data[i], one, rtol=0, atol=1e-12)
-        for t, data in zip((fu, sv, w), before):
+        for t, data in zip(leaves, before):
             np.testing.assert_array_equal(t.data, data)
         np.testing.assert_array_equal(out.grad, upstream)
         assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.bilinear_scores(fu, sv, w), 2)),
-            [fu, sv, w]) < 1e-4
+            lambda: T.sum_(T.pow_const(T.bilinear_scores(*leaves), 2)),
+            leaves) < 1e-4
 
 
 class TestBackward:
@@ -508,10 +523,10 @@ class TestDeterminismAndDtype:
         b = Tensor(np.ones((2, 2), dtype=np.float32))
         assert T.matmul(a, b).dtype == np.float32
         assert T.add(a, 1.0).dtype == np.float32
-        assert T.attention(a, a, a, 2).dtype == np.float32
+        assert T.attention(a, a, a, a, 2).dtype == np.float32
         w = Tensor(np.ones((2, 1), dtype=np.float32))
         with Tape() as tape:
-            out = T.bilinear_scores(a, b, w)
+            out = T.bilinear_scores(a, b, a, a, a, w)
             tape.backward(T.sum_(out))
         assert out.dtype == np.float32
         assert a.grad.dtype == b.grad.dtype == w.grad.dtype == np.float32

@@ -264,7 +264,7 @@ class TestTrainLoop:
         with Tape() as tape:
             out = forward(image, model, labels=labels)
             sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
-        assert len(tape) == 40
+        assert len(tape) == 25
 
     def test_float32_step_stays_float32(self, monkeypatch):
         # the parameters' dtype is the only precision in a step: no value
@@ -428,6 +428,44 @@ class TestTrainLoop:
             train(cfg, Dataset(train_ds.payload, labels), test_ds,
                   log=lines.append)
         assert lines == []
+
+    @pytest.mark.parametrize("split", ["training", "test"])
+    def test_empty_split_rejected_before_training(self, split):
+        cfg = tiny_config()
+        splits = dict(zip(("training", "test"), generate(synthetic_config(cfg))))
+        ds = splits[split]
+        splits[split] = Dataset(ds.payload[:0], ds.labels[:0])
+        lines = []
+        with pytest.raises(TrainingError, match=f"^the {split} split has no samples$"):
+            train(cfg, splits["training"], splits["test"], log=lines.append)
+        assert lines == []
+
+    def test_test_split_without_positive_label_rejected_before_training(self):
+        # evaluate could not score its mAP after the last epoch
+        cfg = tiny_config()
+        train_ds, test_ds = generate(synthetic_config(cfg))
+        lines = []
+        with pytest.raises(TrainingError, match="^the test split has no positive label"):
+            train(cfg, train_ds, Dataset(test_ds.payload, 0 * test_ds.labels),
+                  log=lines.append)
+        assert lines == []
+
+    def test_float64_payload_trains_as_float32(self):
+        # the images take the parameters' dtype: a float64 copy of the
+        # float32 payloads trains and scores bit for bit alike
+        cfg = tiny_config(epochs=2)
+        splits = generate(synthetic_config(cfg))
+        runs = [train(cfg, *splits),
+                train(cfg, *(Dataset(ds.payload.astype(np.float64), ds.labels)
+                             for ds in splits))]
+        assert runs[0].history == runs[1].history
+        assert_array_equal(runs[0].predictions.scores, runs[1].predictions.scores)
+        for name, p in runs[0].model.parameters().items():
+            q = runs[1].model.parameters()[name]
+            assert p.dtype == q.dtype == np.float32, name
+            assert_array_equal(p.data, q.data, err_msg=name)
+        for name, shadow in runs[0].shadow.items():
+            assert_array_equal(shadow, runs[1].shadow[name], err_msg=name)
 
     def test_unknown_gsp_mode_rejected_before_training(self):
         cfg = tiny_config(gsp_mode="sum")

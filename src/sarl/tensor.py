@@ -5,9 +5,12 @@ primitive operation on an explicit :class:`Tape` and replaying the records
 in reverse order. With no tape active, ops are plain forward computations.
 
 Float64 is the default dtype and is what all tests and numeric oracles
-use; float32 is supported for faster training. Tensors are treated as
-immutable once recorded on a tape: optimizers replace ``.data`` wholesale
-between steps instead of mutating buffers in place.
+use; float32 is supported for faster training. Ops never write to an
+input's ``.data``, and a tape's records keep references to it. The
+optimizer (:func:`sarl.training.adamw_step`) does update the parameters
+in place: their ``.data`` are views of one flat buffer that it rewrites
+once per step. That is safe because no tape outlives its step, and the
+update runs only after every backward of the batch has finished.
 
 Training records 25 ops per sample at the default shape, on arrays of
 a few dozen entries, so a call's cost is its Python dispatch, not its
@@ -463,7 +466,7 @@ def attention(x, w_q, w_k, w_v, n_heads):
         raise DimensionError(
             f"attention needs (...,P,d_in) x and equal (d_in,d_v) weights, "
             f"got {xd.shape}, {qw.shape}, {kw.shape}, {vw.shape}")
-    *lead, num_p, _ = xd.shape
+    lead, num_p = xd.shape[:-2], xd.shape[-2]
     d_v = qw.shape[1]
     if n_heads < 1 or d_v % n_heads:
         raise DimensionError(f"n_heads={n_heads} must be >= 1 and divide d_v={d_v}")
@@ -471,10 +474,10 @@ def attention(x, w_q, w_k, w_v, n_heads):
     scale = 1.0 / math.sqrt(d)
 
     def heads(a):  # (..., P, d_v) -> (..., H, P, d) view
-        return a.reshape(*lead, num_p, n_heads, d).swapaxes(-2, -3)
+        return a.reshape(lead + (num_p, n_heads, d)).swapaxes(-2, -3)
 
     def merge(a):  # (..., H, P, d) -> (..., P, d_v) copy
-        return a.swapaxes(-2, -3).reshape(*lead, num_p, d_v)
+        return a.swapaxes(-2, -3).reshape(lead + (num_p, d_v))
 
     qh = heads(_rows_times(xd, qw) * scale)
     kh, vh = heads(_rows_times(xd, kw)), heads(_rows_times(xd, vw))

@@ -7,6 +7,10 @@ into an evaluation that is bit-identical to the one before saving.
 Tests build float64 models and pass float64 labels. Training records
 one tape per sample, gradients averaged over the batch, AdamW with
 decoupled weight decay, and an optional EMA shadow of every parameter.
+:func:`init_optimizer` lays the parameters out as views of one flat
+buffer, so the batch gradient sum, its finiteness check, AdamW and the
+EMA are each a few whole-buffer numpy calls, with the same float
+operations on each element as a loop over the parameters would do.
 Shuffling draws from a dedicated seeded stream, so two runs with the
 same config produce identical epoch logs and identical checkpoints.
 
@@ -180,41 +184,111 @@ def loss_weights(cfg: TrainConfig) -> LossWeights:
 
 @dataclass
 class OptimizerState:
-    """First/second moment buffers mirroring the parameter dict."""
+    """AdamW state over one flat buffer that every parameter views.
 
-    m: dict
-    v: dict
+    ``weights`` holds the parameters end to end, in the order of the dict
+    given to :func:`init_optimizer`, and each parameter's ``.data`` is a
+    view of it. ``m`` and ``v``, the first and second moments, and a
+    batch gradient are laid out alike; ``slices`` maps each parameter
+    name to its slice of them.
+    """
+
+    weights: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    slices: dict
+    shapes: dict
     step: int = 0
+
+    def __post_init__(self):
+        # two work buffers, so a step allocates no temporaries
+        self.scratch = (np.empty_like(self.weights),
+                        np.empty_like(self.weights))
+
+    def views(self, flat) -> dict:
+        """Name -> parameter-shaped view of a buffer laid out like weights."""
+        return {name: flat[sl].reshape(self.shapes[name])
+                for name, sl in self.slices.items()}
+
+    def first_non_finite(self, flat):
+        """The name of the parameter holding flat's first non-finite value,
+        or None when every value is finite."""
+        finite = np.isfinite(flat)
+        if finite.all():
+            return None
+        offset = int(np.argmin(finite))
+        return next(name for name, sl in self.slices.items()
+                    if offset < sl.stop)
 
 
 def init_optimizer(params: dict) -> OptimizerState:
-    return OptimizerState(
-        m={name: np.zeros_like(p.data) for name, p in params.items()},
-        v={name: np.zeros_like(p.data) for name, p in params.items()},
-    )
+    """Copy the parameters into one flat buffer and start AdamW on it.
+
+    Each ``p.data`` is rebound to its view of ``state.weights``, so one
+    whole-buffer update moves every parameter. All parameters must share
+    one dtype; the first that differs is refused by name.
+    """
+    first = next(iter(params))
+    dtype = params[first].data.dtype
+    slices, shapes, lo = {}, {}, 0
+    for name, p in params.items():
+        if p.data.dtype != dtype:
+            raise TypeError(f"parameter {name} is {p.data.dtype} but {first} "
+                            f"is {dtype}: the optimizer buffer holds one dtype")
+        slices[name] = slice(lo, lo + p.data.size)
+        shapes[name] = p.data.shape
+        lo += p.data.size
+    weights = np.concatenate([p.data for p in params.values()], axis=None)
+    for name, p in params.items():
+        p.data = weights[slices[name]].reshape(shapes[name])
+    return OptimizerState(weights, np.zeros_like(weights),
+                          np.zeros_like(weights), slices, shapes)
 
 
-def adamw_step(params: dict, grads: dict, state: OptimizerState, lr,
+def adamw_step(params: dict, grads, state: OptimizerState, lr,
                weight_decay=0.0):
-    """One decoupled-weight-decay Adam update, in place on params."""
+    """One decoupled-weight-decay Adam update, in place on state.weights.
+
+    ``params`` is the dict given to :func:`init_optimizer`, whose tensors
+    view the buffer, so the update reaches them without reading it; a
+    wrapper of the step can read the parameters there. ``grads`` is the
+    batch gradient laid out like the buffer.
+    Each element takes the operations of ``b1 * m + (1 - b1) * g``,
+    ``b2 * v + (1 - b2) * (g * g)``, ``m_hat / (sqrt(v_hat) + eps) +
+    weight_decay * w`` and ``w - lr * update`` in that order, so the
+    bits do not depend on the buffer layout.
+    """
     b1, b2 = ADAM_BETAS
     state.step += 1
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p.data
-        p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
+    w, m, v = state.weights, state.m, state.v
+    a, b = state.scratch
+    m *= b1
+    np.multiply(grads, 1.0 - b1, out=a)
+    m += a
+    v *= b2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - b2
+    v += a
+    np.divide(m, bias1, out=a)
+    np.divide(v, bias2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    np.multiply(w, weight_decay, out=b)
+    a += b
+    a *= lr
+    w -= a
 
 
-def ema_update(shadow: dict, params: dict, decay):
-    """shadow <- decay * shadow + (1 - decay) * params, in place."""
-    for name, p in params.items():
-        shadow[name] = decay * shadow[name] + (1.0 - decay) * p.data
+def ema_update(shadow, state: OptimizerState, decay):
+    """shadow <- decay * shadow + (1 - decay) * state.weights, in place on
+    the flat shadow buffer."""
+    a = state.scratch[0]
+    shadow *= decay
+    np.multiply(state.weights, 1.0 - decay, out=a)
+    shadow += a
     return shadow
 
 
@@ -227,10 +301,10 @@ class TrainResult:
     shadow: dict = None
 
 
-def _first_non_finite(tape: Tape, params: dict) -> str:
-    for name, p in params.items():
-        if not np.isfinite(p.data).all():
-            return f"parameter {name}"
+def _first_non_finite(tape: Tape, state: OptimizerState) -> str:
+    name = state.first_non_finite(state.weights)
+    if name is not None:
+        return f"parameter {name}"
     for t in tape.tensors():
         if not np.isfinite(t.data).all():
             return f"op {t.op!r} output of shape {t.data.shape}"
@@ -259,8 +333,12 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     model = build_model(mcfg, seed=cfg.seed, dtype=dtype)
     params = model.parameters()
     state = init_optimizer(params)
-    shadow = ({name: p.data.copy() for name, p in params.items()}
-              if cfg.use_ema else None)
+    shadow = state.weights.copy() if cfg.use_ema else None
+    # each sample's leaf gradients, gathered into one row; an unused
+    # parameter (p.grad None) adds its zeros
+    leaves = [(p, np.zeros(p.data.size, dtype)) for p in params.values()]
+    row = np.empty_like(state.weights)
+    grad_sum = np.empty_like(state.weights)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = len(train_ds)
     # here, not after the last epoch, where evaluate would refuse them
@@ -287,8 +365,7 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
         sums = {"total": 0.0, "cls": 0.0, "map": 0.0, "ot": 0.0}
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            grad_sum = {name: np.zeros(p.data.shape, p.data.dtype)
-                        for name, p in params.items()}
+            grad_sum.fill(0.0)
             for i in batch:
                 with Tape() as tape:
                     out = forward(images[i], model, labels=labels[i])
@@ -298,25 +375,25 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                         raise TrainingError(
                             f"non-finite loss at epoch {epoch}, training row "
                             f"{i}; first bad tensor: "
-                            + _first_non_finite(tape, params))
+                            + _first_non_finite(tape, state))
                     tape.backward(total)
-                for name, p in params.items():
-                    if p.grad is not None:
-                        grad_sum[name] += p.grad
+                np.concatenate([zero if p.grad is None else p.grad
+                                for p, zero in leaves], axis=None, out=row)
+                grad_sum += row
                 sums["total"] += total.item()
                 sums["cls"] += l_cls.item()
                 sums["map"] += l_m.item()
                 sums["ot"] += l_ot.item()
-            for name, g in grad_sum.items():
-                if not np.isfinite(g).all():
-                    raise TrainingError(
-                        f"non-finite gradient of parameter {name} at epoch "
-                        f"{epoch}, training rows {', '.join(map(str, batch))}")
-            grads = {name: g / len(batch) for name, g in grad_sum.items()}
-            adamw_step(params, grads, state, cfg.lr,
+            bad = state.first_non_finite(grad_sum)
+            if bad is not None:
+                raise TrainingError(
+                    f"non-finite gradient of parameter {bad} at epoch "
+                    f"{epoch}, training rows {', '.join(map(str, batch))}")
+            grad_sum /= len(batch)
+            adamw_step(params, grad_sum, state, cfg.lr,
                        weight_decay=cfg.weight_decay)
             if shadow is not None:
-                ema_update(shadow, params, cfg.ema_decay)
+                ema_update(shadow, state, cfg.ema_decay)
         means = {key: value / n for key, value in sums.items()}
         history.append({"epoch": epoch, **means})
         say(f"epoch {epoch:3d}  loss {means['total']:.6f}  "
@@ -325,6 +402,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
 
     report, preds = evaluate(model, test_ds)
     say(f"final test mAP {report.mean_ap:.4f}")
+    if shadow is not None:
+        shadow = state.views(shadow)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

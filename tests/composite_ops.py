@@ -32,6 +32,13 @@ semantic fusion (concat, product, bias), the region score aggregation
 (product, bias, softmax, product, sum) and the total loss (two
 products, two sums). The fused ops must give the same bits, values and
 gradients alike.
+
+:func:`train_by_parameter` is the training loop as it was before the
+parameters shared one flat buffer: a dict of per-parameter gradient
+sums, a finiteness check and AdamW and EMA updates that loop over the
+parameters by name (:func:`adamw_step_by_parameter`,
+:func:`ema_update_by_parameter`, :func:`first_non_finite_by_parameter`).
+:func:`sarl.training.train` must give its bits.
 """
 
 import math
@@ -39,6 +46,8 @@ import math
 import numpy as np
 
 from sarl import tensor as T
+from sarl import training as Tr
+from sarl.head import build_model, forward, sample_losses
 from sarl.losses import PROB_FLOOR
 from sarl.representation import FeatureMap
 from sarl.transport import NORM_EPS
@@ -387,3 +396,81 @@ HEAD_STAGES = {
     ("sarl.head", "region_score_aggregate"): region_score_aggregate,
     ("sarl.losses", "total_loss"): total_loss,
 }
+
+
+def adamw_step_by_parameter(params, grads, state, lr, weight_decay=0.0):
+    """AdamW one parameter at a time; state is {"m": {}, "v": {}, "step": 0}
+    with zero moments per name."""
+    b1, b2 = Tr.ADAM_BETAS
+    state["step"] += 1
+    bias1 = 1.0 - b1 ** state["step"]
+    bias2 = 1.0 - b2 ** state["step"]
+    m, v = state["m"], state["v"]
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        update = m_hat / (np.sqrt(v_hat) + Tr.ADAM_EPS) + weight_decay * p.data
+        p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
+
+
+def ema_update_by_parameter(shadow, params, decay):
+    for name, p in params.items():
+        shadow[name] = decay * shadow[name] + (1.0 - decay) * p.data
+
+
+def first_non_finite_by_parameter(grads):
+    """The first name, in dict order, whose gradient holds a non-finite
+    value, or None."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            return name
+    return None
+
+
+def train_by_parameter(cfg, train_ds, test_ds):
+    """sarl.training.train's loop with the per-parameter bookkeeping:
+    returns the trained parameters, the EMA shadow (None without EMA),
+    the per-epoch loss history and the test scores."""
+    model = build_model(Tr.model_config(cfg), seed=cfg.seed, dtype=np.float32)
+    params = model.parameters()
+    state = {"m": {name: np.zeros_like(p.data) for name, p in params.items()},
+             "v": {name: np.zeros_like(p.data) for name, p in params.items()},
+             "step": 0}
+    shadow = ({name: p.data.copy() for name, p in params.items()}
+              if cfg.use_ema else None)
+    acfg, weights = Tr.asl_config(cfg), Tr.loss_weights(cfg)
+    shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
+    labels = train_ds.labels.astype(np.float32)
+    n = len(train_ds)
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        sums = {"total": 0.0, "cls": 0.0, "map": 0.0, "ot": 0.0}
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            grad_sum = {name: np.zeros(p.data.shape, p.data.dtype)
+                        for name, p in params.items()}
+            for i in batch:
+                with T.Tape() as tape:
+                    out = forward(train_ds.payload[i], model, labels=labels[i])
+                    losses = sample_losses(out, labels[i], acfg, weights)
+                    tape.backward(losses[0])
+                for name, p in params.items():
+                    if p.grad is not None:
+                        grad_sum[name] += p.grad
+                for key, loss in zip(sums, losses):
+                    sums[key] += loss.item()
+            assert first_non_finite_by_parameter(grad_sum) is None
+            grads = {name: g / len(batch) for name, g in grad_sum.items()}
+            adamw_step_by_parameter(params, grads, state, cfg.lr,
+                                    weight_decay=cfg.weight_decay)
+            if shadow is not None:
+                ema_update_by_parameter(shadow, params, cfg.ema_decay)
+        history.append({"epoch": epoch,
+                        **{key: value / n for key, value in sums.items()}})
+    _, preds = Tr.evaluate(model, test_ds)
+    return ({name: p.data for name, p in params.items()}, shadow, history,
+            preds.scores)

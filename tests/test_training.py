@@ -25,6 +25,8 @@ from sarl.training import (TrainConfig, TrainingError, adamw_step,
                            synthetic_config, train, write_pgm)
 from sarl import training as Tr
 
+import composite_ops
+
 
 def adamw_oracle(p, grads, lr, betas, eps, wd, steps):
     """Run the update rule by hand for a single array."""
@@ -50,72 +52,79 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
+def flat_params(*arrays):
+    """Name -> Tensor for each array, bound to a fresh optimizer state."""
+    params = {f"p{i}": Tensor(a) for i, a in enumerate(arrays)}
+    return params, init_optimizer(params)
+
+
 class TestAdamW:
     def test_zero_grad_is_pure_decay(self):
         rng = np.random.default_rng(0)
-        params = {"w": Tensor(rng.normal(size=(3, 4)))}
-        before = params["w"].data.copy()
-        state = init_optimizer(params)
-        grads = {"w": np.zeros((3, 4))}
+        params, state = flat_params(rng.normal(size=(3, 4)))
+        before = params["p0"].data.copy()
         lr, wd = 0.05, 0.1
-        adamw_step(params, grads, state, lr, weight_decay=wd)
-        assert_allclose(params["w"].data, before * (1 - lr * wd), rtol=1e-12)
+        adamw_step(params, np.zeros(12), state, lr, weight_decay=wd)
+        assert_allclose(params["p0"].data, before * (1 - lr * wd), rtol=1e-12)
 
     def test_first_step_moves_by_lr(self):
         # g=1 makes the bias-corrected m_hat and v_hat both 1, so the
         # step is -lr up to the eps in the denominator
-        params = {"w": Tensor(np.zeros(1))}
-        state = init_optimizer(params)
-        adamw_step(params, {"w": np.ones(1)}, state, lr=0.1)
-        assert_allclose(params["w"].data, [-0.1], atol=1e-8)
+        params, state = flat_params(np.zeros(1))
+        adamw_step(params, np.ones(1), state, lr=0.1)
+        assert_allclose(params["p0"].data, [-0.1], atol=1e-8)
 
     def test_matches_hand_rolled_reference(self):
+        # two parameters of different shapes share the buffer; each
+        # follows its own oracle
         rng = np.random.default_rng(5)
         for trial in range(10):
-            p0 = rng.normal(size=(4, 3))
-            gs = [rng.normal(size=(4, 3)) for _ in range(3)]
-            params = {"w": Tensor(p0.copy())}
-            state = init_optimizer(params)
+            p0, q0 = rng.normal(size=(4, 3)), rng.normal(size=(5,))
+            gs = [rng.normal(size=17) for _ in range(3)]
+            params, state = flat_params(p0.copy(), q0.copy())
             for g in gs:
-                adamw_step(params, {"w": g}, state, lr=0.01,
-                           weight_decay=0.02)
-            want = adamw_oracle(p0, gs, 0.01, (0.9, 0.999), 1e-8, 0.02, 3)
-            assert_allclose(params["w"].data, want, atol=1e-12)
+                adamw_step(params, g, state, lr=0.01, weight_decay=0.02)
+            want_p = adamw_oracle(p0, [g[:12].reshape(4, 3) for g in gs],
+                                  0.01, (0.9, 0.999), 1e-8, 0.02, 3)
+            want_q = adamw_oracle(q0, [g[12:] for g in gs],
+                                  0.01, (0.9, 0.999), 1e-8, 0.02, 3)
+            assert_allclose(params["p0"].data, want_p, atol=1e-12)
+            assert_allclose(params["p1"].data, want_q, atol=1e-12)
 
     def test_step_counter_advances(self):
-        params = {"w": Tensor(np.ones(2))}
-        state = init_optimizer(params)
+        params, state = flat_params(np.ones(2))
         assert state.step == 0
-        adamw_step(params, {"w": np.ones(2)}, state, lr=0.1)
-        adamw_step(params, {"w": np.ones(2)}, state, lr=0.1)
+        adamw_step(params, np.ones(2), state, lr=0.1)
+        adamw_step(params, np.ones(2), state, lr=0.1)
         assert state.step == 2
 
     def test_preserves_float32(self):
-        params = {"w": Tensor(np.ones(2, dtype=np.float32))}
-        state = init_optimizer(params)
-        adamw_step(params, {"w": np.ones(2, dtype=np.float32)}, state,
-                   lr=0.1)
-        assert params["w"].data.dtype == np.float32
+        params, state = flat_params(np.ones(2, dtype=np.float32),
+                                    np.ones((2, 2), dtype=np.float32))
+        adamw_step(params, np.ones(6, dtype=np.float32), state, lr=0.1)
+        for buf in (state.weights, state.m, state.v, params["p0"].data,
+                    params["p1"].data):
+            assert buf.dtype == np.float32
 
 
 class TestEma:
     def test_decay_zero_copies_params(self):
-        params = {"w": Tensor(np.full(3, 2.0))}
-        shadow = {"w": np.zeros(3)}
-        ema_update(shadow, params, 0.0)
-        assert_array_equal(shadow["w"], params["w"].data)
+        params, state = flat_params(np.full(3, 2.0))
+        shadow = np.zeros(3)
+        ema_update(shadow, state, 0.0)
+        assert_array_equal(shadow, params["p0"].data)
 
     def test_decay_one_freezes_shadow(self):
-        params = {"w": Tensor(np.full(3, 2.0))}
-        shadow = {"w": np.full(3, 7.0)}
-        ema_update(shadow, params, 1.0)
-        assert_array_equal(shadow["w"], np.full(3, 7.0))
+        params, state = flat_params(np.full(3, 2.0))
+        shadow = np.full(3, 7.0)
+        ema_update(shadow, state, 1.0)
+        assert_array_equal(shadow, np.full(3, 7.0))
 
     def test_half_decay_is_midpoint(self):
-        params = {"w": Tensor(np.full(1, 2.0))}
-        shadow = {"w": np.zeros(1)}
-        ema_update(shadow, params, 0.5)
-        assert_allclose(shadow["w"], [1.0], atol=1e-15)
+        params, state = flat_params(np.full(1, 2.0))
+        shadow = np.zeros(1)
+        ema_update(shadow, state, 0.5)
+        assert_allclose(shadow, [1.0], atol=1e-15)
 
     def test_shadow_model_does_not_touch_training_weights(self):
         cfg = tiny_config(epochs=1)
@@ -127,6 +136,119 @@ class TestEma:
             assert_array_equal(p.data, raw[key])
         for key, p in twin.parameters().items():
             assert_array_equal(p.data, res.shadow[key])
+
+
+# small runs at the default shape: 40 samples make batches of 16, 16, 8
+GATE_CONFIGS = {
+    "defaults": {},
+    "disable_ot": {"disable_ot": True},
+    "disable_self_attn": {"disable_self_attn": True},
+    "disable_gsp_fusion": {"disable_gsp_fusion": True},
+    "gsp_max": {"gsp_mode": "max"},
+    "no_ema": {"use_ema": False},
+}
+
+# (parameter, index into its flattened gradient): flat offset 0, the two
+# sides of the attention.w_v / fusion.weight boundary, the last value
+BOUNDARY_NANS = [("encoder.kernel0", 0), ("attention.w_v", -1),
+                 ("fusion.weight", 0), ("classifier.bias", -1)]
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("overrides", GATE_CONFIGS.values(),
+                             ids=GATE_CONFIGS.keys())
+    def test_train_matches_per_parameter_loop(self, overrides):
+        # the whole-buffer gradient sum, AdamW and EMA give the bits of
+        # the loops over the parameter dict they replaced
+        cfg = TrainConfig(n_train=40, n_test=20, epochs=3, **overrides)
+        train_ds, test_ds = generate(synthetic_config(cfg))
+        res = train(cfg, train_ds, test_ds)
+        params, shadow, history, scores = composite_ops.train_by_parameter(
+            cfg, train_ds, test_ds)
+        for name, p in res.model.parameters().items():
+            assert_array_equal(p.data, params[name], err_msg=name)
+        assert (res.shadow is None) == (shadow is None) == (not cfg.use_ema)
+        for name, s in (shadow or {}).items():
+            assert_array_equal(res.shadow[name], s, err_msg=name)
+        assert res.history == history
+        assert_array_equal(res.predictions.scores, scores)
+
+    @pytest.mark.parametrize("name, index", BOUNDARY_NANS)
+    def test_nan_gradient_at_slice_boundary_names_parameter(
+            self, monkeypatch, name, index):
+        # the name read from the offset of the first bad value is the one
+        # the loop over the parameter dict finds first
+        cfg = tiny_config(use_ema=False, epochs=1)
+        model = build_model(model_config(cfg), dtype=np.float32)
+        state = init_optimizer(model.parameters())
+        flat = np.zeros_like(state.weights)
+        flat[state.slices[name]][index] = np.nan
+        assert state.first_non_finite(flat) == name
+        assert composite_ops.first_non_finite_by_parameter(
+            state.views(flat)) == name
+
+        train_ds, test_ds = generate(synthetic_config(cfg))
+        models, real_build, real_backward = [], Tr.build_model, Tape.backward
+
+        def building(*args, **kwargs):
+            models.append(real_build(*args, **kwargs))
+            return models[-1]
+
+        def backward(tape, loss):
+            real_backward(tape, loss)
+            p = models[0].parameters()[name]
+            p.grad = p.grad.copy()
+            p.grad.flat[index] = np.nan
+
+        monkeypatch.setattr(Tr, "build_model", building)
+        monkeypatch.setattr(Tape, "backward", backward)
+        with pytest.raises(TrainingError, match=re.escape(
+                f"non-finite gradient of parameter {name} at epoch 1, ")):
+            train(cfg, train_ds, test_ds)
+
+    def test_parameters_view_the_optimizer_buffer(self):
+        model = build_model(model_config(tiny_config()), dtype=np.float32)
+        params = model.parameters()
+        before = {name: p.data.copy() for name, p in params.items()}
+        state = init_optimizer(params)
+        assert state.weights.size == sum(a.size for a in before.values())
+        for name, p in params.items():
+            assert np.shares_memory(p.data, state.weights), name
+            assert_array_equal(p.data, before[name], err_msg=name)
+        adamw_step(params, np.ones_like(state.weights), state, lr=0.1)
+        for name, p in params.items():
+            assert not np.array_equal(p.data, before[name]), name
+
+    def test_shadow_arrays_do_not_alias_live_weights(self):
+        cfg = tiny_config(epochs=1)
+        res = train(cfg, *generate(synthetic_config(cfg)))
+        live = [p.data for p in res.model.parameters().values()]
+        twin = shadow_model(res.model, res.shadow)
+        for arrays in (res.shadow.values(),
+                       [p.data for p in twin.parameters().values()]):
+            for a in arrays:
+                assert not any(np.shares_memory(a, w) for w in live)
+
+    def test_reloaded_model_trains(self, tmp_path):
+        cfg = tiny_config(epochs=1)
+        train(cfg, *generate(synthetic_config(cfg)), out_dir=tmp_path)
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        params = loaded.parameters()
+        before = {name: p.data.copy() for name, p in params.items()}
+        state = init_optimizer(params)
+        adamw_step(params, np.ones_like(state.weights), state, lr=0.1)
+        for name, p in params.items():
+            assert p.data.dtype == np.float32, name
+            assert_allclose(p.data, before[name] - 0.1, atol=1e-6,
+                            err_msg=name)
+
+    def test_mixed_dtypes_refused_by_name(self):
+        params = {"a": Tensor(np.zeros(2, dtype=np.float32)),
+                  "b": Tensor(np.zeros(2, dtype=np.float32)),
+                  "c": Tensor(np.zeros(2))}
+        with pytest.raises(TypeError, match="^parameter c is float64 but a "
+                                            "is float32"):
+            init_optimizer(params)
 
 
 class TestConfig:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "parse_value",
+    "check_finite",
 ]
 
 MAGIC = b"SARL"
@@ -73,6 +74,7 @@ class SyntheticConfig:
             raise ValueError(f"images must be at least {BLOB_SIZE}x{BLOB_SIZE}")
         if self.noise < 0:
             raise ValueError(f"noise={self.noise} must be >= 0")
+        check_finite(self)
 
 
 @dataclass
@@ -302,3 +304,12 @@ def parse_value(key, text: str, kind: type):
             raise ValueError(f"{key!r} is {text!r}, not a finite number")
         return value
     return text
+
+
+def check_finite(cfg):
+    """Refuse a dataclass config whose float field is NaN or infinite,
+    naming the field as :func:`parse_value` does."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name!r} is {value}, not a finite number")

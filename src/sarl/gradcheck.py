@@ -100,7 +100,6 @@ def run_suite(verbose=True):
     m1, m2 = rt(3, 4), rt(4, 2)
     check("matmul", lambda: T.sum_(T.mul(T.matmul(m1, m2), T.matmul(m1, m2))), [m1, m2])
     check("reshape", lambda: T.sum_(T.pow_const(T.reshape(a, (4, 3)), 2)), [a])
-    check("concat", lambda: T.sum_(T.pow_const(T.concat([a, b], axis=1), 2)), [a, b])
     check("sigmoid", lambda: T.sum_(T.sigmoid(a)), [a])
     shifted = Tensor(rng.normal(size=(3, 4)) + 0.05)  # keep entries off the kink
     check("relu", lambda: T.sum_(T.relu(shifted)), [shifted])

@@ -187,9 +187,9 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
 
     x is an (H, W, channels) image or an (N, H, W, channels) stack. A
     stack runs through the same ops as one image, with a leading N axis
-    on the logits (N, C), the features and the attention (see
-    :mod:`sarl.representation`); only self-attention and the bilinear
-    scores are called once per sample. :func:`sarl.training.evaluate`
+    on the logits (N, C), the features (N, P, d_v) and the attention
+    (see :mod:`sarl.representation`); only self-attention and the
+    bilinear scores are called once per sample. :func:`sarl.training.evaluate`
     scores a split this way, one call per chunk of samples.
 
     An image array is cast once here to the parameters' dtype, so an
@@ -205,9 +205,10 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     if not isinstance(x, Tensor):
         x = np.asarray(x, dtype=dtype)
     shape = x.shape
-    if len(shape) not in (3, 4):
+    if len(shape) not in (3, 4) or not all(shape):
         raise ConfigError(f"forward takes an (H, W, C) image or an "
-                          f"(N, H, W, C) stack, got shape {shape}")
+                          f"(N, H, W, C) stack, none of its axes empty, "
+                          f"got shape {shape}")
     if labels is not None:
         labels = np.asarray(labels, dtype=dtype)
         if len(shape) != 3 or labels.shape != (cfg.num_classes,):
@@ -219,28 +220,29 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     # called once per sample: perfbench's tracer prices every call of
     # these two stages from its argument shapes and averages per call, so
     # chunk-sized calls mixed with training's one-sample calls would make
-    # its per-layer counts depend on timing (ROADMAP item 4).
+    # its per-layer counts depend on timing (ROADMAP item 1).
     fm = encode(x, cfg.encoder, model.encoder)
+    stacked = len(shape) == 4
     parts = fm.split()
     if not cfg.disable_self_attn:
         parts = [self_attention(one, model.attention) for one in parts]
-        fm = FeatureMap.join(parts, fm.samples)
+        fm = FeatureMap.join(parts) if stacked else parts[0]
 
     if cfg.disable_gsp_fusion:
-        f_g = Tensor(np.zeros((*fm.samples, 1, cfg.feature_dim), dtype=fm.f.dtype))
+        f_g = Tensor(np.zeros((*fm.f.shape[:-2], 1, cfg.feature_dim),
+                              dtype=fm.f.dtype))
     else:
         f_g = global_spatial_pool(fm, cfg.gsp_mode)
     f_s = fuse_semantic(f_g, model.labels, model.fusion)
 
     if cfg.disable_ot:
-        patches = fm.per_sample()
-        logits = region_score_aggregate(patches, model.classifier)
+        logits = region_score_aggregate(fm.f, model.classifier)
         return ForwardOutput(logits=logits, features=fm,
-                             semantic_features=f_s, aligned=patches)
+                             semantic_features=f_s, aligned=fm.f)
 
     masses = [bilinear_mass(one.f, s, model.bilinear) for one, s in
-              zip(parts, T.unstack(f_s) if fm.samples else [f_s])]
-    mass = T.stack(masses) if fm.samples else masses[0]
+              zip(parts, T.unstack(f_s) if stacked else [f_s])]
+    mass = T.stack(masses) if stacked else masses[0]
     attn = semantic_attention(mass)
     aligned = semantic_repr(attn, f_s)
     logits = region_score_aggregate(aligned, model.classifier)

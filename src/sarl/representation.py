@@ -6,9 +6,9 @@ row F_G (1 x d_v), and fusing F_G with a learnable label-embedding table
 gives one semantic-related feature row per class, F_S (C x d_v). F, F_G
 and F_S are everything the transport stage downstream needs.
 
-An (N, H, W, C) stack of images runs through the same functions: F
-stacks the N samples' patch rows into (N*P, d_v), and F_G and F_S gain a
-leading sample axis, (N, 1, d_v) and (N, C, d_v).
+An (N, H, W, C) stack of images runs through the same functions: F, F_G
+and F_S gain a leading sample axis, (N, P, d_v), (N, 1, d_v) and
+(N, C, d_v).
 """
 
 from __future__ import annotations
@@ -85,42 +85,35 @@ class EncoderParams:
 class FeatureMap:
     """Patch features F plus the grid shape they came from.
 
-    ``f`` holds the P = h*w patch rows of every sample, one after the
-    other: (P, d_v) for one image (``samples=()``), (N*P, d_v) for a
-    stack of N (``samples=(N,)``). :meth:`split` and :meth:`join` go
-    between a stack and its single-image maps.
+    ``f`` holds the P = h*w patch rows of one image, (P, d_v), or of
+    each image in a stack of N, (N, P, d_v); its sample axes are
+    ``f.shape[:-2]``. :meth:`split` and :meth:`join` go between a stack
+    and its single-image maps.
     """
 
     f: Tensor
     h: int
     w: int
-    samples: tuple = ()
 
     def __post_init__(self):
-        if self.f.shape[0] != math.prod(self.samples) * self.h * self.w:
-            grids = f"{self.samples} stack of" if self.samples else "a"
-            raise ConfigError(f"{self.f.shape[0]} patch rows cannot tile "
-                              f"{grids} {self.h}x{self.w} grid")
-
-    def per_sample(self) -> Tensor:
-        """F as (*samples, P, d_v); for one image, F itself, unrecorded."""
-        if not self.samples:
-            return self.f
-        return T.reshape(self.f, (*self.samples, self.h * self.w, self.f.shape[1]))
+        shape = self.f.shape
+        if (len(shape) not in (2, 3) or shape[-2] != self.h * self.w
+                or not all(shape)):
+            raise ConfigError(f"features of shape {shape} are not the (P, d_v) "
+                              f"or (N, P, d_v) patch rows of a "
+                              f"{self.h}x{self.w} grid")
 
     def split(self) -> list:
         """One single-image map per sample; [self] for one image."""
-        if not self.samples:
+        if len(self.f.shape) == 2:
             return [self]
-        return [FeatureMap(f, self.h, self.w) for f in T.unstack(self.per_sample())]
+        return [FeatureMap(f, self.h, self.w) for f in T.unstack(self.f)]
 
     @staticmethod
-    def join(parts: list, samples: tuple) -> "FeatureMap":
-        """The inverse of :meth:`split`: the parts' rows stacked in order."""
-        if not samples:
-            return parts[0]
-        return FeatureMap(T.concat([p.f for p in parts], axis=0),
-                          parts[0].h, parts[0].w, samples)
+    def join(parts: list) -> "FeatureMap":
+        """The inverse of :meth:`split` on a stack: the parts stacked in
+        order."""
+        return FeatureMap(T.stack([p.f for p in parts]), parts[0].h, parts[0].w)
 
 
 @dataclass
@@ -185,7 +178,7 @@ def init_fusion(rng, d_v, label_dim) -> FusionParams:
 
 def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
     """Turn an (H, W, C) image or an (N, H, W, C) stack (array or Tensor)
-    into patch features."""
+    into (P, d_v) or (N, P, d_v) patch features."""
     if x.shape[-1] != cfg.in_channels:
         raise ConfigError(
             f"image has {x.shape[-1]} channels, config says {cfg.in_channels}")
@@ -199,8 +192,8 @@ def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
         raise ConfigError(
             f"encoder produced a {h.shape[-3]}x{h.shape[-2]} grid, "
             f"config says {cfg.grid_h}x{cfg.grid_w}")
-    f = T.reshape(h, (-1, h.shape[-1]))
-    return FeatureMap(f, cfg.grid_h, cfg.grid_w, tuple(h.shape[:-3]))
+    f = T.reshape(h, (*h.shape[:-3], -1, h.shape[-1]))
+    return FeatureMap(f, cfg.grid_h, cfg.grid_w)
 
 
 def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
@@ -208,24 +201,24 @@ def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
 
     Per head: softmax(Q Kt / sqrt(d)) V with d = d_v / n_heads, computed
     with the projections by one :func:`sarl.tensor.attention` call (one
-    tape record for one image), each sample attending over its own
-    patches. There is no output projection, residual, or layer norm;
-    head outputs are concatenated back to width d_v.
+    tape record), each sample of a stack attending over its own patches.
+    There is no output projection, residual, or layer norm; head outputs
+    are concatenated back to width d_v.
     """
-    d_v = fm.f.shape[1]
+    d_v = fm.f.shape[-1]
     if p.w_q.shape != (d_v, d_v):
         raise ConfigError(f"attention weights {p.w_q.shape} vs d_v={d_v}")
-    heads = T.attention(fm.per_sample(), p.w_q, p.w_k, p.w_v, p.n_heads)
-    return FeatureMap(T.reshape(heads, fm.f.shape), fm.h, fm.w, fm.samples)
+    return FeatureMap(T.attention(fm.f, p.w_q, p.w_k, p.w_v, p.n_heads),
+                      fm.h, fm.w)
 
 
 def global_spatial_pool(fm: FeatureMap, mode="avg") -> Tensor:
     """Columnwise mean (or max) over each sample's patches:
     F (P x d_v) -> F_G (1 x d_v), or (N, 1, d_v) for a stack."""
     if mode == "avg":
-        return T.mean(fm.per_sample(), axis=-2, keepdims=True)
+        return T.mean(fm.f, axis=-2, keepdims=True)
     if mode == "max":
-        return T.max_reduce(fm.per_sample(), axis=-2, keepdims=True)
+        return T.max_reduce(fm.f, axis=-2, keepdims=True)
     raise ConfigError(f"unknown pooling mode {mode!r}")
 
 

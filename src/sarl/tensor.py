@@ -39,7 +39,6 @@ __all__ = [
     "mul",
     "matmul",
     "reshape",
-    "concat",
     "unstack",
     "stack",
     "sigmoid",
@@ -275,49 +274,12 @@ def matmul(a, b):
 
 
 def reshape(a, shape):
-    """Reshape; a tensor reshaped to its own shape is returned unrecorded."""
     ad, at = _lift(a)
-    out_data = ad.reshape(shape)
-    if at is not None and out_data.shape == ad.shape:
-        return at
 
     def backward_fn(g):
         _accumulate(at, g.reshape(ad.shape))
 
-    return _make(out_data.copy(), "reshape", (at,), backward_fn)
-
-
-def concat(parts, axis=0):
-    """Join along ``axis`` of the widest part; the other axes broadcast as
-    in numpy arithmetic, so one table can be joined to every sample of a
-    stack."""
-    lifted = [_lift(p) for p in parts]
-    ndim = max(d.ndim for d, _ in lifted)
-    axis %= ndim
-    shapes = [(1,) * (ndim - d.ndim) + d.shape for d, _ in lifted]
-    rest = []
-    for sizes in zip(*(s[:axis] + s[axis + 1:] for s in shapes)):
-        wide = set(sizes) - {1}
-        if len(wide) > 1:
-            raise DimensionError(f"concat cannot broadcast "
-                                 f"{[d.shape for d, _ in lifted]} along axis {axis}")
-        rest.append(wide.pop() if wide else 1)
-    # one slice of the output per part, in order along axis
-    cuts, lo = [], 0
-    for s in shapes:
-        cuts.append((slice(None),) * axis + (slice(lo, lo + s[axis]),))
-        lo += s[axis]
-    out = np.empty((*rest[:axis], lo, *rest[axis:]),
-                   dtype=np.result_type(*(d for d, _ in lifted)))
-    for (d, _), s, cut in zip(lifted, shapes, cuts):
-        out[cut] = d.reshape(s)
-
-    def backward_fn(g):
-        for (d, t), cut in zip(lifted, cuts):
-            if t is not None:
-                _accumulate(t, _unbroadcast(g[cut], d.shape))
-
-    return _make(out, "concat", [t for _, t in lifted], backward_fn)
+    return _make(ad.reshape(shape).copy(), "reshape", (at,), backward_fn)
 
 
 def unstack(a):

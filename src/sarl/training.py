@@ -30,8 +30,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import (Dataset, SyntheticConfig, parse_value, read_manifest_lines,
-                   write_manifest)
+from .data import (Dataset, SyntheticConfig, check_finite, parse_value,
+                   read_manifest_lines, write_manifest)
 from .head import (ModelBundle, ModelConfig, build_model, forward,
                    sample_losses, save_checkpoint)
 from .losses import AslConfig, LossWeights
@@ -121,6 +121,7 @@ class TrainConfig:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
         asl_config(self)
         loss_weights(self)
+        check_finite(self)
 
 
 def config_from_file(path, base: TrainConfig = None) -> TrainConfig:
@@ -452,6 +453,9 @@ def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
     One forward call per chunk of :func:`chunk_size` samples.
     """
     n = len(ds)
+    if n == 0:
+        raise ValueError(f"evaluate needs at least one sample, got an empty "
+                         f"split of payload shape {ds.payload.shape}")
     num_c = model.config.num_classes
     if ds.num_classes != num_c:
         raise ValueError(

@@ -15,12 +15,12 @@ path needs: everything involving labels runs at train time only. The
 scores carry no bias: a constant added to every score would cancel in
 each of these softmaxes.
 
-The inference path also takes a stack of N samples: F as the (N*P, d_v)
-patch rows of all of them and F_S as (N, C, d_v); the scores, the
-attention and F_R then carry the leading N axis. The label-side terms
-take one sample, each as one closed-form tape op: the cosine cost
-(:func:`sarl.tensor.cosine_cost`), each plan as a softmax scaled by its
-marginal (:func:`sarl.tensor.scaled_softmax`) and the transport loss
+The inference path also takes a stack of N samples: F as (N, P, d_v)
+and F_S as (N, C, d_v); the scores, the attention and F_R then carry the
+leading N axis. The label-side terms take one sample, each as one
+closed-form tape op: the cosine cost (:func:`sarl.tensor.cosine_cost`),
+each plan as a softmax scaled by its marginal
+(:func:`sarl.tensor.scaled_softmax`) and the transport loss
 (:func:`sarl.tensor.plan_cost`).
 """
 
@@ -118,12 +118,10 @@ def target_distribution(y) -> Tensor:
 def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:
     """Transport scores A (P x C), one bilinear form per (patch, class).
 
-    For f_s with a leading sample axis, (N, C, d_v), f holds the N
-    samples' patch rows in turn and A is (N, P, C). One tape record
-    (:func:`sarl.tensor.bilinear_scores`, projections included) for one
-    image; a stack's rows take one reshape more.
+    For a stack, f (N, P, d_v) and f_s (N, C, d_v), A is (N, P, C). One
+    tape record (:func:`sarl.tensor.bilinear_scores`, projections
+    included).
     """
-    f = T.reshape(f, (*f_s.shape[:-2], -1, f.shape[-1]))
     return T.bilinear_scores(f, f_s, p.u, p.v, p.mix, p.score)
 
 

@@ -6,9 +6,9 @@ transport plans and the transport loss as one closed-form tape op each
 (:mod:`sarl.tensor`). These are the same terms written the long way, one
 tape record per primitive, so the tape's own chain rule is the oracle
 for each closed-form backward. The primitives the library no longer
-needs (log, sqrt, tanh, division, negation, transpose, clamp) live here
-with the gradient rules they had in the library, kinks included: a
-clamp passes gradient on both edges, and powers follow
+needs (log, sqrt, tanh, division, negation, transpose, clamp, concat)
+live here with the gradient rules they had in the library, kinks
+included: a clamp passes gradient on both edges, and powers follow
 :func:`sarl.tensor.pow_const`.
 
 :func:`attention` is the queries-major kernel that the keys-major one
@@ -361,20 +361,53 @@ def bilinear_kernel(fu, sv, w):
 
 
 def self_attention(fm, p):
-    f = fm.per_sample()
+    f = fm.f
     heads = attention_kernel(T.matmul(f, p.w_q), T.matmul(f, p.w_k),
                              T.matmul(f, p.w_v), p.n_heads)
-    return FeatureMap(T.reshape(heads, fm.f.shape), fm.h, fm.w, fm.samples)
+    return FeatureMap(heads, fm.h, fm.w)
 
 
 def bilinear_mass(f, f_s, p):
-    fu = T.matmul(f, p.u)
-    fu = T.reshape(fu, (*f_s.shape[:-2], -1, fu.shape[1]))
-    return bilinear_kernel(fu, T.matmul(f_s, p.v), T.matmul(p.mix, p.score))
+    return bilinear_kernel(T.matmul(f, p.u), T.matmul(f_s, p.v),
+                           T.matmul(p.mix, p.score))
+
+
+def concat(parts, axis=0):
+    """Join along ``axis`` of the widest part; the other axes broadcast as
+    in numpy arithmetic, so one table can be joined to every sample of a
+    stack."""
+    lifted = [T._lift(p) for p in parts]
+    ndim = max(d.ndim for d, _ in lifted)
+    axis %= ndim
+    shapes = [(1,) * (ndim - d.ndim) + d.shape for d, _ in lifted]
+    rest = []
+    for sizes in zip(*(s[:axis] + s[axis + 1:] for s in shapes)):
+        wide = set(sizes) - {1}
+        if len(wide) > 1:
+            raise T.DimensionError(
+                f"concat cannot broadcast {[d.shape for d, _ in lifted]} "
+                f"along axis {axis}")
+        rest.append(wide.pop() if wide else 1)
+    # one slice of the output per part, in order along axis
+    cuts, lo = [], 0
+    for s in shapes:
+        cuts.append((slice(None),) * axis + (slice(lo, lo + s[axis]),))
+        lo += s[axis]
+    out = np.empty((*rest[:axis], lo, *rest[axis:]),
+                   dtype=np.result_type(*(d for d, _ in lifted)))
+    for (d, _), s, cut in zip(lifted, shapes, cuts):
+        out[cut] = d.reshape(s)
+
+    def backward_fn(g):
+        for (d, t), cut in zip(lifted, cuts):
+            if t is not None:
+                T._accumulate(t, T._unbroadcast(g[cut], d.shape))
+
+    return T._make(out, "concat", [t for _, t in lifted], backward_fn)
 
 
 def fuse_semantic(f_g, table, p):
-    stacked = T.concat([f_g, table], axis=-1)
+    stacked = concat([f_g, table], axis=-1)
     return T.add(T.matmul(stacked, p.weight), p.bias)
 
 

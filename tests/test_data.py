@@ -1,5 +1,6 @@
 """Synthetic generation, the binary dataset format, and statistics."""
 
+import math
 import struct
 
 import numpy as np
@@ -61,6 +62,13 @@ class TestGenerate:
             SyntheticConfig(cardinality=0.5)
         with pytest.raises(ValueError):
             SyntheticConfig(num_classes=4, cardinality=5.0)
+
+    @pytest.mark.parametrize("field", ["signal", "noise", "cardinality"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        # blamed on the config, not on the images it would draw
+        with pytest.raises(ValueError, match=rf"^'?{field}'? (is )?{value}\b"):
+            SyntheticConfig(**{field: value})
 
     def test_payload_is_float32(self):
         train, _ = generate(SyntheticConfig(seed=9, n_train=3, n_test=1))

@@ -246,12 +246,10 @@ class TestKeysMajorAttention:
 # the five fused head stages, by name, in the library
 STAGE_MODULES = {name: module for module, name in composite_ops.HEAD_STAGES}
 STAGES = tuple(STAGE_MODULES)
-# each stage's records on one image, and on a 3-sample stack: self-attention
-# and the bilinear scores take the feature map's (N*P, d_v) rows, which a
-# reshape turns into the op's (N, P, d_v) samples and back
+# each stage's records on one image, and on a 3-sample stack
 RECORDS = {
-    "self_attention": (["attention"], ["reshape", "attention", "reshape"]),
-    "bilinear_mass": (["bilinear_scores"], ["reshape", "bilinear_scores"]),
+    "self_attention": (["attention"], ["attention"]),
+    "bilinear_mass": (["bilinear_scores"], ["bilinear_scores"]),
     "fuse_semantic": (["concat_linear"], ["concat_linear"]),
     "region_score_aggregate": (["softmax_pool"], ["softmax_pool"]),
     "total_loss": (["weighted_sum"], ["weighted_sum"]),
@@ -270,14 +268,13 @@ def head_stage(name, samples, dtype, rng):
         return Tensor((rng.normal(size=shape) * 0.5).astype(dtype))
 
     num_p, d_v, num_c = 16, 32, 6
-    rows = (3 if samples else 1) * num_p
     if name == "self_attention":
-        f = leaf(rows, d_v)
+        f = leaf(*samples, num_p, d_v)
         p = SelfAttentionParams(leaf(d_v, d_v), leaf(d_v, d_v), leaf(d_v, d_v))
         return [f, p.w_q, p.w_k, p.w_v], lambda impl: impl(
-            FeatureMap(f, 4, 4, samples), p).f
+            FeatureMap(f, 4, 4), p).f
     if name == "bilinear_mass":
-        f, f_s = leaf(rows, d_v), leaf(*samples, num_c, d_v)
+        f, f_s = leaf(*samples, num_p, d_v), leaf(*samples, num_c, d_v)
         p = BilinearParams(leaf(d_v, 32), leaf(d_v, 32), leaf(32, 16), leaf(16, 1))
         return [f, f_s, p.u, p.v, p.mix, p.score], lambda impl: impl(f, f_s, p)
     if name == "fuse_semantic":

@@ -261,8 +261,7 @@ class TestForward:
         out = forward(np.random.default_rng(14).normal(size=(3, 8, 8, 2)), model)
         assert out.logits.shape == (3, 3)
         assert out.attention.shape == (3, 4, 3)
-        assert out.features.f.shape == (12, 8)  # patch rows stay 2-D
-        assert out.features.samples == (3,)
+        assert out.features.f.shape == (3, 4, 8)
 
     @pytest.mark.parametrize("labels", [
         np.array([1, 0, 1], np.uint8), np.array([True, False, True])],
@@ -291,6 +290,13 @@ class TestForward:
     def test_image_rank_outside_three_or_four_rejected(self, shape):
         model = build_model(tiny_config(), seed=13)
         with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+            forward(np.zeros(shape), model)
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8, 2), (2, 0, 8, 2), (8, 8, 0)])
+    def test_empty_axis_rejected(self, shape):
+        model = build_model(tiny_config(), seed=13)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"none of its axes empty, got shape {shape}")):
             forward(np.zeros(shape), model)
 
     def test_labels_with_a_stack_rejected(self):

@@ -149,14 +149,13 @@ class TestSelfAttention:
 
     def test_stack_attends_within_each_sample(self):
         rng = np.random.default_rng(16)
-        f = rng.normal(size=(12, 8))
+        f = rng.normal(size=(3, 4, 8))
         p = self.params(rng, 8, 2)
-        out = self_attention(FeatureMap(Tensor(f), 2, 2, samples=(3,)), p)
-        assert out.f.shape == (12, 8) and out.samples == (3,)
+        out = self_attention(feature_map(f, 2, 2), p)
+        assert out.f.shape == (3, 4, 8)
         for i in range(3):
-            one = self_attention(feature_map(f[4 * i:4 * i + 4], 2, 2), p).f.data
-            np.testing.assert_allclose(out.f.data[4 * i:4 * i + 4], one,
-                                       rtol=0, atol=1e-12)
+            one = self_attention(feature_map(f[i], 2, 2), p).f.data
+            np.testing.assert_allclose(out.f.data[i], one, rtol=0, atol=1e-12)
 
     def test_head_count_must_divide(self):
         rng = np.random.default_rng(6)
@@ -177,29 +176,30 @@ class TestSelfAttention:
 
 class TestFeatureMapStack:
     def test_rows_must_tile_every_grid(self):
-        with pytest.raises(ConfigError, match=re.escape(
-                "10 patch rows cannot tile (3,) stack of 2x2 grid")):
-            FeatureMap(Tensor(np.ones((10, 2))), 2, 2, samples=(3,))
+        for shape in [(10, 2), (3, 5, 2), (0, 4, 2), (4,), (1, 3, 4, 2)]:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"features of shape {shape} are not the (P, d_v) or "
+                    f"(N, P, d_v) patch rows of a 2x2 grid")):
+                FeatureMap(Tensor(np.ones(shape)), 2, 2)
 
     def test_split_then_join_is_the_identity(self):
         rng = np.random.default_rng(17)
-        f = Tensor(rng.normal(size=(12, 3)))
-        fm = FeatureMap(f, 2, 2, samples=(3,))
-        parts = fm.split()
-        assert [p.samples for p in parts] == [(), (), ()]
+        f = Tensor(rng.normal(size=(3, 4, 3)))
+        upstream = rng.normal(size=f.shape)
+        with Tape() as tape:
+            parts = FeatureMap(f, 2, 2).split()
+            joined = FeatureMap.join(parts)
+            tape.backward(T.sum_(T.mul(joined.f, upstream)))
         for i, part in enumerate(parts):
-            np.testing.assert_array_equal(part.f.data, f.data[4 * i:4 * i + 4])
-        joined = FeatureMap.join(parts, fm.samples)
+            assert (part.h, part.w) == (2, 2)
+            np.testing.assert_array_equal(part.f.data, f.data[i])
         np.testing.assert_array_equal(joined.f.data, f.data)
-        assert check_gradients(
-            lambda: T.sum_(T.pow_const(FeatureMap.join(fm.split(), (3,)).f, 2)),
-            [f]) < 1e-4
+        np.testing.assert_array_equal(f.grad, upstream)
 
     def test_one_image_splits_into_itself_unrecorded(self):
         fm = FeatureMap(Tensor(np.ones((4, 3))), 2, 2)
         with Tape() as tape:
-            parts = fm.split()
-            assert parts == [fm] and FeatureMap.join(parts, ()) is fm
+            assert fm.split() == [fm]
         assert len(tape) == 0
 
 
@@ -220,9 +220,9 @@ class TestGlobalSpatialPool:
         np.testing.assert_array_equal(global_spatial_pool(fm, "max").data, [[3.0, 3.0]])
 
     def test_stack_pools_each_sample(self):
-        # two samples' 1x2 grids stacked as four rows pool to one row each
-        f = Tensor(np.array([[1.0, 3.0], [3.0, 1.0], [0.0, 2.0], [4.0, 2.0]]))
-        fm = FeatureMap(f, 1, 2, samples=(2,))
+        # two samples' 1x2 grids pool to one row each
+        f = Tensor(np.array([[[1.0, 3.0], [3.0, 1.0]], [[0.0, 2.0], [4.0, 2.0]]]))
+        fm = FeatureMap(f, 1, 2)
         np.testing.assert_array_equal(global_spatial_pool(fm, "avg").data,
                                       [[[2.0, 2.0]], [[2.0, 2.0]]])
         np.testing.assert_array_equal(global_spatial_pool(fm, "max").data,

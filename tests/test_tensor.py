@@ -330,7 +330,6 @@ class TestPrimitiveGradients:
         ("add", lambda a, b: T.sum_(T.pow_const(T.add(a, b), 2))),
         ("sub", lambda a, b: T.sum_(T.pow_const(T.sub(a, b), 2))),
         ("mul", lambda a, b: T.sum_(T.mul(a, b))),
-        ("concat", lambda a, b: T.sum_(T.pow_const(T.concat([a, b], axis=0), 2))),
     ])
     def test_binary(self, name, builder):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -437,14 +436,6 @@ class TestConv2d:
 class TestSampleAxisHelpers:
     """The shape ops the sample axis leans on."""
 
-    def test_reshape_to_own_shape_records_nothing(self):
-        x = Tensor(np.ones((4, 3)))
-        with Tape() as tape:
-            assert T.reshape(x, (4, 3)) is x
-            assert T.reshape(x, (-1, 3)) is x
-            T.reshape(x, (1, 4, 3))
-        assert len(tape) == 1
-
     def test_unstack_and_stack(self):
         rng = np.random.default_rng(30)
         x = Tensor(rng.normal(size=(3, 2, 4)))
@@ -455,25 +446,6 @@ class TestSampleAxisHelpers:
         np.testing.assert_array_equal(T.stack(parts).data, x.data)
         assert check_gradients(
             lambda: T.sum_(T.pow_const(T.stack(T.unstack(x)[::-1]), 3)), [x]) < 1e-4
-
-    def test_concat_broadcasts_the_other_axes(self):
-        rng = np.random.default_rng(28)
-        rows = Tensor(rng.normal(size=(3, 4, 2)))
-        table = Tensor(rng.normal(size=(4, 5)))
-        before = table.data.copy()
-        out = T.concat([rows, table], axis=-1).data
-        assert out.shape == (3, 4, 7)
-        for i in range(3):
-            np.testing.assert_array_equal(
-                out[i], np.concatenate([rows.data[i], table.data], axis=1))
-        np.testing.assert_array_equal(table.data, before)
-        assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.concat([rows, table], axis=-1), 2)),
-            [rows, table]) < 1e-4
-
-    def test_concat_refuses_shapes_that_do_not_broadcast(self):
-        with pytest.raises(DimensionError, match=re.escape("[(2, 3), (4, 5)]")):
-            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5)))], axis=1)
 
     @pytest.mark.parametrize("reduce", [T.mean, T.max_reduce], ids=["mean", "max"])
     def test_keepdims_reduction(self, reduce):

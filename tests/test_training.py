@@ -8,6 +8,7 @@ shared helpers with the implementation.
 import math
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -274,6 +275,16 @@ class TestConfig:
     def test_clip_outside_unit_interval_rejected(self, value):
         with pytest.raises(ValueError, match=rf"^clip={value} must be in \[0, 1\)$"):
             TrainConfig(clip=value)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)
+                                       if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        # a range check may catch the value first; either way the message
+        # opens with the field and the value, as in "'lr' is inf, not a
+        # finite number"
+        with pytest.raises(ValueError, match=rf"^'?{field}'?( is |=| ){value}\b"):
+            TrainConfig(**{field: value})
 
     def test_negative_weight_decay_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -700,6 +711,13 @@ class TestChunkedEvaluate:
                                          test_ds.labels[a:b]))[1].scores
                  for a, b in ((0, 37), (37, 38), (38, len(test_ds)))]
         assert_array_equal(np.concatenate(parts), whole.scores)
+
+    def test_empty_split_rejected(self):
+        model = build_model(model_config(tiny_config()))
+        empty = Dataset(np.zeros((0, 8, 8, 2)), np.zeros((0, 4)))
+        with pytest.raises(ValueError, match=re.escape(
+                "empty split of payload shape (0, 8, 8, 2)")):
+            evaluate(model, empty)
 
     def test_payload_of_the_wrong_rank_rejected(self):
         model = build_model(model_config(tiny_config()))

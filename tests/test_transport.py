@@ -205,14 +205,14 @@ class TestBilinearMass:
             np.testing.assert_allclose(mass, expect, atol=1e-10)
 
     def test_stack_scores_each_sample_against_its_classes(self):
-        # three samples' 4 patch rows in turn, each with its own 3 classes
+        # three samples' 4 patches, each with its own 3 classes
         rng = np.random.default_rng(5)
         p = seeded_params(rng, 8, 5, 4)
-        f, s = rng.normal(size=(12, 8)), rng.normal(size=(3, 3, 8))
+        f, s = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 3, 8))
         mass = bilinear_mass(Tensor(f), Tensor(s), p).data
         assert mass.shape == (3, 4, 3)
         for i in range(3):
-            one = bilinear_mass(Tensor(f[4 * i:4 * i + 4]), Tensor(s[i]), p).data
+            one = bilinear_mass(Tensor(f[i]), Tensor(s[i]), p).data
             np.testing.assert_allclose(mass[i], one, rtol=0, atol=1e-12)
 
 

@@ -34,6 +34,8 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "parse_value",
+    "check_int",
+    "check_ints",
     "check_finite",
 ]
 
@@ -63,6 +65,7 @@ class SyntheticConfig:
     cardinality: float = 1.5
 
     def __post_init__(self):
+        check_ints(self)
         for name in ("n_train", "n_test", "num_classes", "height", "width",
                      "channels"):
             if getattr(self, name) < 1:
@@ -304,6 +307,21 @@ def parse_value(key, text: str, kind: type):
             raise ValueError(f"{key!r} is {text!r}, not a finite number")
         return value
     return text
+
+
+def check_int(name, value):
+    """Refuse a value that is not an integer, or is a bool, naming it as
+    :func:`parse_value` does."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name!r} is {value!r}, not an integer")
+
+
+def check_ints(cfg):
+    """Refuse a dataclass config whose int field holds no integer."""
+    for f in fields(cfg):
+        if f.type in (int, "int"):
+            check_int(f.name, getattr(cfg, f.name))
 
 
 def check_finite(cfg):

@@ -148,6 +148,16 @@ def run_suite(verbose=True):
           [a, r3, r4])
     c = rt(3, 4)
     check("plan_cost", lambda: T.pow_const(T.plan_cost(a, b, c), 2), [a, b, c])
+    pool_w = np.array([0.5, 0.0, 0.25, 0.25])
+    check("matvec_softmax",
+          lambda: T.sum_(T.pow_const(T.matvec_softmax(a, pool_w), 2)), [a])
+    # logits and map off the probability floor and the clip, at a
+    # fractional gamma_neg; the map's column maxima are distinct
+    z4, m34, cost = rt(4), rt(3, 4), Tensor(rng.uniform(0.5, 1.5))
+    check("asl_objective",
+          lambda: T.asl_objective(z4, m34, cost, y34[0], 1.0, 0.5, 0.0,
+                                  losses.PROB_FLOOR, 0.3, 0.7)[0],
+          [z4, m34, cost])
     check("mean", lambda: T.mean(T.pow_const(a, 2)), [a])
     check("max", lambda: T.sum_(T.pow_const(T.max_reduce(a, axis=0), 2)), [a])
     # along one axis of an (N, P, d) stack, as global_spatial_pool reduces

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import FormatError, parse_value, read_exact, read_text
-from .losses import AslConfig, LossWeights, classification_loss, semantic_map_loss, total_loss
+from .losses import AslConfig, LossWeights, classification_loss, objective
 from .representation import (ConfigError, EncoderConfig, EncoderParams,
                              FeatureMap, FusionParams, SelfAttentionParams,
                              encode, fuse_semantic, global_spatial_pool,
@@ -264,15 +264,17 @@ def sample_losses(out: ForwardOutput, labels, asl_cfg: AslConfig,
                   weights: LossWeights):
     """Per-sample (total, l_cls, l_m, l_ot) given a training-mode forward.
 
-    With transport disabled the map and transport terms are zero and the
-    total is the classification loss alone.
+    One tape record (:func:`sarl.losses.objective`); l_cls and l_m are
+    values off the tape. With transport disabled the map and transport
+    terms are zero and the total is the classification loss alone (two
+    records).
     """
-    l_cls = classification_loss(out.logits, labels, asl_cfg)
     if out.transport_cost is None:
+        l_cls = classification_loss(out.logits, labels, asl_cfg)
         zero = Tensor(np.zeros((), dtype=out.logits.dtype))
         return l_cls, l_cls, zero, zero
-    l_m = semantic_map_loss(out.semantic_map, labels, asl_cfg)
-    total = total_loss(l_cls, l_m, out.transport_cost, weights)
+    total, l_cls, l_m = objective(out.logits, out.semantic_map,
+                                  out.transport_cost, labels, asl_cfg, weights)
     return total, l_cls, l_m, out.transport_cost
 
 

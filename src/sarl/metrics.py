@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError, parse_value
+from .data import FormatError, check_int, parse_value
 
 __all__ = [
     "UndefinedMetricError",
@@ -116,7 +116,9 @@ def mean_ap(preds: PredictionSet) -> float:
 
 
 def check_cutoffs(threshold, top_k, num_classes):
-    """Refuse a threshold outside [0, 1] (or NaN) and a top-k outside 1..C."""
+    """Refuse a threshold outside [0, 1] (or NaN) and a top-k that is no
+    integer or lies outside 1..C."""
+    check_int("top_k", top_k)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold={threshold} needs 0 <= threshold <= 1")
     if not 1 <= top_k <= num_classes:

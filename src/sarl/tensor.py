@@ -12,10 +12,11 @@ in place: their ``.data`` are views of one flat buffer that it rewrites
 once per step. That is safe because no tape outlives its step, and the
 update runs only after every backward of the batch has finished.
 
-Training records 25 ops per sample at the default shape, on arrays of
+Training records 18 ops per sample at the default shape, on arrays of
 a few dozen entries, so a call's cost is its Python dispatch, not its
-arithmetic. That is why each stage of the head is one fused op that
-computes the chain of primitives it stands for, in the same order.
+arithmetic. That is why each stage of the head, the source distribution
+and the sample's whole loss are each one fused op that computes the
+chain of primitives it stands for, in the same order.
 On the tape path, call only C-level numpy: ufuncs, array methods,
 ``np.zeros``/``np.empty`` and indexing. A Python-level helper
 (``np.clip``, ``np.expand_dims``, ``np.broadcast_to``,
@@ -45,12 +46,14 @@ __all__ = [
     "relu",
     "pow_const",
     "softmax",
+    "matvec_softmax",
     "attention",
     "bilinear_scores",
     "softmax_pool",
     "concat_linear",
     "weighted_sum",
     "asymmetric_loss",
+    "asl_objective",
     "cosine_cost",
     "scaled_softmax",
     "plan_cost",
@@ -375,6 +378,29 @@ def softmax(a, axis):
     return _make(out_data, "softmax", (at,), backward_fn)
 
 
+def matvec_softmax(a, v):
+    """softmax(a @ v) over the rows of a (P, k) and a constant vector v
+    (k,). One tape record that computes the chain it stands for (product
+    with v as a column, reshape, softmax) in the same order."""
+    ad, at = _lift(a)
+    col = np.asarray(v).reshape(-1, 1)
+    if ad.ndim != 2 or col.shape[0] != ad.shape[1]:
+        raise DimensionError(f"matvec_softmax needs (P,k) and (k,), got "
+                             f"{ad.shape}, {np.shape(v)}")
+    # in place on a buffer this op owns
+    out_data = (ad @ col).reshape(ad.shape[0])
+    out_data -= out_data.max(axis=0, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=0, keepdims=True)
+
+    def backward_fn(g):
+        d = g - (g * out_data).sum(axis=0, keepdims=True)
+        d *= out_data
+        _accumulate(at, d.reshape(-1, 1) @ col.T)
+
+    return _make(out_data, "matvec_softmax", (at,), backward_fn)
+
+
 def _rows(a):
     """a's rows as one 2-D array: a itself when it is 2-D, so skipping
     the reshapes, which cost as much as a product at 4x32."""
@@ -652,20 +678,25 @@ def mean(a, axis=None, keepdims=False):
                  backward_fn)
 
 
+def _to_first_argmax(g, ad, axis):
+    """The gradient of ad's max along ``axis`` for upstream g: g at the
+    first argmax and exact zeros elsewhere, copied through a one-hot,
+    never multiplied by it (0 * inf is NaN)."""
+    idx = ad.argmax(axis=axis, keepdims=True)
+    n = ad.shape[axis]
+    first = idx == np.arange(n).reshape((n,) + (1,) * (ad.ndim - 1 - axis))
+    gz = np.zeros(ad.shape, g.dtype)
+    np.copyto(gz, g.reshape(idx.shape), where=first)
+    return gz
+
+
 def max_reduce(a, axis, keepdims=False):
     """Max along an axis; gradient routes to the first argmax on ties."""
     ad, at = _lift(a)
     axis %= ad.ndim
 
     def backward_fn(g):
-        # g goes to the first argmax along axis and exact zeros elsewhere:
-        # copied through a one-hot, never multiplied by it (0 * inf is NaN)
-        idx = ad.argmax(axis=axis, keepdims=True)
-        n = ad.shape[axis]
-        first = idx == np.arange(n).reshape((n,) + (1,) * (ad.ndim - 1 - axis))
-        gz = np.zeros(ad.shape, g.dtype)
-        np.copyto(gz, g.reshape(idx.shape), where=first)
-        _accumulate(at, gz)
+        _accumulate(at, _to_first_argmax(g, ad, axis))
 
     return _make(ad.max(axis=axis, keepdims=keepdims), "max", (at,), backward_fn)
 
@@ -673,6 +704,41 @@ def max_reduce(a, axis, keepdims=False):
 # ---------------------------------------------------------------------------
 # fused label-side ops: the training losses and the transport terms, one
 # tape record each with a closed-form backward
+
+def _asl_terms(pd, yd, gamma_pos, gamma_neg, clip, floor):
+    """The asymmetric loss of every entry of probabilities pd against
+    labels yd, before the sign and the mean, and ``back``: given w, each
+    entry's weight in the loss (-g / n for a mean over n entries), the
+    gradient with respect to pd. pd may hold several rows against one
+    row of labels, and w one weight per row: every entry goes through the
+    same numpy calls either way."""
+    gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
+    lo, hi = floor, 1.0 - floor
+    pc = np.minimum(np.maximum(pd, lo), hi)
+    q = 1.0 - pc
+    log_p = np.log(pc)
+    shifted = pc - clip
+    pm = np.minimum(np.maximum(shifted, 0.0), 1.0)
+    qm = 1.0 - pm
+    log_qm = np.log(qm)
+    focus_pos = q ** gamma_pos
+    focus_neg = pm ** gamma_neg
+    y_neg = 1.0 - yd
+    per = (focus_pos * log_p) * yd + (focus_neg * log_qm) * y_neg
+
+    def back(w):
+        d_pos, d_neg = w * yd, w * y_neg
+        dpc = d_pos * focus_pos / pc
+        if gamma_pos != 0.0:
+            dpc -= d_pos * log_p * _pow_slope(q, gamma_pos)
+        dpm = -(d_neg * focus_neg / qm)
+        if gamma_neg != 0.0:
+            dpm += d_neg * log_qm * _pow_slope(pm, gamma_neg)
+        dpc += dpm * ((shifted >= 0.0) & (shifted <= 1.0))
+        return dpc * ((pd >= lo) & (pd <= hi))
+
+    return per, back
+
 
 def asymmetric_loss(p, y, gamma_pos, gamma_neg, clip, floor):
     """Mean asymmetric loss (Ridnik et al., ICCV 2021) over probabilities p.
@@ -690,33 +756,64 @@ def asymmetric_loss(p, y, gamma_pos, gamma_neg, clip, floor):
     if yd.shape != pd.shape:
         raise DimensionError(f"asymmetric_loss needs labels shaped like p, "
                              f"got {yd.shape} for {pd.shape}")
-    gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
-    lo, hi = floor, 1.0 - floor
-    pc = np.minimum(np.maximum(pd, lo), hi)
-    q = 1.0 - pc
-    log_p = np.log(pc)
-    shifted = pc - clip
-    pm = np.minimum(np.maximum(shifted, 0.0), 1.0)
-    qm = 1.0 - pm
-    log_qm = np.log(qm)
-    focus_pos = q ** gamma_pos
-    focus_neg = pm ** gamma_neg
-    y_neg = 1.0 - yd
-    per = (focus_pos * log_p) * yd + (focus_neg * log_qm) * y_neg
+    per, back = _asl_terms(pd, yd, gamma_pos, gamma_neg, clip, floor)
 
     def backward_fn(g):
-        w = -g / pd.size
-        d_pos, d_neg = w * yd, w * y_neg
-        dpc = d_pos * focus_pos / pc
-        if gamma_pos != 0.0:
-            dpc -= d_pos * log_p * _pow_slope(q, gamma_pos)
-        dpm = -(d_neg * focus_neg / qm)
-        if gamma_neg != 0.0:
-            dpm += d_neg * log_qm * _pow_slope(pm, gamma_neg)
-        dpc += dpm * ((shifted >= 0.0) & (shifted <= 1.0))
-        _accumulate(pt, dpc * ((pd >= lo) & (pd <= hi)))
+        _accumulate(pt, back(-g / pd.size))
 
     return _make(-(per.sum() / per.size), "asymmetric_loss", (pt,), backward_fn)
+
+
+def asl_objective(z, m, cost, y, gamma_pos, gamma_neg, clip, floor,
+                  w_map, w_cost):
+    """One training sample's loss from its logits z (C,), its semantic
+    map m (P, C) and its transport cost (a scalar):
+    asl(sigmoid(z)) + (asl(sigmoid(max_p m)) * w_map + cost * w_cost),
+    each asl the mean :func:`asymmetric_loss` against labels y (C,).
+
+    Returns the loss and, off the tape, the (2,) array of the two
+    asymmetric losses, classification first. One tape record that
+    computes the chain it stands for (max over the patches, two sigmoids,
+    two losses, weighted sum) in the same order, with the two losses as
+    the rows of one (2, C) array; the max passes gradient to the first
+    argmax.
+    """
+    zd, zt = _lift(z)
+    md, mt = _lift(m)
+    cd, ct = _lift(cost)
+    yd = np.asarray(y, dtype=zd.dtype)
+    if (zd.ndim != 1 or md.ndim != 2 or md.shape[1:] != zd.shape
+            or yd.shape != zd.shape or getattr(cd, "shape", ()) != ()):
+        raise DimensionError(f"asl_objective needs (C,) logits, a (P,C) map, "
+                             f"a scalar cost and (C,) labels, got {zd.shape}, "
+                             f"{md.shape}, {getattr(cd, 'shape', ())}, "
+                             f"{yd.shape}")
+    num_c = zd.shape[0]
+    # in place on a buffer this op owns: rows sigmoid(z), sigmoid(max_p m)
+    sig = np.empty((2, num_c), np.promote_types(zd.dtype, md.dtype))
+    sig[0] = zd
+    md.max(axis=0, out=sig[1])
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    per, back = _asl_terms(sig, yd, gamma_pos, gamma_neg, clip, floor)
+    terms = -(per.sum(axis=1) / num_c)
+
+    def backward_fn(g):
+        if ct is not None:
+            _accumulate(ct, (g * w_cost).reshape(cd.shape))
+        w = np.empty((2, 1), g.dtype)
+        w[0] = g
+        w[1] = g * w_map
+        gs = back(-w / num_c) * sig * (1.0 - sig)
+        if mt is not None:
+            _accumulate(mt, _to_first_argmax(gs[1], md, 0))
+        if zt is not None:
+            _accumulate(zt, gs[0])
+
+    total = terms[0] + (terms[1] * w_map + cd * w_cost)
+    return _make(total, "asl_objective", (zt, mt, ct), backward_fn), terms
 
 
 def cosine_cost(f, s, eps):

@@ -30,8 +30,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import (Dataset, SyntheticConfig, check_finite, parse_value,
-                   read_manifest_lines, write_manifest)
+from .data import (Dataset, SyntheticConfig, check_finite, check_int,
+                   check_ints, parse_value, read_manifest_lines,
+                   write_manifest)
 from .head import (ModelBundle, ModelConfig, build_model, forward,
                    sample_losses, save_checkpoint)
 from .losses import AslConfig, LossWeights
@@ -112,6 +113,7 @@ class TrainConfig:
     disable_gsp_fusion: bool = False
 
     def __post_init__(self):
+        check_ints(self)
         for name in ("lr", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive")
@@ -479,6 +481,7 @@ def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
     The class's column over patches is reshaped to the patch grid and
     min-max scaled to [0, 255]; a constant column becomes all black.
     """
+    check_int("class_id", class_id)
     if not 0 <= class_id < model.config.num_classes:
         raise ValueError(f"class_id={class_id} out of range: the model has "
                          f"{model.config.num_classes} classes")

@@ -18,10 +18,12 @@ each of these softmaxes.
 The inference path also takes a stack of N samples: F as (N, P, d_v)
 and F_S as (N, C, d_v); the scores, the attention and F_R then carry the
 leading N axis. The label-side terms take one sample, each as one
-closed-form tape op: the cosine cost (:func:`sarl.tensor.cosine_cost`),
-each plan as a softmax scaled by its marginal
-(:func:`sarl.tensor.scaled_softmax`) and the transport loss
-(:func:`sarl.tensor.plan_cost`).
+closed-form tape op: the source distribution
+(:func:`sarl.tensor.matvec_softmax`), the cosine cost
+(:func:`sarl.tensor.cosine_cost`), each plan as a softmax scaled by its
+marginal (:func:`sarl.tensor.scaled_softmax`) and the transport loss
+(:func:`sarl.tensor.plan_cost`); the target distribution records
+nothing.
 """
 
 from __future__ import annotations
@@ -97,13 +99,13 @@ def source_distribution(m: Tensor, y) -> Tensor:
 
     The label vector steers mass toward patches whose map logits support
     the positive classes, so theta needs at least one positive label.
+    One tape record (:func:`sarl.tensor.matvec_softmax`).
     """
     y = np.asarray(y)
     total = y.sum()
     if total <= 0:
         raise ValueError("source distribution needs at least one positive label")
-    pooled = T.matmul(m, (y / total).reshape(-1, 1))
-    return T.softmax(T.reshape(pooled, (m.shape[0],)), axis=0)
+    return T.matvec_softmax(m, y / total)
 
 
 def target_distribution(y) -> Tensor:

@@ -33,6 +33,13 @@ semantic fusion (concat, product, bias), the region score aggregation
 products, two sums). The fused ops must give the same bits, values and
 gradients alike.
 
+:data:`LABEL_CHAINS` holds the two label-side stages that became one
+fused op each, as the chains they were: the source distribution
+(product, reshape, softmax) and a training sample's losses (the
+classification loss, the semantic-map loss and the total loss through
+:mod:`sarl.losses`: max, two sigmoids, two asymmetric losses, weighted
+sum). The fused ops must give the same bits, values and gradients alike.
+
 :func:`train_by_parameter` is the training loop as it was before the
 parameters shared one flat buffer: a dict of per-parameter gradient
 sums, a finiteness check and AdamW and EMA updates that loop over the
@@ -45,6 +52,7 @@ import math
 
 import numpy as np
 
+from sarl import losses
 from sarl import tensor as T
 from sarl import training as Tr
 from sarl.head import build_model, forward, sample_losses
@@ -428,6 +436,32 @@ HEAD_STAGES = {
     ("sarl.transport", "bilinear_mass"): bilinear_mass,
     ("sarl.head", "region_score_aggregate"): region_score_aggregate,
     ("sarl.losses", "total_loss"): total_loss,
+}
+
+
+def source_distribution(m, y):
+    y = np.asarray(y)
+    total = y.sum()
+    if total <= 0:
+        raise ValueError("source distribution needs at least one positive label")
+    pooled = T.matmul(m, (y / total).reshape(-1, 1))
+    return T.softmax(T.reshape(pooled, (m.shape[0],)), axis=0)
+
+
+def sample_losses(out, labels, asl_cfg, weights):
+    l_cls = losses.classification_loss(out.logits, labels, asl_cfg)
+    if out.transport_cost is None:
+        zero = T.Tensor(np.zeros((), dtype=out.logits.dtype))
+        return l_cls, l_cls, zero, zero
+    l_m = losses.semantic_map_loss(out.semantic_map, labels, asl_cfg)
+    total = losses.total_loss(l_cls, l_m, out.transport_cost, weights)
+    return total, l_cls, l_m, out.transport_cost
+
+
+# the label-side library functions each chain stands for, by module attribute
+LABEL_CHAINS = {
+    ("sarl.transport", "source_distribution"): source_distribution,
+    ("sarl.head", "sample_losses"): sample_losses,
 }
 
 

@@ -70,6 +70,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match=rf"^'?{field}'? (is )?{value}\b"):
             SyntheticConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["seed", "n_train", "height"])
+    @pytest.mark.parametrize("value", [8.0, True])
+    def test_non_integer_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^'{field}' is {value}, not an integer$"):
+            SyntheticConfig(**{field: value})
+
     def test_payload_is_float32(self):
         train, _ = generate(SyntheticConfig(seed=9, n_train=3, n_test=1))
         assert train.payload.dtype == np.float32

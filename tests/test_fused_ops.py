@@ -16,7 +16,8 @@ bilinear scores, the semantic fusion, the region score aggregation and
 the total loss) compute what their chains did in the same order, so
 there the gate is bit equality, in float32 and float64, of the values
 and of every gradient, and of a whole model's loss and 17 parameter
-gradients.
+gradients. So is it for the two label-side chains that became one op
+each: the source distribution and a training sample's losses.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sarl import head
+from sarl import head, losses
 from sarl import tensor as T
 from sarl.gradcheck import gradient_error, numeric_gradient
 from sarl.losses import PROB_FLOOR, AslConfig, LossWeights, asl
@@ -35,7 +36,8 @@ from sarl.representation import FeatureMap, FusionParams, SelfAttentionParams
 from sarl.tensor import DimensionError, Tape, Tensor
 from sarl.training import TrainConfig, loss_weights, model_config
 from sarl.transport import (NORM_EPS, BilinearParams, backward_plan,
-                            cost_matrix, ct_loss, forward_plan)
+                            cost_matrix, ct_loss, forward_plan,
+                            source_distribution)
 
 import composite_ops
 
@@ -222,6 +224,162 @@ class TestPlanCost:
             T.plan_cost(np.ones((4, 6)), np.ones((4, 6)), np.ones((6, 4)))
 
 
+def sigmoid_of(z, dtype):
+    return T.sigmoid(np.asarray(z, dtype)).data[()]
+
+
+def logit_grid(dtype):
+    """The floats of dtype, as order-keeping integer keys and back."""
+    itype = np.int32 if dtype == np.float32 else np.int64
+    top = np.iinfo(itype)
+
+    def key(x):
+        i = np.asarray(x, dtype).view(itype).item()
+        return i if i >= 0 else -(i & top.max)
+
+    def value(k):
+        return np.asarray(k if k >= 0 else (-k) | top.min, itype).view(dtype)[()]
+
+    return key, value
+
+
+def around(p, dtype):
+    """(at, below, above): the logit whose sigmoid in dtype is dtype(p)
+    exactly (None when no logit hits it), and the nearest logits whose
+    sigmoids lie just below and just above it."""
+    key, value = logit_grid(dtype)
+    target = dtype(p)
+    lo, hi = key(-60.0), key(60.0)
+    while hi - lo > 1:  # the first logit whose sigmoid reaches the target
+        mid = (lo + hi) // 2
+        if sigmoid_of(value(mid), dtype) >= target:
+            hi = mid
+        else:
+            lo = mid
+    at = value(hi) if sigmoid_of(value(hi), dtype) == target else None
+    above = hi
+    while sigmoid_of(value(above), dtype) <= target:
+        above += 1
+    return at, value(lo), value(above)
+
+
+def edges(dtype):
+    """(floor, clip, logits): a probability floor whose clamp edges
+    floor and 1 - floor are both sigmoids of a logit in dtype, a clip
+    that is one, and the logits at and just past all three edges."""
+    for a in np.linspace(8.0, 12.0, 401):
+        floor = float(sigmoid_of(-a, dtype))
+        lower, upper = around(floor, dtype), around(1.0 - floor, dtype)
+        if lower[0] is not None and upper[0] is not None:
+            break
+    clip = float(sigmoid_of(-2.0, dtype))
+    logits = [*lower, *upper, *around(clip, dtype)]
+    assert None not in logits and len(set(logits)) == 9
+    return floor, clip, np.array(logits, dtype=dtype)
+
+
+# gamma_pos and gamma_neg at 0, 2 and a fractional value
+GAMMAS = (0.0, 2.0, 0.5)
+
+
+def loss_case(dtype, rng):
+    """(floor, clip, z, m, cost, labels): the edges of :func:`edges`,
+    logits at and just past them, a (5, C) map whose column maxima tie
+    between patches and sit on the same edges, a scalar transport cost
+    and labels."""
+    floor, clip, z_edge = edges(dtype)
+    num_c = len(z_edge) + 3
+    z = np.concatenate([z_edge, rng.normal(size=3) * 3.0]).astype(dtype)
+    m = rng.integers(-1, 3, size=(5, num_c)).astype(dtype)  # many ties
+    m[:, :len(z_edge)] = np.minimum(m[:, :len(z_edge)], z_edge - 1.0)
+    m[[1, 3], :len(z_edge)] = z_edge  # a maximum on an edge, tied
+    labels = (rng.random(num_c) < 0.5).astype(dtype)
+    return floor, clip, z, m, np.asarray(rng.random() * 2.0, dtype), labels
+
+
+class TestSampleLosses:
+    """The fused losses of a training sample and the fused source
+    distribution against the chains they replaced (``composite_ops``):
+    the same bits, values and gradients, in float32 and float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("gamma_pos,gamma_neg",
+                             list(itertools.product(GAMMAS, GAMMAS)))
+    def test_bit_identical_to_chain(self, monkeypatch, dtype, gamma_pos,
+                                    gamma_neg):
+        rng = np.random.default_rng(int(10 * gamma_pos + 100 * gamma_neg))
+        floor, clip, z, m, cost, labels = loss_case(dtype, rng)
+        # both paths read the floor from sarl.losses at call time
+        monkeypatch.setattr(losses, "PROB_FLOOR", floor)
+        cfg = AslConfig(gamma_pos, gamma_neg, clip)
+        weights = LossWeights(0.04, 0.5)
+        leaves = [Tensor(z), Tensor(m), Tensor(cost)]
+        out = head.ForwardOutput(logits=leaves[0], features=None,
+                                 semantic_features=None, aligned=None,
+                                 semantic_map=leaves[1],
+                                 transport_cost=leaves[2])
+        upstream = np.asarray(1.7, dtype)
+        for y in (labels, np.ones_like(labels), np.zeros_like(labels)):
+            got = self.losses_and_grads(head.sample_losses, out, y, cfg,
+                                        weights, leaves, upstream)
+            want = self.losses_and_grads(composite_ops.sample_losses, out, y,
+                                         cfg, weights, leaves, upstream)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def losses_and_grads(impl, out, y, cfg, weights, leaves, upstream):
+        for t in leaves:
+            t.grad = None
+        with Tape() as tape:
+            parts = impl(out, y, cfg, weights)
+            tape.backward(T.mul(parts[0], upstream))
+        return [t.data.copy() for t in parts] + [t.grad.copy() for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_case_sits_on_the_edges(self, dtype):
+        floor, clip, z, m, _, _ = loss_case(dtype, np.random.default_rng(0))
+        lo, hi, cut = dtype(floor), dtype(1.0 - floor), dtype(clip)
+        for p in (T.sigmoid(z).data, T.sigmoid(m.max(axis=0)).data):
+            assert p[1] < p[0] == lo < p[2]
+            assert p[4] < p[3] == hi < p[5]
+            assert p[7] < p[6] == cut < p[8]
+        peak = m.max(axis=0)
+        assert (m[1, :9] == peak[:9]).all() and (m[3, :9] == peak[:9]).all()
+        assert ((m == peak).sum(axis=0)[9:] >= 2).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("num_p,num_c", [(4, 6), (1, 3), (16, 20), (5, 1)])
+    def test_source_distribution_bit_identical(self, dtype, num_p, num_c):
+        rng = np.random.default_rng(num_p * 100 + num_c)
+        m = Tensor((rng.normal(size=(num_p, num_c)) * 2.0).astype(dtype))
+        m.data[0] = m.data[-1]  # tied rows give tied pooled logits
+        y = (rng.random(num_c) < 0.5).astype(dtype)
+        y[0] = 1.0
+        upstream = rng.normal(size=num_p).astype(dtype)
+        got = outputs_and_grads(lambda: source_distribution(m, y), [m],
+                                [upstream])
+        want = outputs_and_grads(
+            lambda: composite_ops.source_distribution(m, y), [m], [upstream])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError, match="asl_objective"):
+            T.asl_objective(np.zeros(6), np.zeros((4, 5)), 0.0, np.ones(6),
+                            0.0, 2.0, 0.05, PROB_FLOOR, 0.04, 0.5)
+        with pytest.raises(DimensionError, match="asl_objective"):
+            T.asl_objective(np.zeros(6), np.zeros((4, 6)), np.zeros(2),
+                            np.ones(6), 0.0, 2.0, 0.05, PROB_FLOOR, 0.04, 0.5)
+        with pytest.raises(DimensionError, match="matvec_softmax"):
+            T.matvec_softmax(np.zeros((4, 6)), np.ones(5))
+
+
 class TestKeysMajorAttention:
     """The attention kernel against the queries-major one it replaced,
     at sizes whose reductions over keys sum more than 8 rows (numpy's
@@ -361,17 +519,23 @@ def training_sample(variant, dtype):
     return params, sample
 
 
+# the label-side primitive chains; the losses' chain is swapped in too,
+# so that the asymmetric loss is reached through sarl.losses.asl
+LABEL_ORACLES = {**composite_ops.LABEL_CHAINS, **composite_ops.LABEL_SIDE}
+
+
 class TestModelGate:
     """A training sample: the same loss and 17 parameter gradients with
     the fused ops as with the chains they replaced, within GATE for the
-    label side in float64 and bit for bit for the head stages."""
+    label side's primitive chains in float64 and bit for bit for the
+    head stages and the label-side chains."""
 
     @VARIANTS
     def test_loss_and_gradients(self, monkeypatch, variant):
         params, sample = training_sample(variant, np.float64)
         assert len(params) == 17
         with monkeypatch.context() as m:  # the swap reaches every caller
-            swap_in(m, composite_ops.LABEL_SIDE)
+            swap_in(m, LABEL_ORACLES)
             with Tape() as tape:
                 sample(AslConfig())
             assert "clamp" in {t.op for t in tape.tensors()}
@@ -380,7 +544,7 @@ class TestModelGate:
             asl_cfg = AslConfig(*gammas)
             fused = value_and_grads(lambda: sample(asl_cfg), leaves)
             with monkeypatch.context() as m:
-                swap_in(m, composite_ops.LABEL_SIDE)
+                swap_in(m, LABEL_ORACLES)
                 oracle = value_and_grads(lambda: sample(asl_cfg), leaves)
             assert gradient_error(fused[0], oracle[0]) <= GATE
             for name, a, b in zip(params, fused[1], oracle[1]):
@@ -405,6 +569,27 @@ class TestModelGate:
             assert a.dtype == b.dtype == dtype, name
             np.testing.assert_array_equal(a, b, err_msg=name)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @VARIANTS
+    def test_label_chains_bit_identical(self, monkeypatch, variant, dtype):
+        params, sample = training_sample(variant, dtype)
+        leaves = list(params.values())
+        for gammas in ((0.0, 2.0, 0.05), (2.0, 0.5, 0.0)):
+            asl_cfg = AslConfig(*gammas)
+            fused = value_and_grads(lambda: sample(asl_cfg), leaves)
+            with monkeypatch.context() as m:
+                swap_in(m, composite_ops.LABEL_CHAINS)
+                with Tape() as tape:
+                    sample(asl_cfg)
+                assert "sigmoid" in {t.op for t in tape.tensors()}
+                chain = value_and_grads(lambda: sample(asl_cfg), leaves)
+            assert fused[0].dtype == dtype
+            np.testing.assert_array_equal(fused[0], chain[0])
+            for name, a, b in zip(params, fused[1], chain[1]):
+                assert a.dtype == b.dtype == dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
 
 class TestRecordsAndDtype:
     def test_one_record_each(self):
@@ -421,6 +606,13 @@ class TestRecordsAndDtype:
         assert [t.op for t in tape.tensors()] == [
             "asymmetric_loss", "cosine_cost", "scaled_softmax",
             "scaled_softmax", "plan_cost"]
+        z, m = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=(4, 6)))
+        cost = Tensor(0.5)
+        with Tape() as tape:
+            source_distribution(m, np.ones(6))
+            losses.objective(z, m, cost, np.ones(6), AslConfig(), LossWeights())
+        assert [t.op for t in tape.tensors()] == ["matvec_softmax",
+                                                  "asl_objective"]
         for name in STAGES:
             for samples, want in zip(((), (3,)), RECORDS[name]):
                 _, call = head_stage(name, samples, np.float64, rng)
@@ -434,13 +626,19 @@ class TestRecordsAndDtype:
         def t32(*shape):
             return Tensor(rng.random(shape).astype(np.float32))
 
-        p, f, s, theta, beta = t32(6), t32(4, 5), t32(6, 5), t32(4), t32(6)
-        leaves = [p, f, s, theta, beta]
+        p, f, s, beta = t32(6), t32(4, 5), t32(6, 5), t32(6)
+        z, m = t32(6), t32(4, 6)
+        leaves = [p, f, s, beta, z, m]
+        labels = np.array([1, 0, 0, 1, 0, 0], dtype=np.float32)
         with Tape() as tape:
-            l_asl = asl(p, np.ones(6), AslConfig(1.0, 0.5, 0.05))
+            l_asl = asl(p, labels, AslConfig(1.0, 0.5, 0.05))
             co = cost_matrix(f, s)
+            theta = source_distribution(m, labels)
             l_ot = ct_loss(forward_plan(co, theta), backward_plan(co, beta), co)
-            total = T.add(l_asl, l_ot)
+            total, l_cls, l_m = losses.objective(z, m, T.add(l_asl, l_ot),
+                                                 labels, AslConfig(),
+                                                 LossWeights())
+            assert l_cls.dtype == l_m.dtype == np.float32
             tape.backward(total)
             outs = list(tape.tensors())
         for t in outs + leaves:

@@ -85,6 +85,13 @@ class TestAsl:
         with pytest.raises(ValueError):
             AslConfig(clip=1.0)
 
+    @pytest.mark.parametrize("field", ["gamma_pos", "gamma_neg", "clip"])
+    def test_infinite_knob_rejected_by_name(self, field):
+        # as TrainConfig words it; clip's range check catches it first
+        with pytest.raises(ValueError,
+                           match=rf"^'?{field}'?( is |=)inf\b"):
+            AslConfig(**{field: math.inf})
+
     def test_gradients(self):
         rng = np.random.default_rng(3)
         p = Tensor(rng.uniform(0.1, 0.9, size=6))
@@ -177,3 +184,9 @@ class TestTotalLoss:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LossWeights(-0.1, 0.5)
+
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2"])
+    def test_infinite_weight_rejected_by_name(self, field):
+        with pytest.raises(ValueError,
+                           match=f"^'{field}' is inf, not a finite number$"):
+            LossWeights(**{field: math.inf})

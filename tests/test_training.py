@@ -286,6 +286,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^'?{field}'?( is |=| ){value}\b"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)
+                                       if type(f.default) is int])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_non_integer_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^'{field}' is {value}, not an integer$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_field_accepted(self):
+        assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
+
     def test_negative_weight_decay_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("weight_decay=-0.5\n")
@@ -397,7 +408,7 @@ class TestTrainLoop:
         with Tape() as tape:
             out = forward(image, model, labels=labels)
             sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
-        assert len(tape) == 25
+        assert len(tape) == 18
 
     def test_float32_step_stays_float32(self, monkeypatch):
         # the parameters' dtype is the only precision in a step: no value
@@ -667,6 +678,14 @@ class TestTrainLoop:
             with pytest.raises(ValueError, match=f"top_k={k} needs 1 <= k <= 4"):
                 evaluate(model, test_ds, top_k=k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_top_k_rejected(self, k):
+        cfg = tiny_config()
+        _, test_ds = generate(synthetic_config(cfg))
+        model = build_model(model_config(cfg), dtype=np.float32)
+        with pytest.raises(ValueError, match=f"^'top_k' is {k}, not an integer$"):
+            evaluate(model, test_ds, top_k=k)
+
     def test_threshold_outside_unit_interval_rejected(self, monkeypatch):
         cfg = tiny_config()
         _, test_ds = generate(synthetic_config(cfg))
@@ -777,6 +796,16 @@ class TestPgmExport:
         with pytest.raises(ValueError, match="range"):
             export_attention(res.model, test_ds.payload[0], 9,
                              tmp_path / "m.pgm", tmp_path / "a.pgm")
+
+    @pytest.mark.parametrize("class_id", [1.0, True, "1"])
+    def test_export_rejects_non_integer_class(self, tmp_path, class_id):
+        model = build_model(model_config(tiny_config()))
+        image = np.zeros((8, 8, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"'class_id' is {class_id!r}, not an integer")):
+            export_attention(model, image, class_id, tmp_path / "m.pgm",
+                             tmp_path / "a.pgm")
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_export_rejects_a_stack(self, tmp_path):
         cfg = tiny_config()

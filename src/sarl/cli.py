@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .data import (SyntheticConfig, generate, load_dataset, parse_value,
                    save_dataset, stats, write_manifest)
@@ -42,34 +42,25 @@ def _add_config_flags(parser, config_cls):
             parser.add_argument(_flag(f.name), dest=f.name, default=None,
                                 action=argparse.BooleanOptionalAction)
         else:
-            # kept as text: _apply_flags parses it by the field's type
+            # kept as text: _flag_values parses it by the field's type
             parser.add_argument(_flag(f.name), dest=f.name, default=None)
 
 
-def _apply_flags(cfg, args, config_cls):
-    """cfg with every given flag applied; a bad value is a ValueError."""
-    updates = {}
+def _flag_values(args, config_cls):
+    """Field name -> value of every given flag; a bad value is a
+    ValueError."""
+    values = {}
     for f in fields(config_cls):
         value = getattr(args, f.name, None)
         if isinstance(value, str):
             value = parse_value(_flag(f.name), value, type(f.default))
         if value is not None:
-            updates[f.name] = value
-    return replace(cfg, **updates) if updates else cfg
-
-
-def _check_dataset(ds, cfg: TrainConfig, name):
-    dims = ds.payload.shape[1:]
-    want = (cfg.image_size, cfg.image_size, cfg.channels)
-    if ds.num_classes != cfg.num_classes or dims != want:
-        raise ValueError(
-            f"{name}: dataset is {'x'.join(map(str, dims))} with "
-            f"{ds.num_classes} classes, config wants "
-            f"{'x'.join(map(str, want))} with {cfg.num_classes}")
+            values[f.name] = value
+    return values
 
 
 def cmd_gen_data(args):
-    cfg = _apply_flags(SyntheticConfig(), args, SyntheticConfig)
+    cfg = SyntheticConfig(**_flag_values(args, SyntheticConfig))
     train_ds, test_ds = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_dataset(os.path.join(args.out, "train.bin"), train_ds)
@@ -86,17 +77,16 @@ def cmd_gen_data(args):
 def cmd_train(args):
     if (args.train_data is None) != (args.test_data is None):
         raise ValueError("give both --train-data and --test-data, or neither")
-    cfg = TrainConfig()
-    if args.config is not None:
-        cfg = config_from_file(args.config, base=cfg)
-    cfg = _apply_flags(cfg, args, TrainConfig)
+    flags = _flag_values(args, TrainConfig)
+    if args.config is not None:  # checked with the flags, which win
+        cfg = config_from_file(args.config, overrides=flags)
+    else:
+        cfg = TrainConfig(**flags)
     synthetic = synthetic_config(cfg) if args.train_data is None else None
 
     if args.train_data is not None:
         train_ds = load_dataset(args.train_data)
         test_ds = load_dataset(args.test_data)
-        _check_dataset(train_ds, cfg, args.train_data)
-        _check_dataset(test_ds, cfg, args.test_data)
     else:
         train_ds, test_ds = generate(synthetic)
 

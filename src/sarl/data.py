@@ -318,10 +318,15 @@ def check_int(name, value):
 
 
 def check_ints(cfg):
-    """Refuse a dataclass config whose int field holds no integer."""
+    """Refuse a dataclass config whose int field holds no integer, or
+    whose bool field holds no bool, naming the field."""
     for f in fields(cfg):
+        value = getattr(cfg, f.name)
         if f.type in (int, "int"):
-            check_int(f.name, getattr(cfg, f.name))
+            check_int(f.name, value)
+        elif (f.type in (bool, "bool")
+              and not isinstance(value, (bool, np.bool_))):
+            raise ValueError(f"{f.name!r} is {value!r}, not a boolean")
 
 
 def check_finite(cfg):

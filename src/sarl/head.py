@@ -25,7 +25,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import tensor as T
-from .data import FormatError, parse_value, read_exact, read_text
+from .data import FormatError, check_ints, parse_value, read_exact, read_text
 from .losses import AslConfig, LossWeights, classification_loss, objective
 from .representation import (ConfigError, EncoderConfig, EncoderParams,
                              FeatureMap, FusionParams, SelfAttentionParams,
@@ -84,10 +84,14 @@ class ModelConfig:
     disable_gsp_fusion: bool = False
 
     def __post_init__(self):
+        check_ints(self)
         for name in ("num_classes", "feature_dim", "label_dim", "bilinear_dim",
                      "bilinear_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
+        if self.n_heads < 1 or self.feature_dim % self.n_heads:
+            raise ConfigError(f"n_heads={self.n_heads} must be >= 1 and "
+                              f"divide d_v={self.feature_dim}")
         if self.gsp_mode not in ("avg", "max"):
             raise ConfigError(f"gsp_mode={self.gsp_mode!r} must be 'avg' or 'max'")
 

@@ -10,10 +10,10 @@ The loss itself is one closed-form tape op,
 :func:`sarl.tensor.asymmetric_loss`: the probability clamp and the clip
 act as masks on its gradient. So the classification loss records two ops
 (sigmoid, loss), the semantic-map loss three (max, sigmoid, loss) and
-the total one (:func:`sarl.tensor.weighted_sum`). A training sample
-records one op for all three: :func:`objective` computes that chain,
-with the same bits, as :func:`sarl.tensor.asl_objective`. With transport
-disabled it records the classification loss's two.
+the total four (two products, two sums). A training sample records one
+op for all three: :func:`objective` computes that chain, with the same
+bits, as :func:`sarl.tensor.asl_objective`. With transport disabled it
+records the classification loss's two.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def semantic_map_loss(m: Tensor, y, cfg: AslConfig) -> Tensor:
 
 
 def total_loss(l_cls, l_m, l_ot, w: LossWeights) -> Tensor:
-    """l_cls + (lambda1 * l_m + lambda2 * l_ot), one tape record."""
-    return T.weighted_sum(l_cls, l_m, l_ot, w.lambda1, w.lambda2)
+    """l_cls + (lambda1 * l_m + lambda2 * l_ot)."""
+    return T.add(l_cls, T.add(T.mul(l_m, w.lambda1), T.mul(l_ot, w.lambda2)))
 
 
 def objective(z: Tensor, m: Tensor, l_ot: Tensor, y, cfg: AslConfig,

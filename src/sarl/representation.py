@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import check_ints
 from .tensor import Tensor
 
 __all__ = [
@@ -62,6 +63,7 @@ class EncoderConfig:
     conv_blocks: int = 2
 
     def __post_init__(self):
+        check_ints(self)
         for name in ("in_channels", "conv_blocks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")

@@ -16,7 +16,9 @@ Training records 18 ops per sample at the default shape, on arrays of
 a few dozen entries, so a call's cost is its Python dispatch, not its
 arithmetic. That is why each stage of the head, the source distribution
 and the sample's whole loss are each one fused op that computes the
-chain of primitives it stands for, in the same order.
+chain of primitives it stands for, in the same order. The ops share
+one softmax (``_softmax``, ``_softmax_back``) and one shared-weight
+product (``_rows_times``, ``_rows_times_back``).
 On the tape path, call only C-level numpy: ufuncs, array methods,
 ``np.zeros``/``np.empty`` and indexing. A Python-level helper
 (``np.clip``, ``np.expand_dims``, ``np.broadcast_to``,
@@ -51,7 +53,6 @@ __all__ = [
     "bilinear_scores",
     "softmax_pool",
     "concat_linear",
-    "weighted_sum",
     "asymmetric_loss",
     "asl_objective",
     "cosine_cost",
@@ -252,8 +253,8 @@ def matmul(a, b):
     """(..., m, k) x (k, n) or (..., m, k) x (..., k, n) -> (..., m, n).
 
     A 2-D right operand is shared by every leading index, so the product
-    is one 2-D product over all rows; otherwise the leading axes must be
-    equal and each index multiplies its own pair.
+    is one record of one 2-D product over all rows; otherwise the
+    leading axes must be equal and each index multiplies its own pair.
     """
     ad, at = _lift(a)
     bd, bt = _lift(b)
@@ -262,8 +263,8 @@ def matmul(a, b):
         raise DimensionError(f"matmul needs (...,m,k)x(k,n) or "
                              f"(...,m,k)x(...,k,n), got {ad.shape} x {bd.shape}")
     if bd.ndim < ad.ndim:
-        rows = matmul(reshape(a, (-1, ad.shape[-1])), b)
-        return reshape(rows, ad.shape[:-1] + bd.shape[1:])
+        return _make(_rows_times(ad, bd), "matmul", (at, bt),
+                     lambda g: _rows_times_back(g, ad, at, bd, bt))
 
     stacked = ad.ndim > 2
 
@@ -361,19 +362,28 @@ def _pow_slope(x, e):
 # ---------------------------------------------------------------------------
 # softmax and reductions
 
+def _softmax(x, axis):
+    """softmax(x) along ``axis``, in a new buffer."""
+    s = x - x.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _softmax_back(g, s, axis):
+    """Upstream g through s = softmax(x) along ``axis``: (g - sum(g s)) s."""
+    d = g - (g * s).sum(axis=axis, keepdims=True)
+    d *= s
+    return d
+
+
 def softmax(a, axis):
     """Numerically stable softmax: each slice along ``axis`` sums to 1."""
     ad, at = _lift(a)
-    # in place on buffers this op owns
-    out_data = ad - ad.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    out_data = _softmax(ad, axis)
 
     def backward_fn(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        d = g - inner
-        d *= out_data
-        _accumulate(at, d)
+        _accumulate(at, _softmax_back(g, out_data, axis))
 
     return _make(out_data, "softmax", (at,), backward_fn)
 
@@ -387,16 +397,10 @@ def matvec_softmax(a, v):
     if ad.ndim != 2 or col.shape[0] != ad.shape[1]:
         raise DimensionError(f"matvec_softmax needs (P,k) and (k,), got "
                              f"{ad.shape}, {np.shape(v)}")
-    # in place on a buffer this op owns
-    out_data = (ad @ col).reshape(ad.shape[0])
-    out_data -= out_data.max(axis=0, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=0, keepdims=True)
+    out_data = _softmax((ad @ col).reshape(ad.shape[0]), 0)
 
     def backward_fn(g):
-        d = g - (g * out_data).sum(axis=0, keepdims=True)
-        d *= out_data
-        _accumulate(at, d.reshape(-1, 1) @ col.T)
+        _accumulate(at, _softmax_back(g, out_data, 0).reshape(-1, 1) @ col.T)
 
     return _make(out_data, "matvec_softmax", (at,), backward_fn)
 
@@ -568,19 +572,13 @@ def softmax_pool(x, weight, bias):
         raise DimensionError(f"softmax_pool needs (...,P,d), (d,C), (C,), got "
                              f"{xd.shape}, {wd.shape}, {bd.shape}")
     scores = _rows_times(xd, wd) + bd
-    # in place on a buffer this op owns: soft is softmax over the rows
-    soft = scores - scores.max(axis=-2, keepdims=True)
-    np.exp(soft, out=soft)
-    soft /= soft.sum(axis=-2, keepdims=True)
+    soft = _softmax(scores, -2)
     kept = (soft * scores).sum(axis=-2, keepdims=True)
 
     def backward_fn(g):
         gp = _spread(g, kept.shape, scores.shape)
-        g_soft = gp * scores
         gs = gp * soft
-        d = g_soft - (g_soft * soft).sum(axis=-2, keepdims=True)
-        d *= soft
-        gs += d
+        gs += _softmax_back(gp * scores, soft, -2)
         if bt is not None:
             _accumulate(bt, _unbroadcast(gs, bd.shape))
         _rows_times_back(gs, xd, xt, wd, wt)
@@ -628,30 +626,6 @@ def concat_linear(a, table, weight, bias):
 
     return _make(_rows_times(joined, wd) + bd, "concat_linear",
                  (at, tt, wt, bt), backward_fn)
-
-
-def weighted_sum(a, b, c, wb, wc):
-    """a + (b * wb + c * wc), summed in that order, for equal-shape a, b
-    and c and constant weights. One tape record; its backward reaches a,
-    then c, then b."""
-    ad, at = _lift(a)
-    bd, bt = _lift(b)
-    cd, ct = _lift(c)
-    shapes = [getattr(d, "shape", ()) for d in (ad, bd, cd)]  # () for a float
-    if shapes[1] != shapes[0] or shapes[2] != shapes[0]:
-        raise DimensionError(f"weighted_sum needs equal shapes, got "
-                             f"{', '.join(map(str, shapes))}")
-
-    def backward_fn(g):
-        if at is not None:
-            _accumulate(at, g.reshape(ad.shape))
-        if ct is not None:
-            _accumulate(ct, (g * wc).reshape(cd.shape))
-        if bt is not None:
-            _accumulate(bt, (g * wb).reshape(bd.shape))
-
-    return _make(ad + (bd * wb + cd * wc), "weighted_sum", (at, bt, ct),
-                 backward_fn)
 
 
 def sum_(a, axis=None):
@@ -869,21 +843,14 @@ def scaled_softmax(a, scale, axis):
         raise DimensionError(f"scaled_softmax over axis {axis} of {ad.shape} "
                              f"needs a scale of that shape without the axis, "
                              f"got {sd.shape}")
-    # in place on a buffer this op owns: soft is softmax(a, axis)
-    soft = ad - ad.max(axis=axis, keepdims=True)
-    np.exp(soft, out=soft)
-    total = soft.sum(axis=axis, keepdims=True)
-    soft /= total
-    sdx = sd.reshape(total.shape)
+    soft = _softmax(ad, axis)
+    sdx = sd.reshape(ad.shape[:axis] + (1,) + ad.shape[axis + 1:])
 
     def backward_fn(g):
         if st is not None:
             _accumulate(st, (g * soft).sum(axis=axis))
         if at is not None:
-            d = g * sdx
-            d -= (d * soft).sum(axis=axis, keepdims=True)
-            d *= soft
-            _accumulate(at, d)
+            _accumulate(at, _softmax_back(g * sdx, soft, axis))
 
     return _make(sdx * soft, "scaled_softmax", (at, st), backward_fn)
 

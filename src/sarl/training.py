@@ -114,7 +114,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_ints(self)
-        for name in ("lr", "batch_size", "epochs"):
+        for name in ("lr", "batch_size", "epochs", "image_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive")
         if not self.weight_decay >= 0:
@@ -123,29 +123,50 @@ class TrainConfig:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
         asl_config(self)
         loss_weights(self)
+        model_config(self)
         check_finite(self)
 
 
-def config_from_file(path, base: TrainConfig = None) -> TrainConfig:
+def config_from_file(path, base: TrainConfig = None,
+                     overrides=None) -> TrainConfig:
     """Read key=value lines into a TrainConfig.
 
     Values go through :func:`sarl.data.parse_value` by field type. An
-    unknown key, a value that does not parse or fails the TrainConfig
-    checks, or a key given twice is a ValueError naming the key and its
-    line.
+    unknown key, a value that does not parse, or a key given twice is a
+    ValueError naming the key and its line. ``overrides`` (field name ->
+    value, as the flags of `sarl train` give them) replace the file's
+    values after its last line. A config that fails the TrainConfig
+    checks is blamed on the first line, or override, after which the
+    values read so far fail as the whole config does: a check may read
+    two fields, as n_heads must divide feature_dim.
     """
     base = base if base is not None else TrainConfig()
     kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
-    updates = {}
+    updates, lines = {}, {}
     for key, (lineno, value) in read_manifest_lines(path).items():
         if key not in kinds:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
             updates[key] = parse_value(key, value, kinds[key])
-            replace(base, **{key: updates[key]})  # each check reads one field
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return replace(base, **updates)
+        lines[key] = f"line {lineno}: "
+    for key, value in (overrides or {}).items():
+        updates.pop(key, None)
+        lines.pop(key, None)
+        updates[key] = value
+    try:
+        return replace(base, **updates)
+    except ValueError as exc:
+        why = str(exc)
+    read = {}
+    for key, value in updates.items():  # the last pass reads them all
+        read[key] = value
+        try:
+            replace(base, **read)
+        except ValueError as exc:
+            if str(exc) == why:
+                raise ValueError(lines.get(key, "") + why) from None
 
 
 def config_entries(cfg: TrainConfig) -> dict:
@@ -324,7 +345,8 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     metrics.txt there. A non-finite sample loss, or a non-finite batch
     gradient before the optimizer step, aborts with a TrainingError that
     names the epoch, the training rows and the first bad tensor or
-    parameter. An empty split, a test split without a positive label
+    parameter. An empty split, a split whose class count or (H, W, C)
+    images differ from ``cfg``, a test split without a positive label
     and a training row without one are refused before anything is
     logged.
     """
@@ -345,9 +367,16 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = len(train_ds)
     # here, not after the last epoch, where evaluate would refuse them
+    want = (cfg.image_size, cfg.image_size, cfg.channels)
     for split, ds in (("training", train_ds), ("test", test_ds)):
         if not len(ds):
             raise TrainingError(f"the {split} split has no samples")
+        dims = ds.payload.shape[1:]
+        if ds.num_classes != cfg.num_classes or dims != want:
+            raise TrainingError(
+                f"the {split} split is {'x'.join(map(str, dims))} with "
+                f"{ds.num_classes} classes, config wants "
+                f"{'x'.join(map(str, want))} with {cfg.num_classes}")
     if not test_ds.labels.any():
         raise TrainingError("the test split has no positive label, so its "
                             "mAP is undefined")

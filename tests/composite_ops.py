@@ -13,9 +13,12 @@ included: a clamp passes gradient on both edges, and powers follow
 
 :func:`attention` is the queries-major kernel that the keys-major one
 (:func:`attention_kernel`, now inside :func:`sarl.tensor.attention`)
-replaced, and :func:`conv2d_columns` the nine-slice window columns that
-:func:`sarl.tensor.conv2d` now takes from one strided view: the
-references the rewritten kernels are held to.
+replaced, :func:`conv2d_columns` the nine-slice window columns that
+:func:`sarl.tensor.conv2d` now takes from one strided view, and
+:func:`matmul_shared` the three records (reshape, 2-D product, reshape)
+that :func:`sarl.tensor.matmul` made for an ``(..., m, k) @ (k, n)``
+product before it became one: the references the rewritten kernels are
+held to.
 
 :func:`sum_`, :func:`mean`, :func:`max_reduce`, :func:`asymmetric_loss`
 and :func:`scaled_softmax` are those ops as the library wrote them with
@@ -31,7 +34,8 @@ bilinear scores (three products and :func:`bilinear_kernel`), the
 semantic fusion (concat, product, bias), the region score aggregation
 (product, bias, softmax, product, sum) and the total loss (two
 products, two sums). The fused ops must give the same bits, values and
-gradients alike.
+gradients alike. The total loss is no longer fused: the library writes
+it as this chain, and the gate holds it there.
 
 :data:`LABEL_CHAINS` holds the two label-side stages that became one
 fused op each, as the chains they were: the source distribution
@@ -193,6 +197,13 @@ def conv2d_columns(x, kernel, bias):
             for dy in range(ks) for dx in range(ks)]
     cols = np.stack(taps, axis=-2).reshape(-1, ks * ks * cin)
     return (cols @ kernel + bias).reshape(*lead, hout, wout, kernel.shape[1])
+
+
+def matmul_shared(a, b):
+    """a (..., m, k) times one weight b (k, n) as three records."""
+    lead = a.shape[:-1]
+    rows = T.matmul(T.reshape(a, (-1, a.shape[-1])), b)
+    return T.reshape(rows, lead + b.shape[1:])
 
 
 def sum_(a, axis=None):

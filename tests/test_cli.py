@@ -97,6 +97,19 @@ class TestTrainVerb:
         assert "config epochs=1\n" in log
         assert "config lr=0.123\n" in log
 
+    def test_config_file_checked_with_the_flags(self, tmp_path):
+        # 6 heads do not divide the default feature_dim 32; the flag's 12
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_heads=6\nn_train=20\nn_test=10\n")
+        run = tmp_path / "run"
+        rc = main(["train", "--out", str(run), "--config", str(cfg),
+                   "--feature-dim", "12", "--num-classes", "4",
+                   "--channels", "2", "--label-dim", "4", "--bilinear-dim",
+                   "8", "--bilinear-out", "4", "--epochs", "1", "--quiet"])
+        assert rc == 0
+        log = (run / "run.log").read_text()
+        assert "config feature_dim=12\n" in log and "config n_heads=6\n" in log
+
     @pytest.mark.parametrize("flags,why", [
         (["--gsp-mode", "sum"], "gsp_mode='sum' must be 'avg' or 'max'"),
         (["--feature-dim", "30"], "n_heads=8 must be >= 1 and divide d_v=30"),

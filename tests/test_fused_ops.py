@@ -11,13 +11,15 @@ gradients with either. Errors are measured as in
 entries above 1 (the loss's gradient at the probability floor is about
 1e6).
 
-The five head stages that became one fused op each (self-attention, the
-bilinear scores, the semantic fusion, the region score aggregation and
-the total loss) compute what their chains did in the same order, so
-there the gate is bit equality, in float32 and float64, of the values
-and of every gradient, and of a whole model's loss and 17 parameter
-gradients. So is it for the two label-side chains that became one op
-each: the source distribution and a training sample's losses.
+The four head stages that became one fused op each (self-attention, the
+bilinear scores, the semantic fusion and the region score aggregation)
+compute what their chains did in the same order, so there the gate is
+bit equality, in float32 and float64, of the values and of every
+gradient, and of a whole model's loss and 17 parameter gradients. The
+total loss, once fused too, is held to its chain the same way. So are
+the two label-side chains that became one op each, the source
+distribution and a training sample's losses, and matmul's product of
+a stack by one shared weight, once three records.
 """
 
 import dataclasses
@@ -401,16 +403,15 @@ class TestKeysMajorAttention:
                     upstream(queries_major, weights), [x] + w)
 
 
-# the five fused head stages, by name, in the library
+# the head stages held to their chains, by name, in the library
 STAGE_MODULES = {name: module for module, name in composite_ops.HEAD_STAGES}
 STAGES = tuple(STAGE_MODULES)
-# each stage's records on one image, and on a 3-sample stack
+# each fused stage's records on one image, and on a 3-sample stack
 RECORDS = {
     "self_attention": (["attention"], ["attention"]),
     "bilinear_mass": (["bilinear_scores"], ["bilinear_scores"]),
     "fuse_semantic": (["concat_linear"], ["concat_linear"]),
     "region_score_aggregate": (["softmax_pool"], ["softmax_pool"]),
-    "total_loss": (["weighted_sum"], ["weighted_sum"]),
 }
 
 
@@ -481,6 +482,32 @@ class TestHeadStages:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == dtype and a.shape == b.shape
             np.testing.assert_array_equal(a, b)
+
+
+class TestSharedWeightMatmul:
+    """matmul of a stack by one (k, n) weight against the three records
+    it replaced: one record, and the same bits, output and both
+    gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("shape", [(3, 16, 32), (2, 3, 4, 32)],
+                             ids=["stack3", "stack2x3"])
+    def test_bit_identical_to_chain(self, shape, dtype):
+        rng = np.random.default_rng(len(shape))
+        a = Tensor(rng.normal(size=shape).astype(dtype))
+        b = Tensor(rng.normal(size=(32, 6)).astype(dtype))
+        with Tape() as tape:
+            T.matmul(a, b)
+        assert [t.op for t in tape.tensors()] == ["matmul"]
+        weights = [rng.normal(size=s).astype(dtype)
+                   for s in (shape[:-1] + (6,), shape, (32, 6))]
+        got = outputs_and_grads(lambda: T.matmul(a, b), [a, b], weights)
+        want = outputs_and_grads(lambda: composite_ops.matmul_shared(a, b),
+                                 [a, b], weights)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype == dtype and x.shape == y.shape
+            np.testing.assert_array_equal(x, y)
 
 
 def swap_in(monkeypatch, impls):
@@ -613,7 +640,7 @@ class TestRecordsAndDtype:
             losses.objective(z, m, cost, np.ones(6), AslConfig(), LossWeights())
         assert [t.op for t in tape.tensors()] == ["matvec_softmax",
                                                   "asl_objective"]
-        for name in STAGES:
+        for name in RECORDS:
             for samples, want in zip(((), (3,)), RECORDS[name]):
                 _, call = head_stage(name, samples, np.float64, rng)
                 with Tape() as tape:

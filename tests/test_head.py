@@ -134,6 +134,40 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=f"^{field}=0 must be >= 1$"):
             EncoderConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["num_classes", "feature_dim",
+                                       "label_dim", "n_heads"])
+    @pytest.mark.parametrize("value", [8.0, True])
+    def test_non_integer_field_rejected_by_name(self, field, value):
+        # build_model died on a float width with no field named
+        with pytest.raises(ValueError,
+                           match=f"^'{field}' is {value}, not an integer$"):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["in_channels", "grid_h", "grid_w",
+                                       "conv_blocks"])
+    def test_non_integer_encoder_field_rejected_by_name(self, field):
+        kwargs = dict(in_channels=2, grid_h=2, grid_w=2, conv_blocks=2)
+        kwargs[field] = 2.0
+        with pytest.raises(ValueError,
+                           match=f"^'{field}' is 2.0, not an integer$"):
+            EncoderConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["disable_self_attn", "disable_ot",
+                                       "disable_gsp_fusion"])
+    @pytest.mark.parametrize("value", [2, 1, "no"])
+    def test_non_bool_flag_rejected_by_name(self, field, value):
+        # a checkpoint saved with disable_ot=2 would not load
+        with pytest.raises(ValueError, match=f"^'{field}' is "
+                                             f"{re.escape(repr(value))}, "
+                                             f"not a boolean$"):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("n_heads", [0, 3, 16])
+    def test_heads_must_divide_feature_dim(self, n_heads):
+        with pytest.raises(ConfigError, match=f"^n_heads={n_heads} must be "
+                                              f">= 1 and divide d_v=8$"):
+            tiny_config(n_heads=n_heads)
+
 
 class TestRegionScoreAggregate:
     def test_identical_patch_rows_pass_through(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sarl import tensor as T
-from sarl.gradcheck import check_gradients
+from sarl.gradcheck import check_gradients, run_suite
 from sarl.tensor import DimensionError, Tape, Tensor
 
 import composite_ops
@@ -376,6 +376,26 @@ class TestPrimitiveGradients:
         assert check_gradients(
             lambda: T.sum_(T.pow_const(T.conv2d(img, kern, bias), 2)),
             [img, kern, bias]) < 1e-4
+
+
+class TestGradcheckSuite:
+    def test_records_every_op(self, monkeypatch):
+        # `sarl gradcheck` promises every op: each function the core
+        # exports but conv_output_size (a length, not an op) must be
+        # recorded, under its op name, while the suite runs
+        seen = set()
+        record = Tape.record
+
+        def spy(tape, out, parents, backward_fn):
+            seen.add(out.op)
+            record(tape, out, parents, backward_fn)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        assert run_suite(verbose=False)
+        op_names = {"sum_": "sum", "max_reduce": "max", "pow_const": "pow"}
+        ops = {op_names.get(name, name) for name in T.__all__
+               if not isinstance(getattr(T, name), type)}
+        assert ops - {"conv_output_size"} - seen == set()
 
 
 class TestConv2d:

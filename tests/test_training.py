@@ -8,7 +8,7 @@ shared helpers with the implementation.
 import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -296,6 +296,54 @@ class TestConfig:
 
     def test_numpy_integer_field_accepted(self):
         assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)
+                                       if type(f.default) is bool])
+    def test_non_bool_field_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=f"^'{field}' is 2, not a boolean$"):
+            TrainConfig(**{field: 2})
+
+    @pytest.mark.parametrize("line,why", [
+        ("feature_dim=0", "feature_dim=0 must be >= 1"),
+        ("num_classes=0", "num_classes=0 must be >= 1"),
+        ("channels=0", "in_channels=0 must be >= 1"),
+        ("image_size=0", "image_size=0 must be positive"),
+        ("gsp_mode=sum", "gsp_mode='sum' must be 'avg' or 'max'"),
+        ("n_heads=5", "n_heads=5 must be >= 1 and divide d_v=32"),
+    ], ids=["feature-dim", "num-classes", "channels", "image-size",
+            "gsp-mode", "n-heads"])
+    def test_architecture_line_refused_by_number(self, tmp_path, line, why):
+        # each passed config_from_file, to fail later in train
+        path = tmp_path / "run.cfg"
+        path.write_text(f"lr=0.1\n{line}\nepochs=1\n")
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(why)}$"):
+            config_from_file(path)
+
+    def test_fields_checked_together_blame_the_line_that_fails(self, tmp_path):
+        # feature_dim=30 alone fails with the default 8 heads; the next
+        # line mends it, or leaves the file failing from there on
+        path = tmp_path / "run.cfg"
+        path.write_text("feature_dim=30\nn_heads=5\n")
+        cfg = config_from_file(path)
+        assert (cfg.feature_dim, cfg.n_heads) == (30, 5)
+        for text in ("feature_dim=30\nn_heads=7\n", "n_heads=7\nfeature_dim=30\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^line 2: n_heads=7 must be "
+                                                 ">= 1 and divide d_v=30$"):
+                config_from_file(path)
+
+    def test_overrides_are_checked_with_the_file(self, tmp_path):
+        # as `sarl train --config` gives its flags: after the last line
+        path = tmp_path / "run.cfg"
+        path.write_text("n_heads=5\nepochs=3\n")
+        cfg = config_from_file(path, overrides={"feature_dim": 30, "epochs": 1})
+        assert (cfg.feature_dim, cfg.n_heads, cfg.epochs) == (30, 5, 1)
+        with pytest.raises(ValueError, match="^n_heads=5 must be >= 1 and "
+                                             "divide d_v=28$"):
+            config_from_file(path, overrides={"feature_dim": 28})
+        with pytest.raises(ValueError, match="^line 1: n_heads=5 must be "
+                                             ">= 1 and divide d_v=32$"):
+            config_from_file(path, overrides={"epochs": 1})
 
     def test_negative_weight_decay_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -612,11 +660,30 @@ class TestTrainLoop:
             assert_array_equal(shadow, runs[1].shadow[name], err_msg=name)
 
     def test_unknown_gsp_mode_rejected_before_training(self):
-        cfg = tiny_config(gsp_mode="sum")
-        train_ds, test_ds = generate(synthetic_config(cfg))
-        lines = []
+        # TrainConfig refuses it, so no run can start with it
         with pytest.raises(ConfigError, match="gsp_mode='sum'"):
-            train(cfg, train_ds, test_ds, log=lines.append)
+            tiny_config(gsp_mode="sum")
+
+    @pytest.mark.parametrize("split,change,why", [
+        ("test", {"num_classes": 5}, "8x8x2 with 5 classes"),
+        ("training", {"num_classes": 5}, "8x8x2 with 5 classes"),
+        ("training", {"image_size": 12}, "12x12x2 with 4 classes"),
+        ("test", {"channels": 3}, "8x8x3 with 4 classes"),
+    ], ids=["test-classes", "training-classes", "training-size",
+            "test-channels"])
+    def test_split_unlike_the_config_rejected_before_training(self, split,
+                                                              change, why):
+        # a 5-class test split trained every epoch, then evaluate refused
+        # it; a 5-class or 12x12 training split died in the first forward
+        cfg = tiny_config()
+        splits = dict(zip(("training", "test"), generate(synthetic_config(cfg))))
+        other = replace(cfg, **change)
+        splits[split] = dict(zip(("training", "test"),
+                                 generate(synthetic_config(other))))[split]
+        lines = []
+        with pytest.raises(TrainingError, match=f"^the {split} split is {why}, "
+                                                f"config wants 8x8x2 with 4$"):
+            train(cfg, splits["training"], splits["test"], log=lines.append)
         assert lines == []
 
     def test_evaluate_matches_train_report(self):

@@ -35,8 +35,7 @@ __all__ = [
     "read_manifest",
     "parse_value",
     "check_int",
-    "check_ints",
-    "check_finite",
+    "check_fields",
 ]
 
 MAGIC = b"SARL"
@@ -65,19 +64,21 @@ class SyntheticConfig:
     cardinality: float = 1.5
 
     def __post_init__(self):
-        check_ints(self)
+        check_fields(self)
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         for name in ("n_train", "n_test", "num_classes", "height", "width",
                      "channels"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name}={getattr(self, name)} must be >= 1")
         if not 1.0 <= self.cardinality <= self.num_classes:
             raise ValueError(
                 f"cardinality {self.cardinality} outside [1, {self.num_classes}]")
         if self.height < BLOB_SIZE or self.width < BLOB_SIZE:
-            raise ValueError(f"images must be at least {BLOB_SIZE}x{BLOB_SIZE}")
+            raise ValueError(f"height={self.height}, width={self.width} must "
+                             f"be >= {BLOB_SIZE}")
         if self.noise < 0:
             raise ValueError(f"noise={self.noise} must be >= 0")
-        check_finite(self)
 
 
 @dataclass
@@ -317,9 +318,10 @@ def check_int(name, value):
         raise ValueError(f"{name!r} is {value!r}, not an integer")
 
 
-def check_ints(cfg):
-    """Refuse a dataclass config whose int field holds no integer, or
-    whose bool field holds no bool, naming the field."""
+def check_fields(cfg):
+    """Refuse a dataclass config whose int field holds no integer, whose
+    bool field holds no bool, or whose float is NaN or infinite, naming
+    the field as :func:`parse_value` does."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in (int, "int"):
@@ -327,12 +329,5 @@ def check_ints(cfg):
         elif (f.type in (bool, "bool")
               and not isinstance(value, (bool, np.bool_))):
             raise ValueError(f"{f.name!r} is {value!r}, not a boolean")
-
-
-def check_finite(cfg):
-    """Refuse a dataclass config whose float field is NaN or infinite,
-    naming the field as :func:`parse_value` does."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name!r} is {value}, not a finite number")

@@ -16,19 +16,21 @@ DEFAULT_TOL = 1e-4
 
 
 def numeric_gradient(fn, tensors, index):
-    """Central-difference d(fn)/d(tensors[index]), elementwise."""
+    """Central-difference d(fn)/d(tensors[index]), elementwise, bumping
+    each entry of one copy of its data in place."""
     target = tensors[index]
-    base = target.data.copy()
+    base = target.data
+    target.data = base.copy()
+    bumped = target.data.reshape(-1)
     grad = np.zeros_like(base)
     flat = grad.reshape(-1)
-    for i in range(base.size):
-        bumped = base.reshape(-1).copy()
-        bumped[i] = base.reshape(-1)[i] + DEFAULT_STEP
-        target.data = bumped.reshape(base.shape)
+    for i in range(bumped.size):
+        value = bumped[i]
+        bumped[i] = value + DEFAULT_STEP
         hi = float(fn().data)
-        bumped[i] = base.reshape(-1)[i] - DEFAULT_STEP
-        target.data = bumped.reshape(base.shape)
+        bumped[i] = value - DEFAULT_STEP
         lo = float(fn().data)
+        bumped[i] = value
         flat[i] = (hi - lo) / (2.0 * DEFAULT_STEP)
     target.data = base
     return grad

@@ -24,9 +24,10 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import losses
 from . import tensor as T
-from .data import FormatError, check_ints, parse_value, read_exact, read_text
-from .losses import AslConfig, LossWeights, classification_loss, objective
+from .data import FormatError, check_fields, parse_value, read_exact, read_text
+from .losses import AslConfig, LossWeights, classification_loss
 from .representation import (ConfigError, EncoderConfig, EncoderParams,
                              FeatureMap, FusionParams, SelfAttentionParams,
                              encode, fuse_semantic, global_spatial_pool,
@@ -84,7 +85,7 @@ class ModelConfig:
     disable_gsp_fusion: bool = False
 
     def __post_init__(self):
-        check_ints(self)
+        check_fields(self)
         for name in ("num_classes", "feature_dim", "label_dim", "bilinear_dim",
                      "bilinear_out"):
             if getattr(self, name) < 1:
@@ -227,10 +228,11 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     # its per-layer counts depend on timing (ROADMAP item 1).
     fm = encode(x, cfg.encoder, model.encoder)
     stacked = len(shape) == 4
-    parts = fm.split()
+    rows = T.unstack(fm.f) if stacked else [fm.f]
     if not cfg.disable_self_attn:
-        parts = [self_attention(one, model.attention) for one in parts]
-        fm = FeatureMap.join(parts) if stacked else parts[0]
+        rows = [self_attention(FeatureMap(f, fm.h, fm.w), model.attention).f
+                for f in rows]
+        fm = FeatureMap(T.stack(rows) if stacked else rows[0], fm.h, fm.w)
 
     if cfg.disable_gsp_fusion:
         f_g = Tensor(np.zeros((*fm.f.shape[:-2], 1, cfg.feature_dim),
@@ -244,8 +246,8 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
         return ForwardOutput(logits=logits, features=fm,
                              semantic_features=f_s, aligned=fm.f)
 
-    masses = [bilinear_mass(one.f, s, model.bilinear) for one, s in
-              zip(parts, T.unstack(f_s) if stacked else [f_s])]
+    masses = [bilinear_mass(f, s, model.bilinear) for f, s in
+              zip(rows, T.unstack(f_s) if stacked else [f_s])]
     mass = T.stack(masses) if stacked else masses[0]
     attn = semantic_attention(mass)
     aligned = semantic_repr(attn, f_s)
@@ -268,18 +270,20 @@ def sample_losses(out: ForwardOutput, labels, asl_cfg: AslConfig,
                   weights: LossWeights):
     """Per-sample (total, l_cls, l_m, l_ot) given a training-mode forward.
 
-    One tape record (:func:`sarl.losses.objective`); l_cls and l_m are
-    values off the tape. With transport disabled the map and transport
-    terms are zero and the total is the classification loss alone (two
-    records).
+    One tape record (:func:`sarl.tensor.asl_objective`), bit-identical to
+    the :mod:`sarl.losses` chain; l_cls and l_m are values off the tape.
+    With transport disabled the map and transport terms are zero and the
+    total is the classification loss alone (two records).
     """
     if out.transport_cost is None:
         l_cls = classification_loss(out.logits, labels, asl_cfg)
         zero = Tensor(np.zeros((), dtype=out.logits.dtype))
         return l_cls, l_cls, zero, zero
-    total, l_cls, l_m = objective(out.logits, out.semantic_map,
-                                  out.transport_cost, labels, asl_cfg, weights)
-    return total, l_cls, l_m, out.transport_cost
+    total, (l_cls, l_m) = T.asl_objective(
+        out.logits, out.semantic_map, out.transport_cost, labels,
+        asl_cfg.gamma_pos, asl_cfg.gamma_neg, asl_cfg.clip,
+        losses.PROB_FLOOR, weights.lambda1, weights.lambda2)
+    return total, Tensor(l_cls), Tensor(l_m), out.transport_cost
 
 
 def _manifest_text(cfg: ModelConfig) -> str:

@@ -11,9 +11,9 @@ The loss itself is one closed-form tape op,
 act as masks on its gradient. So the classification loss records two ops
 (sigmoid, loss), the semantic-map loss three (max, sigmoid, loss) and
 the total four (two products, two sums). A training sample records one
-op for all three: :func:`objective` computes that chain, with the same
-bits, as :func:`sarl.tensor.asl_objective`. With transport disabled it
-records the classification loss's two.
+op for all three: :func:`sarl.head.sample_losses` computes that chain,
+with the same bits, as :func:`sarl.tensor.asl_objective`. With transport
+disabled it records the classification loss's two.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .data import check_finite
+from .data import check_fields
 from .tensor import Tensor
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "classification_loss",
     "semantic_map_loss",
     "total_loss",
-    "objective",
 ]
 
 PROB_FLOOR = 1e-7
@@ -46,10 +45,10 @@ class AslConfig:
     clip: float = 0.05
 
     def __post_init__(self):
+        check_fields(self)
         _check_nonnegative(self, "gamma_pos", "gamma_neg")
         if not 0.0 <= self.clip < 1.0:
             raise ValueError(f"clip={self.clip} must be in [0, 1)")
-        check_finite(self)
 
 
 @dataclass
@@ -60,13 +59,13 @@ class LossWeights:
     lambda2: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         _check_nonnegative(self, "lambda1", "lambda2")
-        check_finite(self)
 
 
 def _check_nonnegative(cfg, *names):
     for name in names:
-        if not getattr(cfg, name) >= 0:  # NaN fails too
+        if getattr(cfg, name) < 0:
             raise ValueError(f"{name}={getattr(cfg, name)} must be >= 0")
 
 
@@ -100,18 +99,3 @@ def semantic_map_loss(m: Tensor, y, cfg: AslConfig) -> Tensor:
 def total_loss(l_cls, l_m, l_ot, w: LossWeights) -> Tensor:
     """l_cls + (lambda1 * l_m + lambda2 * l_ot)."""
     return T.add(l_cls, T.add(T.mul(l_m, w.lambda1), T.mul(l_ot, w.lambda2)))
-
-
-def objective(z: Tensor, m: Tensor, l_ot: Tensor, y, cfg: AslConfig,
-              w: LossWeights):
-    """(total, l_cls, l_m) of one training sample: the classification
-    loss of logits z, the semantic-map loss of map m and their
-    :func:`total_loss` with the transport loss l_ot.
-
-    One tape record (:func:`sarl.tensor.asl_objective`), bit-identical
-    to that chain; l_cls and l_m are values off the tape.
-    """
-    total, (l_cls, l_m) = T.asl_objective(
-        z, m, l_ot, y, cfg.gamma_pos, cfg.gamma_neg, cfg.clip, PROB_FLOOR,
-        w.lambda1, w.lambda2)
-    return total, Tensor(l_cls), Tensor(l_m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import check_ints
+from .data import check_fields
 from .tensor import Tensor
 
 __all__ = [
@@ -63,7 +63,7 @@ class EncoderConfig:
     conv_blocks: int = 2
 
     def __post_init__(self):
-        check_ints(self)
+        check_fields(self)
         for name in ("in_channels", "conv_blocks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
@@ -89,8 +89,7 @@ class FeatureMap:
 
     ``f`` holds the P = h*w patch rows of one image, (P, d_v), or of
     each image in a stack of N, (N, P, d_v); its sample axes are
-    ``f.shape[:-2]``. :meth:`split` and :meth:`join` go between a stack
-    and its single-image maps.
+    ``f.shape[:-2]``.
     """
 
     f: Tensor
@@ -105,32 +104,16 @@ class FeatureMap:
                               f"or (N, P, d_v) patch rows of a "
                               f"{self.h}x{self.w} grid")
 
-    def split(self) -> list:
-        """One single-image map per sample; [self] for one image."""
-        if len(self.f.shape) == 2:
-            return [self]
-        return [FeatureMap(f, self.h, self.w) for f in T.unstack(self.f)]
-
-    @staticmethod
-    def join(parts: list) -> "FeatureMap":
-        """The inverse of :meth:`split` on a stack: the parts stacked in
-        order."""
-        return FeatureMap(T.stack([p.f for p in parts]), parts[0].h, parts[0].w)
-
 
 @dataclass
 class SelfAttentionParams:
-    """Query/key/value projections, each d_v x d_v, sliced into heads."""
+    """Query/key/value projections, each d_v x d_v, sliced into n_heads
+    heads; :func:`sarl.tensor.attention` refuses a count not dividing d_v."""
 
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
     n_heads: int = 8
-
-    def __post_init__(self):
-        d_v = self.w_q.shape[0]
-        if self.n_heads < 1 or d_v % self.n_heads != 0:
-            raise ConfigError(f"n_heads={self.n_heads} must be >= 1 and divide d_v={d_v}")
 
 
 @dataclass

@@ -30,9 +30,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import (Dataset, SyntheticConfig, check_finite, check_int,
-                   check_ints, parse_value, read_manifest_lines,
-                   write_manifest)
+from .data import (Dataset, SyntheticConfig, check_fields, check_int,
+                   parse_value, read_manifest_lines, write_manifest)
 from .head import (ModelBundle, ModelConfig, build_model, forward,
                    sample_losses, save_checkpoint)
 from .losses import AslConfig, LossWeights
@@ -113,18 +112,19 @@ class TrainConfig:
     disable_gsp_fusion: bool = False
 
     def __post_init__(self):
-        check_ints(self)
-        for name in ("lr", "batch_size", "epochs", "image_size"):
+        check_fields(self)
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
+        for name in ("lr", "batch_size", "epochs", "image_size", "channels"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive")
-        if not self.weight_decay >= 0:
+        if self.weight_decay < 0:
             raise ValueError(f"weight_decay={self.weight_decay} must be >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
         asl_config(self)
         loss_weights(self)
         model_config(self)
-        check_finite(self)
 
 
 def config_from_file(path, base: TrainConfig = None,
@@ -173,37 +173,33 @@ def config_entries(cfg: TrainConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
 
 
+def _by_name(cls, cfg: TrainConfig, **renamed):
+    """A ``cls`` config whose fields come from cfg's fields of the same
+    name, except those given in ``renamed``."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)
+                  if f.name not in renamed}, **renamed)
+
+
 def synthetic_config(cfg: TrainConfig) -> SyntheticConfig:
-    return SyntheticConfig(
-        seed=cfg.seed, n_train=cfg.n_train, n_test=cfg.n_test,
-        num_classes=cfg.num_classes, height=cfg.image_size,
-        width=cfg.image_size, channels=cfg.channels, signal=cfg.signal,
-        noise=cfg.noise, cardinality=cfg.cardinality)
+    return _by_name(SyntheticConfig, cfg, height=cfg.image_size,
+                    width=cfg.image_size)
 
 
 def model_config(cfg: TrainConfig) -> ModelConfig:
     grid = cfg.image_size
     for _ in range(cfg.conv_blocks):
         grid = T.conv_output_size(grid)
-    encoder = EncoderConfig(in_channels=cfg.channels, grid_h=grid, grid_w=grid,
-                            conv_blocks=cfg.conv_blocks)
-    return ModelConfig(
-        num_classes=cfg.num_classes, feature_dim=cfg.feature_dim,
-        label_dim=cfg.label_dim, bilinear_dim=cfg.bilinear_dim,
-        bilinear_out=cfg.bilinear_out, n_heads=cfg.n_heads,
-        gsp_mode=cfg.gsp_mode, encoder=encoder,
-        disable_self_attn=cfg.disable_self_attn,
-        disable_ot=cfg.disable_ot,
-        disable_gsp_fusion=cfg.disable_gsp_fusion)
+    encoder = _by_name(EncoderConfig, cfg, in_channels=cfg.channels,
+                       grid_h=grid, grid_w=grid)
+    return _by_name(ModelConfig, cfg, encoder=encoder)
 
 
 def asl_config(cfg: TrainConfig) -> AslConfig:
-    return AslConfig(gamma_pos=cfg.gamma_pos, gamma_neg=cfg.gamma_neg,
-                     clip=cfg.clip)
+    return _by_name(AslConfig, cfg)
 
 
 def loss_weights(cfg: TrainConfig) -> LossWeights:
-    return LossWeights(lambda1=cfg.lambda1, lambda2=cfg.lambda2)
+    return _by_name(LossWeights, cfg)
 
 
 @dataclass

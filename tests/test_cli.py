@@ -114,7 +114,7 @@ class TestTrainVerb:
         (["--gsp-mode", "sum"], "gsp_mode='sum' must be 'avg' or 'max'"),
         (["--feature-dim", "30"], "n_heads=8 must be >= 1 and divide d_v=30"),
         (["--batch-size", "0"], "batch_size=0 must be positive"),
-        (["--n-train", "0"], "n_train must be >= 1"),
+        (["--n-train", "0"], "n_train=0 must be >= 1"),
         (["--noise", "-1"], "noise=-1.0 must be >= 0"),
         (["--epochs", "1_0"], "'--epochs' is '1_0', not an integer"),
         (["--lr", "nan"], "'--lr' is 'nan', not a finite number"),
@@ -126,9 +126,12 @@ class TestTrainVerb:
         (["--bilinear-dim", "0"], "bilinear_dim=0 must be >= 1"),
         (["--bilinear-out", "0"], "bilinear_out=0 must be >= 1"),
         (["--conv-blocks", "0"], "conv_blocks=0 must be >= 1"),
+        (["--image-size", "2"], "height=2, width=2 must be >= 3"),
+        (["--channels", "0"], "channels=0 must be positive"),
     ], ids=["gsp-mode", "feature-dim", "batch-size", "n-train", "noise",
             "epochs", "lr", "weight-decay", "lambda1", "gamma-neg", "clip",
-            "label-dim", "bilinear-dim", "bilinear-out", "conv-blocks"])
+            "label-dim", "bilinear-dim", "bilinear-out", "conv-blocks",
+            "image-size", "channels"])
     def test_bad_config_refused_before_run_log(self, tmp_path, flags, why):
         run = tmp_path / "run"
         with pytest.raises(SystemExit, match=f"^sarl train: {re.escape(why)}$"):

@@ -1,6 +1,7 @@
 """Synthetic generation, the binary dataset format, and statistics."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestGenerate:
         for i in range(len(train)):
             truth = int(np.argmax(train.labels[i]))
             assert match_class(train.payload[i], blobs) == truth
+
+    @pytest.mark.parametrize("overrides,why", [
+        ({"n_train": 0}, "n_train=0 must be >= 1"),
+        ({"channels": 0}, "channels=0 must be >= 1"),
+        ({"height": 2, "width": 2}, "height=2, width=2 must be >= 3"),
+        ({"width": 1}, "height=8, width=1 must be >= 3"),
+        ({"seed": -1}, "seed=-1 must be >= 0"),
+    ], ids=["n-train", "channels", "image-size", "width", "seed"])
+    def test_refusal_names_key_and_value(self, overrides, why):
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            SyntheticConfig(**overrides)
 
     def test_infeasible_cardinality_rejected(self):
         with pytest.raises(ValueError):

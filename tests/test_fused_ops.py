@@ -299,6 +299,13 @@ def loss_case(dtype, rng):
     return floor, clip, z, m, np.asarray(rng.random() * 2.0, dtype), labels
 
 
+def label_outputs(z, m, cost):
+    """The parts of a training-mode forward that sample_losses reads."""
+    return head.ForwardOutput(logits=z, features=None, semantic_features=None,
+                              aligned=None, semantic_map=m,
+                              transport_cost=cost)
+
+
 class TestSampleLosses:
     """The fused losses of a training sample and the fused source
     distribution against the chains they replaced (``composite_ops``):
@@ -317,10 +324,7 @@ class TestSampleLosses:
         cfg = AslConfig(gamma_pos, gamma_neg, clip)
         weights = LossWeights(0.04, 0.5)
         leaves = [Tensor(z), Tensor(m), Tensor(cost)]
-        out = head.ForwardOutput(logits=leaves[0], features=None,
-                                 semantic_features=None, aligned=None,
-                                 semantic_map=leaves[1],
-                                 transport_cost=leaves[2])
+        out = label_outputs(*leaves)
         upstream = np.asarray(1.7, dtype)
         for y in (labels, np.ones_like(labels), np.zeros_like(labels)):
             got = self.losses_and_grads(head.sample_losses, out, y, cfg,
@@ -637,7 +641,8 @@ class TestRecordsAndDtype:
         cost = Tensor(0.5)
         with Tape() as tape:
             source_distribution(m, np.ones(6))
-            losses.objective(z, m, cost, np.ones(6), AslConfig(), LossWeights())
+            head.sample_losses(label_outputs(z, m, cost), np.ones(6),
+                               AslConfig(), LossWeights())
         assert [t.op for t in tape.tensors()] == ["matvec_softmax",
                                                   "asl_objective"]
         for name in RECORDS:
@@ -662,9 +667,9 @@ class TestRecordsAndDtype:
             co = cost_matrix(f, s)
             theta = source_distribution(m, labels)
             l_ot = ct_loss(forward_plan(co, theta), backward_plan(co, beta), co)
-            total, l_cls, l_m = losses.objective(z, m, T.add(l_asl, l_ot),
-                                                 labels, AslConfig(),
-                                                 LossWeights())
+            total, l_cls, l_m, _ = head.sample_losses(
+                label_outputs(z, m, T.add(l_asl, l_ot)), labels, AslConfig(),
+                LossWeights())
             assert l_cls.dtype == l_m.dtype == np.float32
             tape.backward(total)
             outs = list(tape.tensors())

@@ -14,7 +14,7 @@ from sarl.representation import (ConfigError, EncoderConfig, FeatureMap,
                                  FusionParams, SelfAttentionParams, encode, fuse_semantic,
                                  global_spatial_pool, init_encoder,
                                  self_attention)
-from sarl.tensor import Tape, Tensor
+from sarl.tensor import DimensionError, Tape, Tensor
 
 
 def attention_oracle(f, w_q, w_k, w_v, n_heads):
@@ -158,9 +158,13 @@ class TestSelfAttention:
             np.testing.assert_allclose(out.f.data[i], one, rtol=0, atol=1e-12)
 
     def test_head_count_must_divide(self):
+        # refused where the op runs; ModelConfig refuses it where a
+        # config enters (test_head's test_heads_must_divide_feature_dim)
         rng = np.random.default_rng(6)
-        with pytest.raises(ConfigError):
-            self.params(rng, 8, 3)
+        p = self.params(rng, 8, 3)
+        with pytest.raises(DimensionError, match="^n_heads=3 must be >= 1 "
+                                                 "and divide d_v=8$"):
+            self_attention(feature_map(rng.normal(size=(4, 8)), 2, 2), p)
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
@@ -182,25 +186,6 @@ class TestFeatureMapStack:
                     f"(N, P, d_v) patch rows of a 2x2 grid")):
                 FeatureMap(Tensor(np.ones(shape)), 2, 2)
 
-    def test_split_then_join_is_the_identity(self):
-        rng = np.random.default_rng(17)
-        f = Tensor(rng.normal(size=(3, 4, 3)))
-        upstream = rng.normal(size=f.shape)
-        with Tape() as tape:
-            parts = FeatureMap(f, 2, 2).split()
-            joined = FeatureMap.join(parts)
-            tape.backward(T.sum_(T.mul(joined.f, upstream)))
-        for i, part in enumerate(parts):
-            assert (part.h, part.w) == (2, 2)
-            np.testing.assert_array_equal(part.f.data, f.data[i])
-        np.testing.assert_array_equal(joined.f.data, f.data)
-        np.testing.assert_array_equal(f.grad, upstream)
-
-    def test_one_image_splits_into_itself_unrecorded(self):
-        fm = FeatureMap(Tensor(np.ones((4, 3))), 2, 2)
-        with Tape() as tape:
-            assert fm.split() == [fm]
-        assert len(tape) == 0
 
 
 class TestGlobalSpatialPool:

@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from sarl.data import Dataset, generate, load_dataset, read_manifest
-from sarl.head import build_model, forward, load_checkpoint, sample_losses
+from sarl.data import (Dataset, SyntheticConfig, generate, load_dataset,
+                       read_manifest)
+from sarl.head import (ModelConfig, build_model, forward, load_checkpoint,
+                       sample_losses)
+from sarl.losses import AslConfig, LossWeights
 from sarl.metrics import load_predictions, compute_report
-from sarl.representation import ConfigError
+from sarl.representation import ConfigError, EncoderConfig
 from sarl.tensor import Tape, Tensor
 from sarl.training import (TrainConfig, TrainingError, adamw_step,
                            config_entries, config_from_file, ema_update,
@@ -252,6 +255,24 @@ class TestFlatBuffer:
             init_optimizer(params)
 
 
+def out_of_range(field, value, why):
+    """The refusal of ``field=value``: a NaN is refused as no finite number
+    before any range check."""
+    if math.isnan(value):
+        return f"^'{field}' is nan, not a finite number$"
+    return f"^{re.escape(f'{field}={value} {why}')}$"
+
+
+# every field a sub-config takes off its default; 24 -> 12 -> 6 -> 3
+# under three conv blocks
+OTHER = TrainConfig(
+    seed=3, n_train=40, n_test=30, num_classes=4, image_size=24, channels=2,
+    signal=2.0, noise=0.25, cardinality=2.0, feature_dim=12, label_dim=4,
+    bilinear_dim=8, bilinear_out=4, n_heads=3, gsp_mode="max", conv_blocks=3,
+    lambda1=0.1, lambda2=0.2, gamma_pos=1.0, gamma_neg=4.0, clip=0.1,
+    disable_self_attn=True, disable_ot=True, disable_gsp_fusion=True)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -261,19 +282,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [-1.0, -1e-12, math.nan])
     def test_negative_weight_decay_rejected(self, value):
-        with pytest.raises(ValueError, match=f"^weight_decay={value} must be >= 0$"):
+        with pytest.raises(ValueError, match=out_of_range(
+                "weight_decay", value, "must be >= 0")):
             TrainConfig(weight_decay=value)
 
     @pytest.mark.parametrize("field", ["lambda1", "lambda2", "gamma_pos",
                                        "gamma_neg"])
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_negative_loss_knob_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field}={value} must be >= 0$"):
+        with pytest.raises(ValueError, match=out_of_range(
+                field, value, "must be >= 0")):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [-0.1, 1.0, math.nan])
     def test_clip_outside_unit_interval_rejected(self, value):
-        with pytest.raises(ValueError, match=rf"^clip={value} must be in \[0, 1\)$"):
+        with pytest.raises(ValueError, match=out_of_range(
+                "clip", value, "must be in [0, 1)")):
             TrainConfig(clip=value)
 
     @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)
@@ -306,7 +330,7 @@ class TestConfig:
     @pytest.mark.parametrize("line,why", [
         ("feature_dim=0", "feature_dim=0 must be >= 1"),
         ("num_classes=0", "num_classes=0 must be >= 1"),
-        ("channels=0", "in_channels=0 must be >= 1"),
+        ("channels=0", "channels=0 must be positive"),
         ("image_size=0", "image_size=0 must be positive"),
         ("gsp_mode=sum", "gsp_mode='sum' must be 'avg' or 'max'"),
         ("n_heads=5", "n_heads=5 must be >= 1 and divide d_v=32"),
@@ -413,6 +437,35 @@ class TestConfig:
         assert entries["lr"] == cfg.lr
         assert entries["disable_ot"] is False
         assert len(entries) == len(cfg.__dataclass_fields__)
+
+    def test_negative_seed_rejected(self):
+        # by name, not by numpy's seeding in generate or build_model
+        with pytest.raises(ValueError, match="^seed=-1 must be >= 0$"):
+            TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("cfg,grid", [(TrainConfig(), 2), (OTHER, 3)],
+                             ids=["default", "other"])
+    def test_adapters_copy_each_field(self, cfg, grid):
+        # the sub-configs as written out field by field
+        assert synthetic_config(cfg) == SyntheticConfig(
+            seed=cfg.seed, n_train=cfg.n_train, n_test=cfg.n_test,
+            num_classes=cfg.num_classes, height=cfg.image_size,
+            width=cfg.image_size, channels=cfg.channels, signal=cfg.signal,
+            noise=cfg.noise, cardinality=cfg.cardinality)
+        encoder = EncoderConfig(in_channels=cfg.channels, grid_h=grid,
+                                grid_w=grid, conv_blocks=cfg.conv_blocks)
+        assert model_config(cfg) == ModelConfig(
+            num_classes=cfg.num_classes, feature_dim=cfg.feature_dim,
+            label_dim=cfg.label_dim, bilinear_dim=cfg.bilinear_dim,
+            bilinear_out=cfg.bilinear_out, n_heads=cfg.n_heads,
+            gsp_mode=cfg.gsp_mode, encoder=encoder,
+            disable_self_attn=cfg.disable_self_attn,
+            disable_ot=cfg.disable_ot,
+            disable_gsp_fusion=cfg.disable_gsp_fusion)
+        assert Tr.asl_config(cfg) == AslConfig(
+            gamma_pos=cfg.gamma_pos, gamma_neg=cfg.gamma_neg, clip=cfg.clip)
+        assert Tr.loss_weights(cfg) == LossWeights(lambda1=cfg.lambda1,
+                                                   lambda2=cfg.lambda2)
 
     def test_model_config_grid(self):
         cfg = tiny_config()

@@ -82,13 +82,11 @@ def cmd_train(args):
         cfg = config_from_file(args.config, overrides=flags)
     else:
         cfg = TrainConfig(**flags)
-    synthetic = synthetic_config(cfg) if args.train_data is None else None
-
     if args.train_data is not None:
         train_ds = load_dataset(args.train_data)
         test_ds = load_dataset(args.test_data)
     else:
-        train_ds, test_ds = generate(synthetic)
+        train_ds, test_ds = generate(synthetic_config(cfg))
 
     opened = []
 

@@ -103,8 +103,6 @@ def run_suite(verbose=True):
     check("matmul", lambda: T.sum_(T.mul(T.matmul(m1, m2), T.matmul(m1, m2))), [m1, m2])
     check("reshape", lambda: T.sum_(T.pow_const(T.reshape(a, (4, 3)), 2)), [a])
     check("sigmoid", lambda: T.sum_(T.sigmoid(a)), [a])
-    shifted = Tensor(rng.normal(size=(3, 4)) + 0.05)  # keep entries off the kink
-    check("relu", lambda: T.sum_(T.relu(shifted)), [shifted])
     d = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)))
     check("pow", lambda: T.sum_(T.pow_const(d, 2.0)), [d])
     check("softmax", lambda: T.sum_(T.pow_const(T.softmax(a, axis=1), 2)), [a])
@@ -144,8 +142,12 @@ def run_suite(verbose=True):
           lambda: T.add(T.sum_(T.pow_const(T.scaled_softmax(a, r3, axis=1), 2)),
                         T.sum_(T.pow_const(T.scaled_softmax(a, r4, axis=0), 2))),
           [a, r3, r4])
+    # both plans and their cost; the row softmax is the caller's, a value
     c = rt(3, 4)
-    check("plan_cost", lambda: T.pow_const(T.plan_cost(a, b, c), 2), [a, b, c])
+    check("transport_cost",
+          lambda: T.pow_const(T.transport_cost(a, T.softmax(a.data, axis=1),
+                                               r3, r4, c)[0], 2),
+          [a, r3, r4, c])
     pool_w = np.array([0.5, 0.0, 0.25, 0.25])
     check("matvec_softmax",
           lambda: T.sum_(T.pow_const(T.matvec_softmax(a, pool_w), 2)), [a])
@@ -166,14 +168,13 @@ def run_suite(verbose=True):
           lambda: T.sum_(T.pow_const(T.max_reduce(st, axis=-2, keepdims=True), 2)),
           [st])
     check("sum_axis1", lambda: T.sum_(T.pow_const(T.sum_(st, axis=1), 2)), [st])
-    img = rt(6, 6, 2)
-    kern, kb = rt(18, 3, scale=0.5), rt(3, scale=0.1)
-    check("conv2d", lambda: T.sum_(T.pow_const(T.conv2d(img, kern, kb), 2)),
-          [img, kern, kb])
-    imgs = rt(2, 5, 6, 2)
-    check("conv2d_stack2",
-          lambda: T.sum_(T.pow_const(T.conv2d(imgs, kern, kb), 2)),
-          [imgs, kern, kb])
+    # two conv blocks, so the ReLU between them too
+    enc = [rt(18, 3, scale=0.5), rt(27, 3, scale=0.5)]
+    enc_b = [rt(3, scale=0.1), rt(3, scale=0.1)]
+    for tag, img in (("", rt(6, 6, 2)), ("_stack2", rt(2, 5, 6, 2))):
+        check("conv_encoder" + tag,
+              lambda: T.sum_(T.pow_const(T.conv_encoder(img, enc, enc_b), 2)),
+              [img] + enc + enc_b)
 
     # losses
     cfg = losses.AslConfig(gamma_pos=1.0, gamma_neg=2.0, clip=0.05)
@@ -195,24 +196,22 @@ def run_suite(verbose=True):
     y3 = np.array([1.0, 0.0, 1.0])
 
     def ct():
-        """(mass, map, transport loss) of feats against sem."""
+        """(attention, map, transport loss) of feats against sem."""
         params = transport.BilinearParams(u, v2, mix, score)
         mass = transport.bilinear_mass(feats, sem, params)
+        attn = transport.semantic_attention(mass)
         smap = T.matmul(feats, wmap)
         theta = transport.source_distribution(smap, y3)
         beta = transport.target_distribution(y3)
-        fwd = transport.forward_plan(mass, theta)
-        bwd = transport.backward_plan(mass, beta)
         cost = transport.cost_matrix(feats, sem)
-        return mass, smap, transport.ct_loss(fwd, bwd, cost)
+        return attn, smap, transport.ct_loss(mass, attn, theta, beta, cost)[0]
 
     check("ct_loss", lambda: ct()[2], [feats, sem, u, v2, mix, score, wmap])
 
     cls_w, cls_b = rt(6, 3, scale=0.5), rt(3, scale=0.1)
 
     def total():
-        mass, smap, l_ot = ct()
-        attn = transport.semantic_attention(mass)
+        attn, smap, l_ot = ct()
         aligned = transport.semantic_repr(attn, sem)
         z = region_score_aggregate(aligned, ClassifierParams(cls_w, cls_b))
         l_cls = losses.classification_loss(z, y3, cfg)

@@ -35,10 +35,10 @@ from .representation import (ConfigError, EncoderConfig, EncoderParams,
                              init_self_attention, self_attention,
                              xavier_uniform)
 from .tensor import Tensor
-from .transport import (BilinearParams, backward_plan, bilinear_mass,
-                        cost_matrix, ct_loss, forward_plan, init_bilinear,
-                        semantic_attention, semantic_map, semantic_repr,
-                        source_distribution, target_distribution)
+from .transport import (BilinearParams, bilinear_mass, cost_matrix, ct_loss,
+                        init_bilinear, semantic_attention, semantic_map,
+                        semantic_repr, source_distribution,
+                        target_distribution)
 
 __all__ = [
     "ClassifierParams",
@@ -103,7 +103,8 @@ class ForwardOutput:
 
     attention and aligned exist whenever transport is enabled;
     semantic_map, theta, beta, cost, plans and transport_cost exist only
-    when forward was given the labels.
+    when forward was given the labels. plans, the forward and backward
+    plan, hold values only: no tape records them.
     """
 
     logits: Tensor
@@ -202,8 +203,11 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     image is left as it is, to keep its gradient. Given one image's
     binary label vector, cast likewise, the forward pass also builds the
     transport terms training needs: source and target distributions,
-    plans and transport cost. Training still records one tape per
-    sample, so labels go with one image only.
+    cost matrix, plans and transport cost. The transport cost and both
+    plans are one tape record, which reuses the attention as the forward
+    plan's softmax and gives the plans as values off the tape, so a
+    default training sample records 13 ops. Training still records one
+    tape per sample, so labels go with one image only.
     """
     cfg = model.config
     dtype = model.labels.dtype
@@ -259,10 +263,8 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
         out.theta = source_distribution(out.semantic_map, labels)
         out.beta = target_distribution(labels)
         out.cost = cost_matrix(fm.f, f_s)
-        fwd = forward_plan(mass, out.theta)
-        bwd = backward_plan(mass, out.beta.data)
-        out.plans = (fwd, bwd)
-        out.transport_cost = ct_loss(fwd, bwd, out.cost)
+        out.transport_cost, out.plans = ct_loss(mass, attn, out.theta,
+                                                out.beta.data, out.cost)
     return out
 
 

@@ -76,7 +76,7 @@ class EncoderParams:
     """Conv kernels and biases, one pair per block.
 
     Kernel i is stored flattened as (CONV_KERNEL**2 * c_in, feature_dim)
-    to match :func:`sarl.tensor.conv2d`.
+    to match :func:`sarl.tensor.conv_encoder`.
     """
 
     kernels: list
@@ -163,21 +163,19 @@ def init_fusion(rng, d_v, label_dim) -> FusionParams:
 
 def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
     """Turn an (H, W, C) image or an (N, H, W, C) stack (array or Tensor)
-    into (P, d_v) or (N, P, d_v) patch features."""
+    into (P, d_v) or (N, P, d_v) patch features. One tape record
+    (:func:`sarl.tensor.conv_encoder`)."""
     if x.shape[-1] != cfg.in_channels:
         raise ConfigError(
             f"image has {x.shape[-1]} channels, config says {cfg.in_channels}")
-    h = x
-    last = cfg.conv_blocks - 1
-    for i, (kern, bias) in enumerate(zip(params.kernels, params.biases)):
-        h = T.conv2d(h, kern, bias)
-        if i != last:
-            h = T.relu(h)
-    if h.shape[-3:-1] != (cfg.grid_h, cfg.grid_w):
+    f = T.conv_encoder(x, params.kernels, params.biases)
+    h, w = x.shape[-3:-1]
+    for _ in params.kernels:
+        h, w = T.conv_output_size(h), T.conv_output_size(w)
+    if (h, w) != (cfg.grid_h, cfg.grid_w):
         raise ConfigError(
-            f"encoder produced a {h.shape[-3]}x{h.shape[-2]} grid, "
+            f"encoder produced a {h}x{w} grid, "
             f"config says {cfg.grid_h}x{cfg.grid_w}")
-    f = T.reshape(h, (*h.shape[:-3], -1, h.shape[-1]))
     return FeatureMap(f, cfg.grid_h, cfg.grid_w)
 
 

@@ -12,13 +12,14 @@ in place: their ``.data`` are views of one flat buffer that it rewrites
 once per step. That is safe because no tape outlives its step, and the
 update runs only after every backward of the batch has finished.
 
-Training records 18 ops per sample at the default shape, on arrays of
+Training records 13 ops per sample at the default shape, on arrays of
 a few dozen entries, so a call's cost is its Python dispatch, not its
-arithmetic. That is why each stage of the head, the source distribution
-and the sample's whole loss are each one fused op that computes the
-chain of primitives it stands for, in the same order. The ops share
-one softmax (``_softmax``, ``_softmax_back``) and one shared-weight
-product (``_rows_times``, ``_rows_times_back``).
+arithmetic. That is why the conv encoder, each stage of the head, the
+source distribution, both transport plans with their cost and the
+sample's whole loss are each one fused op that computes the chain of
+primitives it stands for, in the same order. The ops share one softmax
+(``_softmax``, ``_softmax_back``) and one shared-weight product
+(``_rows_times``, ``_rows_times_back``).
 On the tape path, call only C-level numpy: ufuncs, array methods,
 ``np.zeros``/``np.empty`` and indexing. A Python-level helper
 (``np.clip``, ``np.expand_dims``, ``np.broadcast_to``,
@@ -45,7 +46,6 @@ __all__ = [
     "unstack",
     "stack",
     "sigmoid",
-    "relu",
     "pow_const",
     "softmax",
     "matvec_softmax",
@@ -57,12 +57,12 @@ __all__ = [
     "asl_objective",
     "cosine_cost",
     "scaled_softmax",
-    "plan_cost",
+    "transport_cost",
     "sum_",
     "mean",
     "max_reduce",
     "conv_output_size",
-    "conv2d",
+    "conv_encoder",
 ]
 
 
@@ -325,15 +325,6 @@ def sigmoid(a):
         _accumulate(at, g * out_data * (1.0 - out_data))
 
     return _make(out_data, "sigmoid", (at,), backward_fn)
-
-
-def relu(a):
-    ad, at = _lift(a)
-
-    def backward_fn(g):
-        _accumulate(at, g * (ad > 0))
-
-    return _make(np.maximum(ad, 0.0), "relu", (at,), backward_fn)
 
 
 def pow_const(a, exponent):
@@ -855,91 +846,151 @@ def scaled_softmax(a, scale, axis):
     return _make(sdx * soft, "scaled_softmax", (at, st), backward_fn)
 
 
-def plan_cost(fwd, bwd, cost):
-    """sum(fwd * cost) + sum(bwd * cost) over equal-shape arrays. One
-    tape record."""
-    fd, ft = _lift(fwd)
-    bd, bt = _lift(bwd)
+def transport_cost(mass, soft, theta, beta, cost):
+    """One sample's two transport plans and their transported cost.
+
+    mass is the (P, C) scores and soft their softmax along each row,
+    which the caller already holds; theta (P,) and beta (C,) are the
+    marginals and cost is (P, C). The forward plan is theta_p soft[p, c],
+    the backward plan beta_c softmax_p(mass)[p, c], and the result is
+    sum(fwd * cost) + sum(bwd * cost). Returns the result and, off the
+    tape, the two plans. One tape record that computes the chain it
+    stands for (two scaled softmaxes, the plans' cost) in the same
+    order; soft is a value, and mass's gradient through the forward
+    plan is the softmax's closed form on it.
+    """
+    ad, at = _lift(mass)
+    soft_f = _lift(soft)[0]
+    td, tt = _lift(theta)
+    bd, bt = _lift(beta)
     cd, ct = _lift(cost)
-    if fd.shape != cd.shape or bd.shape != cd.shape:
-        raise DimensionError(f"plan_cost needs equal shapes, got {fd.shape}, "
-                             f"{bd.shape}, {cd.shape}")
+    if (ad.ndim != 2 or soft_f.shape != ad.shape or cd.shape != ad.shape
+            or td.shape != ad.shape[:1] or bd.shape != ad.shape[1:]):
+        raise DimensionError(f"transport_cost needs (P,C) mass, softmax and "
+                             f"cost, (P,) theta and (C,) beta, got {ad.shape}, "
+                             f"{soft_f.shape}, {cd.shape}, {td.shape}, "
+                             f"{bd.shape}")
+    num_p, num_c = ad.shape
+    theta_col = td.reshape(num_p, 1)
+    fwd = theta_col * soft_f
+    soft_b = _softmax(ad, 0)
+    beta_row = bd.reshape(1, num_c)
+    bwd = beta_row * soft_b
 
     def backward_fn(g):
-        if ft is not None:
-            _accumulate(ft, g * cd)
-        if bt is not None:
-            _accumulate(bt, g * cd)
+        gp = g * cd  # either plan's gradient
         if ct is not None:
-            _accumulate(ct, g * bd + g * fd)
+            _accumulate(ct, g * bwd + g * fwd)
+        if bt is not None:
+            _accumulate(bt, (gp * soft_b).sum(axis=0))
+        if at is not None:
+            _accumulate(at, _softmax_back(gp * beta_row, soft_b, 0))
+        if tt is not None:
+            _accumulate(tt, (gp * soft_f).sum(axis=1))
+        if at is not None:
+            _accumulate(at, _softmax_back(gp * theta_col, soft_f, 1))
 
-    return _make((fd * cd).sum() + (bd * cd).sum(), "plan_cost",
-                 (ft, bt, ct), backward_fn)
+    total = (fwd * cd).sum() + (bwd * cd).sum()
+    return (_make(total, "transport_cost", (at, tt, bt, ct), backward_fn),
+            fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
 # convolution
 
-# conv2d's one geometry, the encoder's: 3x3 windows, stride 2, zero padding 1
+# the encoder's one convolution geometry: 3x3 windows, stride 2, zero padding 1
 CONV_KERNEL, CONV_STRIDE, CONV_PADDING = 3, 2, 1
 
 
 def conv_output_size(n):
-    """Length of one conv2d output axis for an input axis of length n."""
+    """Length of one convolution output axis for an input axis of length n."""
     return (n + 2 * CONV_PADDING - CONV_KERNEL) // CONV_STRIDE + 1
 
 
-def conv2d(image, kernel, bias):
-    """2-D convolution over (..., H, W, Cin) images with the CONV_* geometry.
+def conv_encoder(image, kernels, biases):
+    """The conv encoder over (..., H, W, Cin) images: one convolution with
+    the CONV_* geometry per (kernel, bias) pair, a ReLU between blocks,
+    and the last block's (..., Hout, Wout, Cout) output as
+    (..., Hout * Wout, Cout) rows, one image per leading index.
 
-    ``kernel`` is flattened to (CONV_KERNEL**2 * Cin, Cout) with rows in
-    (dy, dx, channel) order; output is (..., Hout, Wout, Cout), one image
-    per leading index.
+    Kernel i is flattened to (CONV_KERNEL**2 * c_in, c_out) with rows in
+    (dy, dx, channel) order and bias i is (c_out,). One tape record that
+    makes the float operations of the chain it stands for (conv, ReLU,
+    ..., conv, reshape) in the same order, so the same bits. Each block
+    keeps its zero-padded input, which the ReLU before it writes, and its
+    window columns.
     """
     xd, xt = _lift(image)
-    kd, kt = _lift(kernel)
-    bd, bt = _lift(bias)
-    if xd.ndim < 3:
+    blocks = [(_lift(k), _lift(b)) for k, b in zip(kernels, biases)]
+    if xd.ndim < 3 or not blocks or len(kernels) != len(biases):
         raise DimensionError(
-            f"conv2d expects (..., H, W, C) images, got shape {xd.shape}")
-    ks, stride, padding = CONV_KERNEL, CONV_STRIDE, CONV_PADDING
-    *lead, h, w, cin = xd.shape
-    if kd.shape[0] != ks * ks * cin:
-        raise DimensionError(
-            f"kernel has {kd.shape[0]} rows, expected {ks * ks * cin}")
-    cout = kd.shape[1]
-    hout, wout = conv_output_size(h), conv_output_size(w)
-    if hout < 1 or wout < 1:
+            f"conv_encoder expects (..., H, W, C) images and as many biases "
+            f"as kernels, at least one, got shape {xd.shape}, "
+            f"{len(kernels)} kernels, {len(biases)} biases")
+    ks, stride, pad = CONV_KERNEL, CONV_STRIDE, CONV_PADDING
+    lead = xd.shape[:-3]
+    h, w, cin = xd.shape[-3:]
+    if conv_output_size(h) < 1 or conv_output_size(w) < 1:
         raise DimensionError(f"image {xd.shape} too small for kernel {ks}")
-
-    xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding, cin), dtype=xd.dtype)
-    inner = (..., slice(padding, padding + h), slice(padding, padding + w), slice(None))
-    xp[inner] = xd
-    # every window at once as one (..., Hout, Wout, ks, ks, Cin) view of xp,
-    # then one copy into rows in the kernel's (dy, dx, channel) order
-    *lead_strides, s_row, s_col, s_chan = xp.strides
-    windows = np.ndarray((*lead, hout, wout, ks, ks, cin), dtype=xp.dtype, buffer=xp,
-                         strides=(*lead_strides, stride * s_row, stride * s_col,
-                                  s_row, s_col, s_chan))
-    cols = windows.reshape(-1, ks * ks * cin)
-    out_data = (cols @ kd + bd).reshape(*lead, hout, wout, cout)
+    # with no tape, nothing reads a block's buffers once the next block
+    # has them, so evaluate's chunks hold one block's at a time
+    kept, keep = [], bool(_TAPES)
+    for i, ((kd, kt), (bd, bt)) in enumerate(blocks):
+        if kd.shape[0] != ks * ks * cin:
+            raise DimensionError(
+                f"kernel {i} has {kd.shape[0]} rows, expected {ks * ks * cin}")
+        hout, wout = conv_output_size(h), conv_output_size(w)
+        xp = np.zeros(lead + (h + 2 * pad, w + 2 * pad, cin),
+                      xd.dtype if i == 0 else out.dtype)
+        crop = (..., slice(pad, pad + h), slice(pad, pad + w), slice(None))
+        if i == 0:
+            xp[crop] = xd
+        else:
+            np.maximum(out.reshape(lead + (h, w, cin)), 0.0, out=xp[crop])
+        # every window at once as one (..., Hout, Wout, ks, ks, Cin) view
+        # of xp, then one copy into rows in the kernel's (dy, dx, channel)
+        # order
+        *lead_strides, s_row, s_col, s_chan = xp.strides
+        windows = np.ndarray(lead + (hout, wout, ks, ks, cin), dtype=xp.dtype,
+                             buffer=xp,
+                             strides=(*lead_strides, stride * s_row,
+                                      stride * s_col, s_row, s_col, s_chan))
+        cols = windows.reshape(-1, ks * ks * cin)
+        out = cols @ kd + bd
+        if keep:
+            kept.append((xp, crop, cols, kd, kt, bt, hout, wout))
+        h, w, cin = hout, wout, kd.shape[1]
 
     def backward_fn(g):
-        gf = g.reshape(-1, cout)
-        if bt is not None:
-            _accumulate(bt, gf.sum(axis=0))
-        if kt is not None:
-            _accumulate(kt, cols.T @ gf)
-        if xt is not None:
-            # overlapping windows scatter tap by tap: one (..., Hout, Wout,
-            # Cin) strided slice of the padded image per tap, in row order
-            taps = [(..., slice(dy, dy + stride * hout, stride),
-                     slice(dx, dx + stride * wout, stride), slice(None))
-                    for dy in range(ks) for dx in range(ks)]
-            gcols = (gf @ kd.T).reshape(*lead, hout, wout, ks * ks, cin)
-            gpad = np.zeros(xp.shape, xp.dtype)
-            for i, t in enumerate(taps):
-                gpad[t] += gcols[..., i, :]
-            _accumulate(xt, gpad[inner].copy())
+        g = g.reshape(-1, g.shape[-1])
+        for i in range(len(kept) - 1, -1, -1):
+            xp, crop, cols, kd, kt, bt, hout, wout = kept[i]
+            if bt is not None:
+                _accumulate(bt, g.sum(axis=0))
+            if kt is not None:
+                _accumulate(kt, cols.T @ g)
+            if i == 0 and xt is None:
+                break
+            # the padded input's gradient: 0 plus the taps' shares in tap
+            # order. At stride 2, tap (dy, dx) of window (y, x) lands on
+            # padded row 2 (y + dy // 2) + dy % 2, so with rows and columns
+            # split as (Hout + 1, 2) and (Wout + 1, 2) the 3x3 taps add
+            # in four steps that each reach a position at most once:
+            # dy, dx < 2, then dx = 2, then dy = 2, then both.
+            c_in = xp.shape[-1]
+            taps = (g @ kd.T).reshape(lead + (hout, wout, ks, ks, c_in))
+            taps = taps.swapaxes(-4, -3)  # (..., Hout, dy, Wout, dx, Cin)
+            gpad = np.zeros(lead + (hout + 1, 2, wout + 1, 2, c_in), xp.dtype)
+            gpad[..., :hout, :, :wout, :, :] += taps[..., :2, :, :2, :]
+            gpad[..., :hout, :, 1:, 0, :] += taps[..., :2, :, 2, :]
+            gpad[..., 1:, 0, :wout, :, :] += taps[..., 2, :, :2, :]
+            gpad[..., 1:, 0, 1:, 0, :] += taps[..., 2, :, 2, :]
+            gpad = gpad.reshape(lead + (2 * hout + 2, 2 * wout + 2, c_in))
+            if i == 0:
+                _accumulate(xt, gpad[crop].copy())
+            else:  # the ReLU's output, in xp, is > 0 where its input is
+                g = (gpad[crop] * (xp[crop] > 0)).reshape(-1, c_in)
 
-    return _make(out_data, "conv2d", (xt, kt, bt), backward_fn)
+    params = [t for pair in blocks for _, t in pair]
+    return _make(out.reshape(lead + (h * w, cin)), "conv_encoder",
+                 [xt] + params, backward_fn)

@@ -122,6 +122,7 @@ class TrainConfig:
             raise ValueError(f"weight_decay={self.weight_decay} must be >= 0")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
+        synthetic_config(self)
         asl_config(self)
         loss_weights(self)
         model_config(self)

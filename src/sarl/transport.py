@@ -20,10 +20,11 @@ and F_S as (N, C, d_v); the scores, the attention and F_R then carry the
 leading N axis. The label-side terms take one sample, each as one
 closed-form tape op: the source distribution
 (:func:`sarl.tensor.matvec_softmax`), the cosine cost
-(:func:`sarl.tensor.cosine_cost`), each plan as a softmax scaled by its
-marginal (:func:`sarl.tensor.scaled_softmax`) and the transport loss
-(:func:`sarl.tensor.plan_cost`); the target distribution records
-nothing.
+(:func:`sarl.tensor.cosine_cost`), and both plans with the transport
+loss (:func:`sarl.tensor.transport_cost`), whose forward plan reuses the
+attention's row softmax; the target distribution records nothing.
+:func:`forward_plan` and :func:`backward_plan` build one plan each, as a
+softmax scaled by its marginal (:func:`sarl.tensor.scaled_softmax`).
 """
 
 from __future__ import annotations
@@ -143,14 +144,20 @@ def backward_plan(mass: Tensor, beta) -> Tensor:
     return T.scaled_softmax(mass, beta, axis=0)
 
 
-def ct_loss(fwd: Tensor, bwd: Tensor, co: Tensor) -> Tensor:
-    """Total transported cost, summed over both directions:
-    sum(fwd * co) + sum(bwd * co).
+def ct_loss(mass: Tensor, attention, theta, beta, co: Tensor):
+    """Both plans of the transport scores A and their total transported
+    cost, sum(fwd * co) + sum(bwd * co), with fwd as :func:`forward_plan`
+    and bwd as :func:`backward_plan` build them from theta and beta.
+    attention is A's row softmax (:func:`semantic_attention`), the
+    forward plan's own softmax, taken as it is.
 
-    Nonnegative because plans are nonnegative and costs sit in [0, 2];
+    Returns the cost and the (fwd, bwd) plans, off the tape. The cost is
+    nonnegative because plans are nonnegative and costs sit in [0, 2];
     each plan carries total mass 1, so constant cost k gives exactly 2k.
+    One tape record (:func:`sarl.tensor.transport_cost`).
     """
-    return T.plan_cost(fwd, bwd, co)
+    total, fwd, bwd = T.transport_cost(mass, attention, theta, beta, co)
+    return total, (Tensor(fwd), Tensor(bwd))
 
 
 def semantic_attention(mass: Tensor) -> Tensor:

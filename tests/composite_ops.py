@@ -1,24 +1,24 @@
 """Test-side oracles: the label-side terms as chains of primitive ops,
 and the earlier forms of the attention and convolution kernels.
 
-The library computes the asymmetric loss, the cosine cost, the two
-transport plans and the transport loss as one closed-form tape op each
-(:mod:`sarl.tensor`). These are the same terms written the long way, one
-tape record per primitive, so the tape's own chain rule is the oracle
-for each closed-form backward. The primitives the library no longer
-needs (log, sqrt, tanh, division, negation, transpose, clamp, concat)
-live here with the gradient rules they had in the library, kinks
-included: a clamp passes gradient on both edges, and powers follow
-:func:`sarl.tensor.pow_const`.
+The library computes the asymmetric loss, the cosine cost, each
+transport plan, and both plans with the transport loss as one
+closed-form tape op each (:mod:`sarl.tensor`). These are the same terms
+written the long way, one tape record per primitive, so the tape's own
+chain rule is the oracle for each closed-form backward. The primitives
+the library no longer needs (log, sqrt, tanh, division, negation,
+transpose, clamp, concat) live here with the gradient rules they had in
+the library, kinks included: a clamp passes gradient on both edges, and
+powers follow :func:`sarl.tensor.pow_const`.
 
 :func:`attention` is the queries-major kernel that the keys-major one
 (:func:`attention_kernel`, now inside :func:`sarl.tensor.attention`)
 replaced, :func:`conv2d_columns` the nine-slice window columns that
-:func:`sarl.tensor.conv2d` now takes from one strided view, and
-:func:`matmul_shared` the three records (reshape, 2-D product, reshape)
-that :func:`sarl.tensor.matmul` made for an ``(..., m, k) @ (k, n)``
-product before it became one: the references the rewritten kernels are
-held to.
+:func:`conv2d` and :func:`sarl.tensor.conv_encoder` take from one
+strided view, and :func:`matmul_shared` the three records (reshape, 2-D
+product, reshape) that :func:`sarl.tensor.matmul` made for an
+``(..., m, k) @ (k, n)`` product before it became one: the references
+the rewritten kernels are held to.
 
 :func:`sum_`, :func:`mean`, :func:`max_reduce`, :func:`asymmetric_loss`
 and :func:`scaled_softmax` are those ops as the library wrote them with
@@ -27,22 +27,27 @@ numpy's Python-level helpers (``np.clip``, ``np.expand_dims``,
 ``ndarray.mean``). The library now calls only C-level numpy on the tape
 path, and its outputs and gradients must be bit-identical to these.
 
-:data:`HEAD_STAGES` holds five stages of the head as the chains of
-tape records they were before each became one fused op:
-self-attention (three projections and :func:`attention_kernel`), the
-bilinear scores (three products and :func:`bilinear_kernel`), the
-semantic fusion (concat, product, bias), the region score aggregation
-(product, bias, softmax, product, sum) and the total loss (two
-products, two sums). The fused ops must give the same bits, values and
-gradients alike. The total loss is no longer fused: the library writes
-it as this chain, and the gate holds it there.
+:data:`HEAD_STAGES` holds six stages of the head as the chains of tape
+records they were before each became one fused op: the encoder
+(:func:`conv_encoder`: :func:`conv2d` per block, :func:`relu` between
+blocks, a reshape to rows; the library's own ops until the encoder
+became one), self-attention (three projections and
+:func:`attention_kernel`), the bilinear scores (three products and
+:func:`bilinear_kernel`), the semantic fusion (concat, product, bias),
+the region score aggregation (product, bias, softmax, product, sum) and
+the total loss (two products, two sums). The fused ops must give the
+same bits, values and gradients alike. The total loss is no longer
+fused: the library writes it as this chain, and the gate holds it there.
 
-:data:`LABEL_CHAINS` holds the two label-side stages that became one
-fused op each, as the chains they were: the source distribution
-(product, reshape, softmax) and a training sample's losses (the
-classification loss, the semantic-map loss and the total loss through
-:mod:`sarl.losses`: max, two sigmoids, two asymmetric losses, weighted
-sum). The fused ops must give the same bits, values and gradients alike.
+:data:`LABEL_CHAINS` holds the three label-side stages that became one
+fused op each, as the chains they were: the transport loss with both
+plans (:func:`transport_cost`: a scaled softmax per plan and
+:func:`plan_cost`, the library's own ops until they became one), the
+source distribution (product, reshape, softmax) and a training sample's
+losses (the classification loss, the semantic-map loss and the total
+loss through :mod:`sarl.losses`: max, two sigmoids, two asymmetric
+losses, weighted sum). The fused ops must give the same bits, values and
+gradients alike.
 
 :func:`train_by_parameter` is the training loop as it was before the
 parameters shared one flat buffer: a dict of per-parameter gradient
@@ -141,8 +146,9 @@ def backward_plan(mass, beta):
     return T.mul(T.reshape(beta, (1, mass.shape[1])), T.softmax(mass, axis=0))
 
 
-def ct_loss(fwd, bwd, co):
-    return T.add(T.sum_(T.mul(fwd, co)), T.sum_(T.mul(bwd, co)))
+def ct_loss(mass, attention, theta, beta, co):
+    fwd, bwd = forward_plan(mass, theta), backward_plan(mass, beta)
+    return T.add(T.sum_(T.mul(fwd, co)), T.sum_(T.mul(bwd, co))), (fwd, bwd)
 
 
 def attention(q, k, v, n_heads):
@@ -185,8 +191,95 @@ def attention(q, k, v, n_heads):
     return T._make(merge(o), "attention", (qt, kt, vt), backward_fn)
 
 
+def relu(a):
+    ad, at = T._lift(a)
+
+    def backward_fn(g):
+        T._accumulate(at, g * (ad > 0))
+
+    return T._make(np.maximum(ad, 0.0), "relu", (at,), backward_fn)
+
+
+def conv2d(image, kernel, bias):
+    """One block of sarl.tensor.conv_encoder as its own record: a
+    convolution over (..., H, W, Cin) images with the CONV_* geometry,
+    output (..., Hout, Wout, Cout). Its backward scatters the nine taps
+    one by one, the order the encoder's four-step scatter keeps."""
+    xd, xt = T._lift(image)
+    kd, kt = T._lift(kernel)
+    bd, bt = T._lift(bias)
+    ks, stride, padding = T.CONV_KERNEL, T.CONV_STRIDE, T.CONV_PADDING
+    *lead, h, w, cin = xd.shape
+    cout = kd.shape[1]
+    hout, wout = T.conv_output_size(h), T.conv_output_size(w)
+    xp = np.zeros((*lead, h + 2 * padding, w + 2 * padding, cin), dtype=xd.dtype)
+    inner = (..., slice(padding, padding + h), slice(padding, padding + w), slice(None))
+    xp[inner] = xd
+    *lead_strides, s_row, s_col, s_chan = xp.strides
+    windows = np.ndarray((*lead, hout, wout, ks, ks, cin), dtype=xp.dtype, buffer=xp,
+                         strides=(*lead_strides, stride * s_row, stride * s_col,
+                                  s_row, s_col, s_chan))
+    cols = windows.reshape(-1, ks * ks * cin)
+    out_data = (cols @ kd + bd).reshape(*lead, hout, wout, cout)
+
+    def backward_fn(g):
+        gf = g.reshape(-1, cout)
+        if bt is not None:
+            T._accumulate(bt, gf.sum(axis=0))
+        if kt is not None:
+            T._accumulate(kt, cols.T @ gf)
+        if xt is not None:
+            taps = [(..., slice(dy, dy + stride * hout, stride),
+                     slice(dx, dx + stride * wout, stride), slice(None))
+                    for dy in range(ks) for dx in range(ks)]
+            gcols = (gf @ kd.T).reshape(*lead, hout, wout, ks * ks, cin)
+            gpad = np.zeros(xp.shape, xp.dtype)
+            for i, t in enumerate(taps):
+                gpad[t] += gcols[..., i, :]
+            T._accumulate(xt, gpad[inner].copy())
+
+    return T._make(out_data, "conv2d", (xt, kt, bt), backward_fn)
+
+
+def conv_encoder(image, kernels, biases):
+    """sarl.tensor.conv_encoder as the records it replaced: conv2d per
+    block, relu between blocks, and a reshape to (..., P, Cout) rows."""
+    h = image
+    for i, (kernel, bias) in enumerate(zip(kernels, biases)):
+        if i:
+            h = relu(h)
+        h = conv2d(h, kernel, bias)
+    return T.reshape(h, (*h.shape[:-3], -1, h.shape[-1]))
+
+
+def plan_cost(fwd, bwd, cost):
+    fd, ft = T._lift(fwd)
+    bd, bt = T._lift(bwd)
+    cd, ct = T._lift(cost)
+
+    def backward_fn(g):
+        if ft is not None:
+            T._accumulate(ft, g * cd)
+        if bt is not None:
+            T._accumulate(bt, g * cd)
+        if ct is not None:
+            T._accumulate(ct, g * bd + g * fd)
+
+    return T._make((fd * cd).sum() + (bd * cd).sum(), "plan_cost",
+                   (ft, bt, ct), backward_fn)
+
+
+def transport_cost(mass, soft, theta, beta, cost):
+    """sarl.tensor.transport_cost as the records it replaced: a scaled
+    softmax per plan and plan_cost; soft goes unused, as the forward
+    plan takes its own softmax."""
+    fwd = T.scaled_softmax(mass, theta, axis=1)
+    bwd = T.scaled_softmax(mass, beta, axis=0)
+    return plan_cost(fwd, bwd, cost), fwd.data, bwd.data
+
+
 def conv2d_columns(x, kernel, bias):
-    """sarl.tensor.conv2d's forward with its window columns built as one
+    """:func:`conv2d`'s forward with its window columns built as one
     strided slice of the padded image per tap, joined by np.stack."""
     ks, stride, pad = T.CONV_KERNEL, T.CONV_STRIDE, T.CONV_PADDING
     *lead, h, w, cin = x.shape
@@ -379,6 +472,11 @@ def bilinear_kernel(fu, sv, w):
                    (ft, st, wt), backward_fn)
 
 
+def encode(x, cfg, params):
+    return FeatureMap(conv_encoder(x, params.kernels, params.biases),
+                      cfg.grid_h, cfg.grid_w)
+
+
 def self_attention(fm, p):
     f = fm.f
     heads = attention_kernel(T.matmul(f, p.w_q), T.matmul(f, p.w_k),
@@ -447,6 +545,7 @@ HEAD_STAGES = {
     ("sarl.transport", "bilinear_mass"): bilinear_mass,
     ("sarl.head", "region_score_aggregate"): region_score_aggregate,
     ("sarl.losses", "total_loss"): total_loss,
+    ("sarl.representation", "encode"): encode,
 }
 
 
@@ -469,8 +568,14 @@ def sample_losses(out, labels, asl_cfg, weights):
     return total, l_cls, l_m, out.transport_cost
 
 
+def transport_plans(mass, attention, theta, beta, co):
+    total, fwd, bwd = transport_cost(mass, attention, theta, beta, co)
+    return total, (T.Tensor(fwd), T.Tensor(bwd))
+
+
 # the label-side library functions each chain stands for, by module attribute
 LABEL_CHAINS = {
+    ("sarl.transport", "ct_loss"): transport_plans,
     ("sarl.transport", "source_distribution"): source_distribution,
     ("sarl.head", "sample_losses"): sample_losses,
 }

@@ -28,8 +28,8 @@ from sarl.training import (TrainConfig, evaluate, synthetic_config, train,
                            write_pgm)
 from sarl.transport import (backward_plan, bilinear_mass, cost_matrix,
                             ct_loss, forward_plan, init_bilinear,
-                            semantic_map, source_distribution,
-                            target_distribution)
+                            semantic_attention, semantic_map,
+                            source_distribution, target_distribution)
 
 
 def criterion(capsys, label, body):
@@ -216,10 +216,9 @@ class TestAcceptance:
             y = np.array([1.0, 0.0, 1.0])
             theta = source_distribution(semantic_map(
                 f, Tensor(rng.normal(size=(6, 3)))), y)
-            fwd = forward_plan(mass, theta)
-            bwd = backward_plan(mass, target_distribution(y))
             ones = Tensor(np.ones((4, 3)))
-            got_ct = ct_loss(fwd, bwd, ones).item()
+            got_ct = ct_loss(mass, semantic_attention(mass), theta,
+                             target_distribution(y), ones)[0].item()
             assert abs(got_ct - 2.0) < 1e-12
 
             beta = target_distribution(np.array([1.0, 0.0, 0.0])).data

@@ -2,8 +2,8 @@
 the keys-major attention kernel against the queries-major one, and the
 fused head stages against the chains they replaced.
 
-Each fused op (asymmetric loss, cosine cost, scaled softmax, plan cost)
-must give the value and every gradient of its chain of primitive ops
+Each fused op (asymmetric loss, cosine cost, scaled softmax, transport
+cost) must give the value and every gradient of its chain of primitive ops
 (``composite_ops``) to within GATE in float64, kinks included, and a
 whole model must train on the same loss and the same 17 parameter
 gradients with either. Errors are measured as in
@@ -11,15 +11,16 @@ gradients with either. Errors are measured as in
 entries above 1 (the loss's gradient at the probability floor is about
 1e6).
 
-The four head stages that became one fused op each (self-attention, the
-bilinear scores, the semantic fusion and the region score aggregation)
-compute what their chains did in the same order, so there the gate is
-bit equality, in float32 and float64, of the values and of every
-gradient, and of a whole model's loss and 17 parameter gradients. The
-total loss, once fused too, is held to its chain the same way. So are
-the two label-side chains that became one op each, the source
-distribution and a training sample's losses, and matmul's product of
-a stack by one shared weight, once three records.
+The five head stages that became one fused op each (the conv encoder,
+self-attention, the bilinear scores, the semantic fusion and the region
+score aggregation) compute what their chains did in the same order, so
+there the gate is bit equality, in float32 and float64, of the values
+and of every gradient, and of a whole model's loss and 17 parameter
+gradients. The total loss, once fused too, is held to its chain the
+same way. So are the three label-side chains that became one op each,
+the transport cost with both plans, the source distribution and a
+training sample's losses, and matmul's product of a stack by one shared
+weight, once three records.
 """
 
 import dataclasses
@@ -34,12 +35,13 @@ from sarl import head, losses
 from sarl import tensor as T
 from sarl.gradcheck import gradient_error, numeric_gradient
 from sarl.losses import PROB_FLOOR, AslConfig, LossWeights, asl
-from sarl.representation import FeatureMap, FusionParams, SelfAttentionParams
+from sarl.representation import (EncoderConfig, EncoderParams, FeatureMap,
+                                 FusionParams, SelfAttentionParams)
 from sarl.tensor import DimensionError, Tape, Tensor
 from sarl.training import TrainConfig, loss_weights, model_config
 from sarl.transport import (NORM_EPS, BilinearParams, backward_plan,
                             cost_matrix, ct_loss, forward_plan,
-                            source_distribution)
+                            semantic_attention, source_distribution)
 
 import composite_ops
 
@@ -215,15 +217,107 @@ class TestScaledSoftmax:
 
 
 class TestPlanCost:
+    """Both plans and their cost as one op, against the primitive chain
+    within GATE and, bit for bit, against the three records it replaced
+    (two scaled softmaxes and the plans' cost)."""
+
+    @staticmethod
+    def leaves(rng, dtype):
+        mass = Tensor((rng.normal(size=(4, 6)) * 3.0).astype(dtype))
+        theta = Tensor(rng.dirichlet(np.ones(4)).astype(dtype))
+        beta = Tensor(rng.dirichlet(np.ones(6)).astype(dtype))
+        return [mass, theta, beta, Tensor(rng.random((4, 6)).astype(dtype))]
+
     def test_gate(self):
         rng = np.random.default_rng(7)
-        fwd, bwd, co = (Tensor(rng.random((4, 6))) for _ in range(3))
-        assert_gate(lambda: ct_loss(fwd, bwd, co),
-                    lambda: composite_ops.ct_loss(fwd, bwd, co), [fwd, bwd, co])
+        mass, theta, beta, co = leaves = self.leaves(rng, np.float64)
+        assert_gate(
+            lambda: ct_loss(mass, semantic_attention(mass), theta, beta, co)[0],
+            lambda: composite_ops.ct_loss(mass, None, theta, beta, co)[0], leaves)
+        for dtype in (np.float32, np.float64):
+            mass, theta, beta, co = leaves = self.leaves(rng, dtype)
+            soft = T.softmax(mass, axis=1).data
+            weights = [np.asarray(rng.normal(), dtype)] + [
+                rng.normal(size=t.shape).astype(dtype) for t in leaves]
+            got = outputs_and_grads(
+                lambda: T.transport_cost(mass, soft, *leaves[1:])[0],
+                leaves, weights)
+            want = outputs_and_grads(
+                lambda: composite_ops.transport_cost(mass, soft, *leaves[1:])[0],
+                leaves, weights)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+            plans = T.transport_cost(mass, soft, *leaves[1:])[1:]
+            chain = composite_ops.transport_cost(mass, soft, *leaves[1:])[1:]
+            for a, b in zip(plans, chain):
+                np.testing.assert_array_equal(a, b)
 
     def test_shapes_checked(self):
-        with pytest.raises(DimensionError, match="plan_cost"):
-            T.plan_cost(np.ones((4, 6)), np.ones((4, 6)), np.ones((6, 4)))
+        with pytest.raises(DimensionError, match="transport_cost"):
+            T.transport_cost(np.ones((4, 6)), np.ones((4, 6)), np.ones(4),
+                             np.ones(6), np.ones((6, 4)))
+
+
+class TestConvEncoder:
+    """The encoder as one op against the records it replaced (conv2d per
+    block, relu between blocks, reshape): the same bits, output and every
+    gradient, image included, for 1 to 3 blocks and a 2-image stack."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("samples", [(), (2,)], ids=["one", "stack2"])
+    @pytest.mark.parametrize("size", [(16, 12), (15, 13)], ids=["even", "odd"])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_bit_identical_to_chain(self, blocks, size, samples, dtype):
+        rng = np.random.default_rng(blocks + 10 * len(samples) + sum(size))
+        image = Tensor(rng.normal(size=samples + size + (3,)).astype(dtype))
+        kernels, biases, c_in = [], [], 3
+        for _ in range(blocks):
+            kernels.append(Tensor((rng.normal(size=(T.CONV_KERNEL ** 2 * c_in, 8))
+                                   * 0.3).astype(dtype)))
+            biases.append(Tensor((rng.normal(size=8) * 0.1).astype(dtype)))
+            c_in = 8
+        leaves = [image] + kernels + biases
+        out = T.conv_encoder(image, kernels, biases)
+        weights = [rng.normal(size=s).astype(dtype)
+                   for s in [out.shape] + [t.shape for t in leaves]]
+        got = outputs_and_grads(lambda: T.conv_encoder(image, kernels, biases),
+                                leaves, weights)
+        want = outputs_and_grads(
+            lambda: composite_ops.conv_encoder(image, kernels, biases),
+            leaves, weights)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    def test_image_without_gradient(self):
+        # training passes the image as an array: only the weights learn
+        rng = np.random.default_rng(4)
+        image = rng.normal(size=(8, 8, 3))
+        kernels = [Tensor(rng.normal(size=(27, 4))), Tensor(rng.normal(size=(36, 4)))]
+        biases = [Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))]
+        weights = [rng.normal(size=s) for s in [(4, 4)] + [t.shape for t in
+                                                           kernels + biases]]
+        got = outputs_and_grads(lambda: T.conv_encoder(image, kernels, biases),
+                                kernels + biases, weights)
+        want = outputs_and_grads(
+            lambda: composite_ops.conv_encoder(image, kernels, biases),
+            kernels + biases, weights)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("image,kernels,biases,why", [
+        ((4, 4), [(9, 2)], [(2,)], r"\(4, 4\)"),
+        ((4, 4, 1), [], [], "0 kernels"),
+        ((4, 4, 1), [(9, 2)], [], "0 biases"),
+        ((4, 4, 1), [(9, 2), (9, 2)], [(2,), (2,)], "kernel 1 has 9 rows, expected 18"),
+        ((0, 4, 1), [(9, 2)], [(2,)], "too small"),
+    ], ids=["rank", "no-blocks", "no-bias", "kernel-rows", "empty"])
+    def test_bad_shapes_rejected(self, image, kernels, biases, why):
+        with pytest.raises(DimensionError, match=why):
+            T.conv_encoder(np.ones(image), [np.ones(k) for k in kernels],
+                           [np.zeros(b) for b in biases])
 
 
 def sigmoid_of(z, dtype):
@@ -416,6 +510,7 @@ RECORDS = {
     "bilinear_mass": (["bilinear_scores"], ["bilinear_scores"]),
     "fuse_semantic": (["concat_linear"], ["concat_linear"]),
     "region_score_aggregate": (["softmax_pool"], ["softmax_pool"]),
+    "encode": (["conv_encoder"], ["conv_encoder"]),
 }
 
 
@@ -431,6 +526,12 @@ def head_stage(name, samples, dtype, rng):
         return Tensor((rng.normal(size=shape) * 0.5).astype(dtype))
 
     num_p, d_v, num_c = 16, 32, 6
+    if name == "encode":
+        image = leaf(*samples, 16, 16, 3)
+        cfg = EncoderConfig(in_channels=3, grid_h=4, grid_w=4)
+        p = EncoderParams([leaf(27, d_v), leaf(9 * d_v, d_v)],
+                          [leaf(d_v), leaf(d_v)])
+        return [image] + p.kernels + p.biases, lambda impl: impl(image, cfg, p).f
     if name == "self_attention":
         f = leaf(*samples, num_p, d_v)
         p = SelfAttentionParams(leaf(d_v, d_v), leaf(d_v, d_v), leaf(d_v, d_v))
@@ -631,12 +732,12 @@ class TestRecordsAndDtype:
         with Tape() as tape:
             asl(p, np.ones(6), AslConfig())
             co = cost_matrix(f, s)
-            fwd = forward_plan(co, theta)
-            bwd = backward_plan(co, p)
-            ct_loss(fwd, bwd, co)
+            forward_plan(co, theta)
+            backward_plan(co, p)
+            ct_loss(co, T.softmax(co.data, axis=1), theta, p, co)
         assert [t.op for t in tape.tensors()] == [
             "asymmetric_loss", "cosine_cost", "scaled_softmax",
-            "scaled_softmax", "plan_cost"]
+            "scaled_softmax", "transport_cost"]
         z, m = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=(4, 6)))
         cost = Tensor(0.5)
         with Tape() as tape:
@@ -666,7 +767,7 @@ class TestRecordsAndDtype:
             l_asl = asl(p, labels, AslConfig(1.0, 0.5, 0.05))
             co = cost_matrix(f, s)
             theta = source_distribution(m, labels)
-            l_ot = ct_loss(forward_plan(co, theta), backward_plan(co, beta), co)
+            l_ot, _ = ct_loss(co, T.softmax(co.data, axis=1), theta, beta, co)
             total, l_cls, l_m, _ = head.sample_losses(
                 label_outputs(z, m, T.add(l_asl, l_ot)), labels, AslConfig(),
                 LossWeights())

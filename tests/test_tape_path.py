@@ -195,6 +195,6 @@ def test_training_sample_calls_no_python_level_helper(monkeypatch):
     finally:
         sys.setprofile(None)
     assert entered == []
-    assert len(tape) == 18
+    assert len(tape) == 13
     for name, p in model.parameters().items():
         assert p.grad is not None and np.isfinite(p.grad).all(), name

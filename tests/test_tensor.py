@@ -366,7 +366,7 @@ class TestPrimitiveGradients:
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(24)
         x = Tensor(np.where(np.abs(z := rng.normal(size=(3, 4))) < 0.1, 0.5, z))
-        assert check_gradients(lambda: T.sum_(T.relu(x)), [x]) < 1e-4
+        assert check_gradients(lambda: T.sum_(composite_ops.relu(x)), [x]) < 1e-4
 
     def test_conv2d(self):
         rng = np.random.default_rng(25)
@@ -374,7 +374,7 @@ class TestPrimitiveGradients:
         kern = Tensor(rng.normal(size=(18, 3)) * 0.5)
         bias = Tensor(rng.normal(size=(3,)) * 0.1)
         assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.conv2d(img, kern, bias), 2)),
+            lambda: T.sum_(T.pow_const(T.conv_encoder(img, [kern], [bias]), 2)),
             [img, kern, bias]) < 1e-4
 
 
@@ -399,14 +399,16 @@ class TestGradcheckSuite:
 
 
 class TestConv2d:
+    """One convolution: the encoder op with a single block."""
+
     @pytest.mark.parametrize("shape", [(7, 9, 2), (1, 1, 1), (2, 3, 4), (8, 8, 3)])
     def test_matches_loop_oracle(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape)
         kernel = rng.normal(size=(T.CONV_KERNEL ** 2 * shape[2], 5))
         bias = rng.normal(size=5)
-        np.testing.assert_allclose(T.conv2d(x, kernel, bias).data,
-                                   conv2d_oracle(x, kernel, bias),
+        np.testing.assert_allclose(T.conv_encoder(x, [kernel], [bias]).data,
+                                   conv2d_oracle(x, kernel, bias).reshape(-1, 5),
                                    rtol=0, atol=1e-12)
 
     def test_stack_of_three(self):
@@ -415,14 +417,15 @@ class TestConv2d:
         kern = Tensor(rng.normal(size=(18, 3)) * 0.5)
         bias = Tensor(rng.normal(size=(3,)) * 0.1)
         before = [t.data.copy() for t in (img, kern, bias)]
-        upstream = rng.normal(size=(3, 3, 3, 3))
+        upstream = rng.normal(size=(3, 9, 3))
         with Tape() as tape:
-            out = T.conv2d(img, kern, bias)
+            out = T.conv_encoder(img, [kern], [bias])
             loss = T.sum_(T.mul(out, upstream))
             tape.backward(loss)
         for i in range(3):
             np.testing.assert_allclose(
-                out.data[i], conv2d_oracle(img.data[i], kern.data, bias.data),
+                out.data[i],
+                conv2d_oracle(img.data[i], kern.data, bias.data).reshape(9, 3),
                 rtol=0, atol=1e-12)
         # a second backward on the same tape reads the kept columns back
         first = [t.grad.copy() for t in (img, kern, bias)]
@@ -432,7 +435,7 @@ class TestConv2d:
             np.testing.assert_array_equal(t.grad, grad)
         np.testing.assert_array_equal(out.grad, upstream)
         assert check_gradients(
-            lambda: T.sum_(T.pow_const(T.conv2d(img, kern, bias), 2)),
+            lambda: T.sum_(T.pow_const(T.conv_encoder(img, [kern], [bias]), 2)),
             [img, kern, bias]) < 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -444,13 +447,14 @@ class TestConv2d:
         x = rng.normal(size=shape).astype(dtype)
         kernel = rng.normal(size=(T.CONV_KERNEL ** 2 * shape[-1], 6)).astype(dtype)
         bias = rng.normal(size=6).astype(dtype)
-        out = T.conv2d(x, kernel, bias).data
+        out = T.conv_encoder(x, [kernel], [bias]).data
         assert out.dtype == dtype
-        np.testing.assert_array_equal(out, composite_ops.conv2d_columns(x, kernel, bias))
+        want = composite_ops.conv2d_columns(x, kernel, bias)
+        np.testing.assert_array_equal(out, want.reshape(out.shape))
 
     def test_rank_below_three_rejected(self):
         with pytest.raises(DimensionError, match=re.escape("(4, 4)")):
-            T.conv2d(np.ones((4, 4)), np.ones((9, 2)), np.zeros(2))
+            T.conv_encoder(np.ones((4, 4)), [np.ones((9, 2))], [np.zeros(2)])
 
 
 class TestSampleAxisHelpers:

@@ -283,8 +283,11 @@ class TestTransportProperties:
         attn = semantic_attention(mass).data
         assert attn.min() >= 0.0
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-        loss = ct_loss(fwd, bwd, cost_matrix(f, s)).item()
-        assert 0.0 <= loss <= 4.0
+        loss, plans = ct_loss(mass, semantic_attention(mass), theta, beta,
+                              cost_matrix(f, s))
+        for got, want in zip(plans, (fwd, bwd)):
+            np.testing.assert_array_equal(got.data, want.data)
+        assert 0.0 <= loss.item() <= 4.0
 
 
 class TestCtLoss:
@@ -297,28 +300,32 @@ class TestCtLoss:
         y[0] = 1.0
         theta = source_distribution(semantic_map(f, Tensor(rng.normal(size=(d_v, num_c)))), y)
         beta = target_distribution(y)
-        return forward_plan(mass, theta), backward_plan(mass, beta), cost_matrix(f, s)
+        return ((mass, semantic_attention(mass), theta, beta),
+                (forward_plan(mass, theta), backward_plan(mass, beta)),
+                cost_matrix(f, s))
 
     def test_zero_cost(self):
         rng = np.random.default_rng(4)
-        fwd, bwd, co = self.run_pipeline(rng)
-        loss = ct_loss(fwd, bwd, Tensor(np.zeros(co.shape)))
+        args, _, co = self.run_pipeline(rng)
+        loss, _ = ct_loss(*args, Tensor(np.zeros(co.shape)))
         assert loss.item() == 0.0
 
     def test_unit_cost_gives_two(self):
         rng = np.random.default_rng(5)
-        fwd, bwd, co = self.run_pipeline(rng)
-        loss = ct_loss(fwd, bwd, Tensor(np.ones(co.shape)))
+        args, _, co = self.run_pipeline(rng)
+        loss, _ = ct_loss(*args, Tensor(np.ones(co.shape)))
         np.testing.assert_allclose(loss.item(), 2.0, atol=1e-12)
 
     def test_matches_double_sum_oracle(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            fwd, bwd, co = self.run_pipeline(rng)
-            loss = ct_loss(fwd, bwd, co)
+            args, (fwd, bwd), co = self.run_pipeline(rng)
+            loss, plans = ct_loss(*args, co)
             expect = ct_loss_oracle(fwd.data, bwd.data, co.data)
             np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
             assert loss.item() >= 0.0
+            for got, want in zip(plans, (fwd, bwd)):
+                np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestSemanticAttention:
@@ -386,9 +393,8 @@ class TestTransportGradients:
             mass = bilinear_mass(f, s, p)
             theta = source_distribution(semantic_map(f, w_map), y)
             beta = target_distribution(y)
-            fwd = forward_plan(mass, theta)
-            bwd = backward_plan(mass, beta)
-            return ct_loss(fwd, bwd, cost_matrix(f, s))
+            return ct_loss(mass, semantic_attention(mass), theta, beta,
+                           cost_matrix(f, s))[0]
 
         check_gradients(loss, [f, s, p.u, p.v, p.mix, p.score, w_map],
                         tol=1e-4)

@@ -347,7 +347,8 @@ def _pow_slope(x, e):
     if e < 1.0:
         safe = np.where(x == 0.0, 1.0, x)
         return np.where(x == 0.0, 0.0, e * safe ** (e - 1.0))
-    return e * x ** (e - 1.0)
+    # x ** 1.0 == x, so a square's slope skips the power
+    return e * (x if e == 2.0 else x ** (e - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -678,29 +679,41 @@ def _asl_terms(pd, yd, gamma_pos, gamma_neg, clip, floor):
     row of labels, and w one weight per row: every entry goes through the
     same numpy calls either way."""
     gamma_pos, gamma_neg = float(gamma_pos), float(gamma_neg)
-    lo, hi = floor, 1.0 - floor
-    pc = np.minimum(np.maximum(pd, lo), hi)
-    q = 1.0 - pc
+    pc = np.minimum(np.maximum(pd, floor), 1.0 - floor)
     log_p = np.log(pc)
     shifted = pc - clip
     pm = np.minimum(np.maximum(shifted, 0.0), 1.0)
     qm = 1.0 - pm
     log_qm = np.log(qm)
-    focus_pos = q ** gamma_pos
-    focus_neg = pm ** gamma_neg
+    # a power 0 is 1 everywhere and x * 1.0 == x, so such a power and its
+    # products are skipped
+    pos, neg = log_p, log_qm
+    if gamma_pos != 0.0:
+        q = 1.0 - pc
+        focus_pos = q ** gamma_pos
+        pos = focus_pos * log_p
+    if gamma_neg != 0.0:
+        focus_neg = pm ** gamma_neg
+        neg = focus_neg * log_qm
     y_neg = 1.0 - yd
-    per = (focus_pos * log_p) * yd + (focus_neg * log_qm) * y_neg
+    per = pos * yd + neg * y_neg
 
     def back(w):
         d_pos, d_neg = w * yd, w * y_neg
-        dpc = d_pos * focus_pos / pc
         if gamma_pos != 0.0:
+            dpc = d_pos * focus_pos / pc
             dpc -= d_pos * log_p * _pow_slope(q, gamma_pos)
-        dpm = -(d_neg * focus_neg / qm)
+        else:
+            dpc = d_pos / pc
         if gamma_neg != 0.0:
+            dpm = -(d_neg * focus_neg / qm)
             dpm += d_neg * log_qm * _pow_slope(pm, gamma_neg)
-        dpc += dpm * ((shifted >= 0.0) & (shifted <= 1.0))
-        return dpc * ((pd >= lo) & (pd <= hi))
+        else:
+            dpm = -(d_neg / qm)
+        # a clamp passes gradient where it leaves its input as it is:
+        # inside its range or on an edge, never at NaN
+        dpc += dpm * (pm == shifted)
+        return dpc * (pc == pd)
 
     return per, back
 
@@ -797,25 +810,32 @@ def cosine_cost(f, s, eps):
     sim = fd @ sd.T
     fn = np.sqrt((fd * fd).sum(axis=1))
     sn = np.sqrt((sd * sd).sum(axis=1))
-    fe, se = fn + eps, sn + eps
-    denom = fe[:, None] * se[None, :]
+    # fe as a column: the denominator and s's backward take it as it is
+    fe, se = (fn + eps)[:, None], sn + eps
+    denom = fe * se
 
-    def norm_grad(rows, norms, d_norm):
+    def norm_grad(rows, norms, any_zero, d_norm):
         # d|x|/dx = x / |x|, taken as 0 for a zero row
-        scale = np.divide(d_norm, norms, out=np.zeros(norms.shape, norms.dtype),
-                          where=norms != 0.0)
-        return scale[:, None] * rows
+        if any_zero:
+            d_norm = np.divide(d_norm, norms, where=norms != 0.0,
+                               out=np.zeros(norms.shape, norms.dtype))
+        else:
+            d_norm = d_norm / norms
+        return d_norm[:, None] * rows
 
     def backward_fn(g):
+        # `in` tests for a zero row in C; most samples have none
+        f_zero, s_zero = 0.0 in fn, 0.0 in sn
         d_sim = -g / denom
-        # no gradient through a zero row's cosine; its norm term is 0 too
-        np.copyto(d_sim, 0.0, where=(fn == 0.0)[:, None] | (sn == 0.0))
+        if f_zero or s_zero:
+            # no gradient through a zero row's cosine; its norm term is 0 too
+            np.copyto(d_sim, 0.0, where=(fn == 0.0)[:, None] | (sn == 0.0))
         d_den = g * sim / (denom * denom)
         if ft is not None:
-            _accumulate(ft, norm_grad(fd, fn, (d_den * se).sum(axis=1))
+            _accumulate(ft, norm_grad(fd, fn, f_zero, (d_den * se).sum(axis=1))
                         + d_sim @ sd)
         if st is not None:
-            _accumulate(st, norm_grad(sd, sn, (d_den * fe[:, None]).sum(axis=0))
+            _accumulate(st, norm_grad(sd, sn, s_zero, (d_den * fe).sum(axis=0))
                         + d_sim.T @ fd)
 
     return _make(1.0 - sim / denom, "cosine_cost", (ft, st), backward_fn)

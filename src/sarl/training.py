@@ -356,11 +356,11 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     params = model.parameters()
     state = init_optimizer(params)
     shadow = state.weights.copy() if cfg.use_ema else None
-    # each sample's leaf gradients, gathered into one row; an unused
-    # parameter (p.grad None) adds its zeros
-    leaves = [(p, np.zeros(p.data.size, dtype)) for p in params.values()]
-    row = np.empty_like(state.weights)
+    # each sample's leaf gradients add into their views of the batch sum;
+    # an unused parameter (p.grad None) adds nothing, as its zeros would
+    # to a sum that starts at +0
     grad_sum = np.empty_like(state.weights)
+    leaves = list(zip(params.values(), state.views(grad_sum).values()))
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     n = len(train_ds)
     # here, not after the last epoch, where evaluate would refuse them
@@ -406,9 +406,9 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
                             f"{i}; first bad tensor: "
                             + _first_non_finite(tape, state))
                     tape.backward(total)
-                np.concatenate([zero if p.grad is None else p.grad
-                                for p, zero in leaves], axis=None, out=row)
-                grad_sum += row
+                for p, view in leaves:
+                    if p.grad is not None:
+                        view += p.grad
                 sums["total"] += total.item()
                 sums["cls"] += l_cls.item()
                 sums["map"] += l_m.item()

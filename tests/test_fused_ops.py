@@ -20,12 +20,15 @@ gradients. The total loss, once fused too, is held to its chain the
 same way. So are the three label-side chains that became one op each,
 the transport cost with both plans, the source distribution and a
 training sample's losses, and matmul's product of a stack by one shared
-weight, once three records.
+weight, once three records. At NaN and on the clamp edges, a training
+sample's losses also give the bits of a chain that runs the
+three-compare clamp masks they replaced.
 """
 
 import dataclasses
 import itertools
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -437,6 +440,54 @@ class TestSampleLosses:
             parts = impl(out, y, cfg, weights)
             tape.backward(T.mul(parts[0], upstream))
         return [t.data.copy() for t in parts] + [t.grad.copy() for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("negative_clip", [False, True],
+                             ids=["clip", "negative-clip"])
+    def test_clamp_masks_match_three_compares(self, monkeypatch, dtype,
+                                              negative_clip):
+        # asl_objective takes each clamp's gradient mask from the clamp's
+        # own output; the chain runs the three-compare masks it replaced
+        # (composite_ops.asymmetric_loss). Logits at NaN and at and just
+        # past sigmoids equal to the floor, 1 - floor and the clip. No
+        # sigmoid equals PROB_FLOOR in either dtype, so the floor is one a
+        # sigmoid hits (edges). With a negative clip, clip + 1 is a sigmoid
+        # too: the shifted clamp's top edge, p_m = 1.
+        rng = np.random.default_rng(11)
+        floor, clip, z_edge = edges(dtype)
+        if negative_clip:
+            key, value = logit_grid(dtype)
+            z_edge[6:] = [value(key(1.0) - 1), 1.0, value(key(1.0) + 1)]
+            clip = float(sigmoid_of(1.0, dtype)) - 1.0
+            assert sigmoid_of(1.0, dtype) - dtype(clip) == 1.0
+        z = np.concatenate([[np.nan], z_edge, rng.normal(size=3) * 3.0])
+        m = np.minimum(rng.integers(-1, 3, size=(5, len(z))), z - 1.0)
+        m[[1, 3]] = z  # each column's maximum, tied, on the same edges
+        monkeypatch.setattr(losses, "PROB_FLOOR", floor)
+        monkeypatch.setattr(losses, "asl", lambda p, y, cfg: (
+            composite_ops.asymmetric_loss(p, y, cfg.gamma_pos, cfg.gamma_neg,
+                                          cfg.clip, losses.PROB_FLOOR)))
+        leaves = [Tensor(z.astype(dtype)), Tensor(m.astype(dtype)),
+                  Tensor(np.asarray(0.7, dtype))]
+        out = label_outputs(*leaves)
+        labels = (rng.random(len(z)) < 0.5).astype(dtype)
+        upstream = np.asarray(1.7, dtype)
+        for gamma_pos, gamma_neg in itertools.product(GAMMAS, GAMMAS):
+            # AslConfig refuses a negative clip; the ops read three fields
+            cfg = types.SimpleNamespace(gamma_pos=gamma_pos,
+                                        gamma_neg=gamma_neg, clip=clip)
+            for y in (labels, np.ones_like(labels), np.zeros_like(labels)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = self.losses_and_grads(
+                        head.sample_losses, out, y, cfg, LossWeights(), leaves,
+                        upstream)
+                    want = self.losses_and_grads(
+                        composite_ops.sample_losses, out, y, cfg,
+                        LossWeights(), leaves, upstream)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype == dtype and a.shape == b.shape
+                    np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["float32", "float64"])

@@ -685,16 +685,15 @@ def _asl_terms(pd, yd, gamma_pos, gamma_neg, clip, floor):
     pm = np.minimum(np.maximum(shifted, 0.0), 1.0)
     qm = 1.0 - pm
     log_qm = np.log(qm)
-    # a power 0 is 1 everywhere and x * 1.0 == x, so such a power and its
-    # products are skipped
-    pos, neg = log_p, log_qm
+    # a power 0 is 1 everywhere and x * 1.0 == x, so the default
+    # gamma_pos 0 skips its power and their product
+    pos = log_p
     if gamma_pos != 0.0:
         q = 1.0 - pc
         focus_pos = q ** gamma_pos
         pos = focus_pos * log_p
-    if gamma_neg != 0.0:
-        focus_neg = pm ** gamma_neg
-        neg = focus_neg * log_qm
+    focus_neg = pm ** gamma_neg
+    neg = focus_neg * log_qm
     y_neg = 1.0 - yd
     per = pos * yd + neg * y_neg
 
@@ -705,11 +704,9 @@ def _asl_terms(pd, yd, gamma_pos, gamma_neg, clip, floor):
             dpc -= d_pos * log_p * _pow_slope(q, gamma_pos)
         else:
             dpc = d_pos / pc
+        dpm = -(d_neg * focus_neg / qm)
         if gamma_neg != 0.0:
-            dpm = -(d_neg * focus_neg / qm)
             dpm += d_neg * log_qm * _pow_slope(pm, gamma_neg)
-        else:
-            dpm = -(d_neg / qm)
         # a clamp passes gradient where it leaves its input as it is:
         # inside its range or on an edge, never at NaN
         dpc += dpm * (pm == shifted)

@@ -7,7 +7,8 @@ patch features), and additionally without self-attention. The mean test
 mAP should fall in that order.
 
 The full sweep (3 seeds x 3 variants x 50 epochs) takes a few minutes;
---quick cuts it to one seed and 15 epochs for a rough picture.
+--quick cuts it to one seed and 15 epochs for a rough picture, and
+--epochs sets the epochs of either.
 
 Run: python3 demos/ablation_sweep.py --quick
 """
@@ -31,9 +32,11 @@ VARIANTS = [
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true")
+    ap.add_argument("--epochs", type=int, default=None,
+                    help="epochs per run (default 15 with --quick, else 50)")
     args = ap.parse_args()
     seeds = (0,) if args.quick else (0, 1, 2)
-    epochs = 15 if args.quick else 50
+    epochs = args.epochs if args.epochs is not None else 15 if args.quick else 50
 
     scores = {name: [] for name, _ in VARIANTS}
     for seed in seeds:

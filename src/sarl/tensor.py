@@ -20,6 +20,11 @@ sample's whole loss are each one fused op that computes the chain of
 primitives it stands for, in the same order. The ops share one softmax
 (``_softmax``, ``_softmax_back``) and one shared-weight product
 (``_rows_times``, ``_rows_times_back``).
+At larger shapes the attention's (H, P, P) arrays set the cost, so it
+runs on blocks of heads whose (P, P) arrays hold at most
+``BLOCK_ELEMENTS`` entries, a size that stays in a core's L2 cache,
+with the same float operations on every entry; the default shape's
+heads form one block.
 On the tape path, call only C-level numpy: ufuncs, array methods,
 ``np.zeros``/``np.empty`` and indexing. A Python-level helper
 (``np.clip``, ``np.expand_dims``, ``np.broadcast_to``,
@@ -68,6 +73,11 @@ __all__ = [
 
 # the dtypes a Tensor keeps; any other is cast to float64
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+# attention's budget, in entries, for the (P, P) arrays of one block of
+# heads: 256 KB in float32, so that a block's passes stay in a core's L2.
+# At 121 patches 2^16 beat 2^15 and 2^17 (one block there, and 1.6x
+# slower); at 256 patches 2^17 was about as fast
+BLOCK_ELEMENTS = 2 ** 16
 
 
 class DimensionError(ValueError):
@@ -421,6 +431,40 @@ def _rows_times_back(g, xd, xt, wd, wt):
         _accumulate(wt, _rows(xd).T @ g2)
 
 
+def _by_head_blocks(block, step, *arrays):
+    """block(*arrays) on ``step`` heads at a time, every array's head
+    axis being its third last: one call on the whole arrays if they hold
+    no more heads than that."""
+    n_heads = arrays[0].shape[-3]
+    if step >= n_heads:
+        return block(*arrays)
+    for h in range(0, n_heads, step):
+        b = slice(h, h + step)
+        block(*[a[..., b, :, :] for a in arrays])
+
+
+def _attention_forward(kh, qh, v1, ov, et=None):
+    """exp(K Q^T minus its max over keys), keys-major, into et if given,
+    and its product with [V, 1] into ov."""
+    # in place on buffers this op owns: et is (..., H, P_keys, P_queries)
+    et = np.matmul(kh, qh.swapaxes(-1, -2), et)
+    et -= et.max(axis=-2, keepdims=True)
+    np.exp(et, out=et)
+    np.matmul(et.swapaxes(-1, -2), v1, ov)
+    return et
+
+
+def _attention_backward(et, go, go1, v1, kh, qh, gv, gk, gq):
+    """V's, K's and Q's gradients per head, Q's before the 1/sqrt(d),
+    into gv, gk and gq."""
+    np.matmul(et, go, gv)
+    # dP^T = [V, 1] [dO, -rowsum(dO * O)]^T, one product of depth d + 1
+    dpt = v1 @ go1.swapaxes(-1, -2)
+    dpt *= et
+    np.matmul(dpt, qh, gk)
+    np.matmul(dpt.swapaxes(-1, -2), kh, gq)
+
+
 def attention(x, w_q, w_k, w_v, n_heads):
     """Multi-head scaled dot-product self-attention over the rows of x.
 
@@ -435,11 +479,29 @@ def attention(x, w_q, w_k, w_v, n_heads):
     contributions in the order V, K, Q.
 
     That array is keys-major, (..., H, P_keys, P_queries), so the
-    softmax's max and sum over keys run across rows, combining whole
-    contiguous rows elementwise, which numpy does faster than a reduction
-    along each row. The backward gets dP^T, its rowsum(dO * O) term
-    included, from one product of [V, 1] and [dO, -rowsum(dO * O)]: one
-    pass fewer over the (..., H, P, P) array.
+    softmax's max over keys runs across rows, combining whole contiguous
+    rows elementwise, which numpy does faster than a reduction along
+    each row. One product with [V, 1] gives O's numerator and, in its
+    last column, the softmax's sums over keys, one pass fewer over the
+    (..., H, P, P) array. The ones column adds the keys in the order a
+    sum over the rows does, so the same bits, as long as the BLAS adds
+    all keys in one pass: OpenBLAS as numpy bundles it did so up to 447
+    keys in both float32 and float64, and past 448 sums by blocks, which
+    rounds differently. The backward gets dP^T, its rowsum(dO * O) term
+    included, from one product of the same [V, 1] and
+    [dO, -rowsum(dO * O)]. These (d + 1)-wide arrays are laid out
+    (..., P, H, d + 1), and the products write the head gradients into
+    (..., P, d_v) arrays, so no head is copied back into place.
+
+    Both passes run on one block of heads at a time, every sample of a
+    stack in each block, so that a block's (P, P) arrays hold at most
+    BLOCK_ELEMENTS entries (or one head's, if more) and its passes over
+    them stay in cache (FlashAttention's tiling, by whole heads). The
+    backward's dP^T is then one block's, small enough that the allocator
+    reuses its memory rather than mapping fresh pages each call. Each
+    entry sees the same float operations whatever the blocks. At the
+    default shape all heads form one block, and the op runs on the
+    whole arrays.
     """
     xd, xt = _lift(x)
     qw, qwt = _lift(w_q)
@@ -456,42 +518,47 @@ def attention(x, w_q, w_k, w_v, n_heads):
         raise DimensionError(f"n_heads={n_heads} must be >= 1 and divide d_v={d_v}")
     d = d_v // n_heads
     scale = 1.0 / math.sqrt(d)
+    # heads per block, at least one (an empty x makes one block)
+    step = BLOCK_ELEMENTS // (math.prod(lead) * num_p * num_p or 1) or 1
+    by_head = lead + (num_p, n_heads, d)  # (..., P, d_v) split by head
 
     def heads(a):  # (..., P, d_v) -> (..., H, P, d) view
-        return a.reshape(lead + (num_p, n_heads, d)).swapaxes(-2, -3)
+        return a.reshape(by_head).swapaxes(-2, -3)
 
-    def merge(a):  # (..., H, P, d) -> (..., P, d_v) copy
-        return a.swapaxes(-2, -3).reshape(lead + (num_p, d_v))
-
-    qh = heads(_rows_times(xd, qw) * scale)
-    kh, vh = heads(_rows_times(xd, kw)), heads(_rows_times(xd, vw))
-    # in place on buffers this op owns: et is (..., H, P_keys, P_queries)
-    et = kh @ qh.swapaxes(-1, -2)
-    et -= et.max(axis=-2, keepdims=True)
-    np.exp(et, out=et)
-    s = et.sum(axis=-2, keepdims=True).swapaxes(-1, -2)
-    o = et.swapaxes(-1, -2) @ vh
-    o /= s
+    rows = _rows(xd)
+    qh, kh, v = heads(rows @ qw * scale), heads(rows @ kw), rows @ vw
+    # [V, 1], and its product with exp(logits), [O's numerator, s], by
+    # (patch, head): O divides out in the result's layout
+    v1 = np.empty(lead + (num_p, n_heads, d + 1), v.dtype)
+    v1[..., :d] = v.reshape(by_head)
+    v1[..., d] = 1.0
+    v1h, ov = v1.swapaxes(-2, -3), np.empty(v1.shape, v.dtype)
+    if step >= n_heads:  # one block: matmul allocates et
+        et = _attention_forward(kh, qh, v1h, ov.swapaxes(-2, -3))
+    else:
+        et = np.empty(lead + (n_heads, num_p, num_p), v.dtype)
+        _by_head_blocks(_attention_forward, step, kh, qh, v1h,
+                        ov.swapaxes(-2, -3), et)
+    s = ov[..., d:]
+    o = ov[..., :d] / s
 
     def backward_fn(g):
-        go = heads(g) / s
-        gv = merge(et @ go)
-        # dP^T = [V, 1] [dO, -rowsum(dO * O)]^T, one product of depth d + 1
-        go1 = np.empty((*go.shape[:-1], d + 1), go.dtype)
-        go1[..., :d] = go
-        go1[..., d] = -(go * o).sum(axis=-1)
-        v1 = np.empty(go1.shape, vh.dtype)
-        v1[..., :d] = vh
-        v1[..., d] = 1.0
-        dpt = v1 @ go1.swapaxes(-1, -2)
-        dpt *= et
-        gq = merge(dpt.swapaxes(-1, -2) @ kh) * scale
-        gk = merge(dpt @ qh)
+        go1 = np.empty(ov.shape, g.dtype)
+        go = go1[..., :-1]
+        np.divide(g.reshape(by_head), s, go)
+        go1[..., -1] = -(go * o).sum(axis=-1)
+        # V's, K's and Q's gradients, filled per head
+        gv, gk, gq = grads = np.empty((3,) + g.shape, g.dtype)
+        blocks = (et, go.swapaxes(-2, -3), go1.swapaxes(-2, -3), v1h, kh, qh,
+                  *grads.reshape((3,) + by_head).swapaxes(-2, -3))
+        _by_head_blocks(_attention_backward, step, *blocks)
+        gq *= scale
         _rows_times_back(gv, xd, xt, vw, vwt)
         _rows_times_back(gk, xd, xt, kw, kwt)
         _rows_times_back(gq, xd, xt, qw, qwt)
 
-    return _make(merge(o), "attention", (xt, qwt, kwt, vwt), backward_fn)
+    return _make(o.reshape(lead + (num_p, d_v)), "attention",
+                 (xt, qwt, kwt, vwt), backward_fn)
 
 
 def bilinear_scores(f, s, u, v, mix, score):

@@ -345,6 +345,33 @@ class TestDamagedInputs:
         assert message == "sarl eval: dataset has 6 classes, model wants 4"
         assert not (tmp_path / "evalout").exists()
 
+    @pytest.mark.parametrize("verb", ["eval", "export-attention"])
+    @pytest.mark.parametrize("extra,images", [
+        (["--height", "16", "--width", "16"], "16x16x2, which the encoder makes a 4x4 grid"),
+        (["--channels", "3"], "8x8x3, which the encoder makes a 2x2 grid"),
+    ], ids=["larger-images", "other-channels"])
+    def test_images_that_do_not_fit_the_model(self, tmp_path, trained,
+                                              monkeypatch, verb, extra, images):
+        # refused up front, naming the split's images and the model's
+        # channels and grid, before any sample is scored
+        _, run = trained
+        data = gen(tmp_path, extra=extra)
+
+        def scored(*args, **kwargs):
+            raise AssertionError("a sample was scored")
+
+        monkeypatch.setattr("sarl.training.forward", scored)
+        out = (["--out", str(tmp_path / "evalout")] if verb == "eval" else
+               ["--class-id", "0", "--out-map", str(tmp_path / "m.pgm"),
+                "--out-attn", str(tmp_path / "a.pgm")])
+        message = exits_with_one_line(verb, [
+            verb, "--checkpoint", str(run / "model.ckpt"), "--data",
+            str(data / "test.bin"), *out])
+        what = "the split's images are" if verb == "eval" else "the image is"
+        assert message == (f"sarl {verb}: {what} {images}; the model takes "
+                           "2-channel images to a 2x2 grid")
+        assert list(tmp_path.iterdir()) == [data]
+
     @pytest.mark.parametrize("verb,flag,value,why", [
         ("eval", "--threshold", "nan", "'--threshold' is 'nan', not a finite number"),
         ("eval", "--top-k", "1_0", "'--top-k' is '1_0', not an integer"),

@@ -14,9 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
     ("transport_walkthrough.py", []),
     ("train_synthetic.py", ["--epochs", "1", "--out"]),
     ("attention_maps.py", ["--epochs", "1", "--out"]),
-], ids=["transport_walkthrough", "train_synthetic", "attention_maps"])
+    ("ablation_sweep.py", ["--quick", "--epochs", "1"]),
+], ids=["transport_walkthrough", "train_synthetic", "attention_maps",
+        "ablation_sweep"])
 def test_demo_exits_cleanly(script, args, tmp_path):
-    if args:  # the artifacts go to the test's own directory
+    if args[-1:] == ["--out"]:  # the artifacts go to the test's own directory
         args = [*args, str(tmp_path / "out")]
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))

@@ -22,11 +22,13 @@ the transport cost with both plans, the source distribution and a
 training sample's losses, and matmul's product of a stack by one shared
 weight, once three records. At NaN and on the clamp edges, a training
 sample's losses also give the bits of a chain that runs the
-three-compare clamp masks they replaced.
+three-compare clamp masks they replaced. Self-attention is held to its
+chain also at grids large enough that it runs several blocks of heads.
 """
 
 import dataclasses
 import itertools
+import math
 import sys
 import types
 
@@ -569,17 +571,17 @@ def library_stage(name):
     return getattr(sys.modules[STAGE_MODULES[name]], name)
 
 
-def head_stage(name, samples, dtype, rng):
-    """(leaves, call) for one head stage at the default widths and a 4x4
-    grid: ``call(impl)`` runs ``impl``, the library's stage or its chain,
-    on the leaves and returns the output tensor."""
+def head_stage(name, samples, dtype, rng, grid=4):
+    """(leaves, call) for one head stage at the default widths and a
+    grid x grid patch grid: ``call(impl)`` runs ``impl``, the library's
+    stage or its chain, on the leaves and returns the output tensor."""
     def leaf(*shape):
         return Tensor((rng.normal(size=shape) * 0.5).astype(dtype))
 
-    num_p, d_v, num_c = 16, 32, 6
+    num_p, d_v, num_c = grid * grid, 32, 6
     if name == "encode":
-        image = leaf(*samples, 16, 16, 3)
-        cfg = EncoderConfig(in_channels=3, grid_h=4, grid_w=4)
+        image = leaf(*samples, 4 * grid, 4 * grid, 3)
+        cfg = EncoderConfig(in_channels=3, grid_h=grid, grid_w=grid)
         p = EncoderParams([leaf(27, d_v), leaf(9 * d_v, d_v)],
                           [leaf(d_v), leaf(d_v)])
         return [image] + p.kernels + p.biases, lambda impl: impl(image, cfg, p).f
@@ -587,7 +589,7 @@ def head_stage(name, samples, dtype, rng):
         f = leaf(*samples, num_p, d_v)
         p = SelfAttentionParams(leaf(d_v, d_v), leaf(d_v, d_v), leaf(d_v, d_v))
         return [f, p.w_q, p.w_k, p.w_v], lambda impl: impl(
-            FeatureMap(f, 4, 4), p).f
+            FeatureMap(f, grid, grid), p).f
     if name == "bilinear_mass":
         f, f_s = leaf(*samples, num_p, d_v), leaf(*samples, num_c, d_v)
         p = BilinearParams(leaf(d_v, 32), leaf(d_v, 32), leaf(32, 16), leaf(16, 1))
@@ -619,6 +621,20 @@ def outputs_and_grads(call, leaves, weights):
     return [out.data.copy()] + [t.grad.copy() for t in leaves]
 
 
+def assert_stage_matches_chain(name, samples, dtype, rng, grid=4):
+    """The library's stage gives its chain's bits: output and every
+    leaf gradient."""
+    leaves, call = head_stage(name, samples, dtype, rng, grid)
+    chain = composite_ops.HEAD_STAGES[STAGE_MODULES[name], name]
+    shapes = [call(library_stage(name)).shape] + [t.shape for t in leaves]
+    weights = [np.asarray(rng.normal(size=s), dtype=dtype) for s in shapes]
+    got = outputs_and_grads(lambda: call(library_stage(name)), leaves, weights)
+    want = outputs_and_grads(lambda: call(chain), leaves, weights)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
 class TestHeadStages:
     """Each fused head stage against the chain it replaced: the same
     bits, output and gradients, for one image and a 3-sample stack."""
@@ -629,15 +645,22 @@ class TestHeadStages:
     @pytest.mark.parametrize("name", STAGES)
     def test_bit_identical_to_chain(self, name, samples, dtype):
         rng = np.random.default_rng(STAGES.index(name) + 10 * len(samples))
-        leaves, call = head_stage(name, samples, dtype, rng)
-        chain = composite_ops.HEAD_STAGES[STAGE_MODULES[name], name]
-        shapes = [call(library_stage(name)).shape] + [t.shape for t in leaves]
-        weights = [np.asarray(rng.normal(size=s), dtype=dtype) for s in shapes]
-        got = outputs_and_grads(lambda: call(library_stage(name)), leaves, weights)
-        want = outputs_and_grads(lambda: call(chain), leaves, weights)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == dtype and a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
+        assert_stage_matches_chain(name, samples, dtype, rng)
+
+
+class TestAttentionHeadBlocks:
+    """Self-attention against its chain on grids whose (P, P) arrays
+    exceed T.BLOCK_ELEMENTS, so that the op runs several blocks of its
+    8 heads."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("samples,grid", [((), 16), ((2,), 11)],
+                             ids=["one-16x16", "stack2-11x11"])
+    def test_bit_identical_to_chain(self, samples, grid, dtype):
+        assert T.BLOCK_ELEMENTS // (math.prod(samples) * grid ** 4) < 8
+        assert_stage_matches_chain("self_attention", samples, dtype,
+                                   np.random.default_rng(grid), grid)
 
 
 class TestSharedWeightMatmul:

@@ -138,10 +138,10 @@ def run_suite(verbose=True):
           lambda: T.sum_(T.pow_const(T.cosine_cost(f_rows, s_rows, 1e-8), 2)),
           [f_rows, s_rows])
     r3, r4 = rt(3), rt(4)
-    check("scaled_softmax",
-          lambda: T.add(T.sum_(T.pow_const(T.scaled_softmax(a, r3, axis=1), 2)),
-                        T.sum_(T.pow_const(T.scaled_softmax(a, r4, axis=0), 2))),
-          [a, r3, r4])
+    check("forward_plan",
+          lambda: T.sum_(T.pow_const(transport.forward_plan(a, r3), 2)), [a, r3])
+    check("backward_plan",
+          lambda: T.sum_(T.pow_const(transport.backward_plan(a, r4), 2)), [a, r4])
     # both plans and their cost; the row softmax is the caller's, a value
     c = rt(3, 4)
     check("transport_cost",

@@ -61,7 +61,6 @@ __all__ = [
     "asymmetric_loss",
     "asl_objective",
     "cosine_cost",
-    "scaled_softmax",
     "transport_cost",
     "sum_",
     "mean",
@@ -484,12 +483,14 @@ def attention(x, w_q, w_k, w_v, n_heads):
     each row. One product with [V, 1] gives O's numerator and, in its
     last column, the softmax's sums over keys, one pass fewer over the
     (..., H, P, P) array. The ones column adds the keys in the order a
-    sum over the rows does, so the same bits, as long as the BLAS adds
-    all keys in one pass: OpenBLAS as numpy bundles it did so up to 447
-    keys in both float32 and float64, and past 448 sums by blocks, which
-    rounds differently. The backward gets dP^T, its rowsum(dO * O) term
-    included, from one product of the same [V, 1] and
-    [dO, -rowsum(dO * O)]. These (d + 1)-wide arrays are laid out
+    sum over the rows does, so the op gives the bits of its chain of
+    primitives only while the BLAS adds every key in one pass: OpenBLAS
+    as numpy bundles it did so up to 448 keys in float32 and 447 in
+    float64. Past that it adds by blocks, which rounds differently, and
+    the op matches the chain within rounding (at 529 keys in float64,
+    value and gradients within 1e-12). The backward gets dP^T, its
+    rowsum(dO * O) term included, from one product of the same [V, 1]
+    and [dO, -rowsum(dO * O)]. These (d + 1)-wide arrays are laid out
     (..., P, H, d + 1), and the products write the head gradients into
     (..., P, d_v) arrays, so no head is copied back into place.
 
@@ -905,31 +906,6 @@ def cosine_cost(f, s, eps):
     return _make(1.0 - sim / denom, "cosine_cost", (ft, st), backward_fn)
 
 
-def scaled_softmax(a, scale, axis):
-    """softmax(a, axis) times scale, broadcast along ``axis``.
-
-    scale has a's shape without ``axis``, so every slice along ``axis``
-    sums to its entry of scale. One tape record.
-    """
-    ad, at = _lift(a)
-    sd, st = _lift(scale)
-    axis %= ad.ndim
-    if sd.shape != ad.shape[:axis] + ad.shape[axis + 1:]:
-        raise DimensionError(f"scaled_softmax over axis {axis} of {ad.shape} "
-                             f"needs a scale of that shape without the axis, "
-                             f"got {sd.shape}")
-    soft = _softmax(ad, axis)
-    sdx = sd.reshape(ad.shape[:axis] + (1,) + ad.shape[axis + 1:])
-
-    def backward_fn(g):
-        if st is not None:
-            _accumulate(st, (g * soft).sum(axis=axis))
-        if at is not None:
-            _accumulate(at, _softmax_back(g * sdx, soft, axis))
-
-    return _make(sdx * soft, "scaled_softmax", (at, st), backward_fn)
-
-
 def transport_cost(mass, soft, theta, beta, cost):
     """One sample's two transport plans and their transported cost.
 
@@ -939,9 +915,9 @@ def transport_cost(mass, soft, theta, beta, cost):
     the backward plan beta_c softmax_p(mass)[p, c], and the result is
     sum(fwd * cost) + sum(bwd * cost). Returns the result and, off the
     tape, the two plans. One tape record that computes the chain it
-    stands for (two scaled softmaxes, the plans' cost) in the same
-    order; soft is a value, and mass's gradient through the forward
-    plan is the softmax's closed form on it.
+    stands for (each plan's softmax times its marginal, the plans'
+    cost) in the same order; soft is a value, and mass's gradient
+    through the forward plan is the softmax's closed form on it.
     """
     ad, at = _lift(mass)
     soft_f = _lift(soft)[0]

@@ -23,8 +23,10 @@ closed-form tape op: the source distribution
 (:func:`sarl.tensor.cosine_cost`), and both plans with the transport
 loss (:func:`sarl.tensor.transport_cost`), whose forward plan reuses the
 attention's row softmax; the target distribution records nothing.
-:func:`forward_plan` and :func:`backward_plan` build one plan each, as a
-softmax scaled by its marginal (:func:`sarl.tensor.scaled_softmax`).
+:func:`forward_plan` and :func:`backward_plan` build one plan each as
+the chain of primitive ops that op fuses: the marginal as a column or
+a row (a reshape) times the scores' softmax along rows or columns (a
+product). Training takes both plans from :func:`ct_loss`.
 """
 
 from __future__ import annotations
@@ -131,17 +133,23 @@ def bilinear_mass(f: Tensor, f_s: Tensor, p: BilinearParams) -> Tensor:
 def forward_plan(mass: Tensor, theta) -> Tensor:
     """Plan rows: t[p, :] = theta_p * softmax_c(A[p, :]).
 
-    The (P x C) plan is nonnegative and its row sums equal theta.
+    The (P x C) plan is nonnegative and its row sums equal theta. Three
+    records: theta as a (P, 1) column times A's row softmax; a theta of
+    another length is refused by the reshape.
     """
-    return T.scaled_softmax(mass, theta, axis=1)
+    col = T.reshape(theta, (mass.shape[0], 1))
+    return T.mul(col, T.softmax(mass, axis=1))
 
 
 def backward_plan(mass: Tensor, beta) -> Tensor:
     """Plan columns: t[:, c] = beta_c * softmax_p(A[:, c]).
 
     The (P x C) plan is nonnegative and its column sums equal beta.
+    Three records: beta as a (1, C) row times A's column softmax; a beta
+    of another length is refused by the reshape.
     """
-    return T.scaled_softmax(mass, beta, axis=0)
+    row = T.reshape(beta, (1, mass.shape[1]))
+    return T.mul(row, T.softmax(mass, axis=0))
 
 
 def ct_loss(mass: Tensor, attention, theta, beta, co: Tensor):

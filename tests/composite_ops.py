@@ -26,6 +26,10 @@ numpy's Python-level helpers (``np.clip``, ``np.expand_dims``,
 ``np.broadcast_to``, ``np.take_along_axis``, ``np.put_along_axis``,
 ``ndarray.mean``). The library now calls only C-level numpy on the tape
 path, and its outputs and gradients must be bit-identical to these.
+The library no longer has the scaled softmax, a plan as one record:
+:func:`sarl.transport.forward_plan` and
+:func:`sarl.transport.backward_plan` are the chain it fused (reshape,
+softmax, product), and must give its bits.
 
 :data:`HEAD_STAGES` holds six stages of the head as the chains of tape
 records they were before each became one fused op: the encoder
@@ -273,8 +277,8 @@ def transport_cost(mass, soft, theta, beta, cost):
     """sarl.tensor.transport_cost as the records it replaced: a scaled
     softmax per plan and plan_cost; soft goes unused, as the forward
     plan takes its own softmax."""
-    fwd = T.scaled_softmax(mass, theta, axis=1)
-    bwd = T.scaled_softmax(mass, beta, axis=0)
+    fwd = scaled_softmax(mass, theta, axis=1)
+    bwd = scaled_softmax(mass, beta, axis=0)
     return plan_cost(fwd, bwd, cost), fwd.data, bwd.data
 
 

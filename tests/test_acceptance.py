@@ -26,9 +26,8 @@ from sarl.metrics import PredictionSet, average_precision, mean_ap
 from sarl.tensor import Tensor
 from sarl.training import (TrainConfig, evaluate, synthetic_config, train,
                            write_pgm)
-from sarl.transport import (backward_plan, bilinear_mass, cost_matrix,
-                            ct_loss, forward_plan, init_bilinear,
-                            semantic_attention, semantic_map,
+from sarl.transport import (bilinear_mass, cost_matrix, ct_loss,
+                            init_bilinear, semantic_attention, semantic_map,
                             source_distribution, target_distribution)
 
 
@@ -129,14 +128,15 @@ class TestAcceptance:
                     assert dist.data.min() >= 0.0
                     assert abs(dist.data.sum() - 1.0) < 1e-9
                 mass = bilinear_mass(f, f_s, init_bilinear(rng, d_v, 5, 4))
-                fwd = forward_plan(mass, theta)
-                bwd = backward_plan(mass, beta)
+                co = cost_matrix(f, f_s)
+                # the plans training uses
+                _, (fwd, bwd) = ct_loss(mass, semantic_attention(mass),
+                                        theta, beta, co)
                 assert_allclose(fwd.data.sum(axis=1), theta.data,
                                 atol=1e-9)
                 assert_allclose(bwd.data.sum(axis=0), beta.data,
                                 atol=1e-9)
-                co = cost_matrix(f, f_s).data
-                assert co.min() >= 0.0 and co.max() <= 2.0
+                assert co.data.min() >= 0.0 and co.data.max() <= 2.0
             return "500 instances, marginals and simplex at 1e-9"
         criterion(capsys, "transport-invariants", body)
 

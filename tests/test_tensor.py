@@ -1,6 +1,8 @@
 """Autodiff core: forward semantics, tape replay, gradient checks."""
 
+import ast
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -396,6 +398,47 @@ class TestGradcheckSuite:
         ops = {op_names.get(name, name) for name in T.__all__
                if not isinstance(getattr(T, name), type)}
         assert ops - {"conv_output_size"} - seen == set()
+
+
+# the scalar primitives the reference chains and `sarl gradcheck` build
+# from, kept in the core without a library caller of their own
+SCALAR_PRIMITIVES = {"sub", "pow_const", "sum_"}
+
+
+def library_calls():
+    """The sarl.tensor functions called from src/sarl outside tensor.py
+    and gradcheck.py, by name."""
+    called = set()
+    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+        if path.name in ("tensor.py", "gradcheck.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1]
+        # `from . import tensor as T` and `from .tensor import name`
+        modules = {a.asname or a.name for node in imports if node.module is None
+                   for a in node.names if a.name == "tensor"}
+        names = {a.asname or a.name: a.name for node in imports
+                 if node.module == "tensor" for a in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id in modules):
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                called.add(names[f.id])
+    return called
+
+
+class TestExports:
+    def test_every_function_has_a_library_caller(self):
+        # an op that only tests and `sarl gradcheck` call fails by name
+        funcs = {name for name in T.__all__
+                 if not isinstance(getattr(T, name), type)}
+        assert SCALAR_PRIMITIVES <= funcs
+        assert funcs - SCALAR_PRIMITIVES - library_calls() == set()
 
 
 class TestConv2d:

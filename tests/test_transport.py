@@ -242,6 +242,13 @@ class TestPlans:
         plan = backward_plan(mass, Tensor(np.array([1.0])))
         np.testing.assert_allclose(plan.data, [[0.75], [0.25]], atol=1e-12)
 
+    @pytest.mark.parametrize("plan,length", [(forward_plan, 6), (backward_plan, 4)],
+                             ids=["forward", "backward"])
+    def test_marginal_of_wrong_length_refused(self, plan, length):
+        # theta must have one entry per row of A, beta one per column
+        with pytest.raises(ValueError, match=f"size {length}"):
+            plan(Tensor(np.ones((4, 6))), Tensor(np.ones(length)))
+
     def test_marginals(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

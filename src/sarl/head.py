@@ -31,9 +31,7 @@ from .losses import AslConfig, LossWeights, classification_loss
 from .representation import (ConfigError, EncoderConfig, EncoderParams,
                              FeatureMap, FusionParams, SelfAttentionParams,
                              encode, fuse_semantic, global_spatial_pool,
-                             init_encoder, init_fusion, init_label_embeddings,
-                             init_self_attention, self_attention,
-                             xavier_uniform)
+                             init_encoder, self_attention, xavier_uniform)
 from .tensor import Tensor
 from .transport import (BilinearParams, bilinear_mass, cost_matrix, ct_loss,
                         init_bilinear, semantic_attention, semantic_map,
@@ -156,6 +154,10 @@ class ModelBundle:
         return named
 
 
+# the label table's rows, one per class, start near 0
+LABEL_INIT_STD = 0.02
+
+
 def build_model(cfg: ModelConfig, seed=0, dtype=np.float64) -> ModelBundle:
     """Draw every parameter from one seeded stream in float64, then cast
     each once to ``dtype``, the precision of every step on the model."""
@@ -163,9 +165,12 @@ def build_model(cfg: ModelConfig, seed=0, dtype=np.float64) -> ModelBundle:
     d_v = cfg.feature_dim
     model = ModelBundle(
         cfg, init_encoder(rng, cfg.encoder, d_v),
-        init_label_embeddings(rng, cfg.num_classes, cfg.label_dim),
-        init_self_attention(rng, d_v, cfg.n_heads),
-        init_fusion(rng, d_v, cfg.label_dim),
+        Tensor(rng.normal(0.0, LABEL_INIT_STD,
+                          size=(cfg.num_classes, cfg.label_dim))),
+        SelfAttentionParams(*(xavier_uniform(rng, d_v, d_v) for _ in range(3)),
+                            n_heads=cfg.n_heads),
+        FusionParams(xavier_uniform(rng, d_v + cfg.label_dim, d_v),
+                     Tensor(np.zeros(d_v))),
         xavier_uniform(rng, d_v, cfg.num_classes),
         init_bilinear(rng, d_v, cfg.bilinear_dim, cfg.bilinear_out),
         ClassifierParams(xavier_uniform(rng, d_v, cfg.num_classes),

@@ -31,17 +31,13 @@ __all__ = [
     "FusionParams",
     "xavier_uniform",
     "init_encoder",
-    "init_label_embeddings",
-    "init_self_attention",
-    "init_fusion",
+    "patch_grid",
+    "check_image_shape",
     "encode",
     "self_attention",
     "global_spatial_pool",
     "fuse_semantic",
 ]
-
-
-LABEL_INIT_STD = 0.02
 
 
 class ConfigError(ValueError):
@@ -140,43 +136,39 @@ def init_encoder(rng, cfg: EncoderConfig, feature_dim) -> EncoderParams:
     return EncoderParams(kernels, biases)
 
 
-def init_label_embeddings(rng, num_classes, label_dim) -> Tensor:
-    """The label table: one learnable label_dim row per class."""
-    return Tensor(rng.normal(0.0, LABEL_INIT_STD, size=(num_classes, label_dim)))
+def patch_grid(conv_blocks, h, w):
+    """The patch grid that ``conv_blocks`` conv blocks make of an h x w
+    image."""
+    for _ in range(conv_blocks):
+        h, w = T.conv_output_size(h), T.conv_output_size(w)
+    return h, w
 
 
-def init_self_attention(rng, d_v, n_heads=8) -> SelfAttentionParams:
-    return SelfAttentionParams(
-        xavier_uniform(rng, d_v, d_v),
-        xavier_uniform(rng, d_v, d_v),
-        xavier_uniform(rng, d_v, d_v),
-        n_heads=n_heads,
-    )
-
-
-def init_fusion(rng, d_v, label_dim) -> FusionParams:
-    return FusionParams(
-        xavier_uniform(rng, d_v + label_dim, d_v),
-        Tensor(np.zeros(d_v)),
-    )
+def check_image_shape(cfg: EncoderConfig, image_shape, what="the image is"):
+    """Refuse images of shape (..., H, W, C) that the encoder cannot
+    take: a rank below 3, another channel count, or a size its conv
+    blocks do not bring to the config's patch grid. ``what`` names the
+    images in the message."""
+    if len(image_shape) < 3:
+        raise ConfigError(f"{what} of shape {image_shape}; the encoder "
+                          f"takes (H, W, C) images")
+    h, w, c_in = image_shape[-3:]
+    grid_h, grid_w = patch_grid(cfg.conv_blocks, h, w)
+    if c_in != cfg.in_channels or (grid_h, grid_w) != (cfg.grid_h, cfg.grid_w):
+        raise ConfigError(
+            f"{what} {h}x{w}x{c_in}, which the encoder makes a "
+            f"{grid_h}x{grid_w} grid; the model takes {cfg.in_channels}-channel "
+            f"images to a {cfg.grid_h}x{cfg.grid_w} grid")
 
 
 def encode(x, cfg: EncoderConfig, params: EncoderParams) -> FeatureMap:
     """Turn an (H, W, C) image or an (N, H, W, C) stack (array or Tensor)
     into (P, d_v) or (N, P, d_v) patch features. One tape record
-    (:func:`sarl.tensor.conv_encoder`)."""
-    if x.shape[-1] != cfg.in_channels:
-        raise ConfigError(
-            f"image has {x.shape[-1]} channels, config says {cfg.in_channels}")
-    f = T.conv_encoder(x, params.kernels, params.biases)
-    h, w = x.shape[-3:-1]
-    for _ in params.kernels:
-        h, w = T.conv_output_size(h), T.conv_output_size(w)
-    if (h, w) != (cfg.grid_h, cfg.grid_w):
-        raise ConfigError(
-            f"encoder produced a {h}x{w} grid, "
-            f"config says {cfg.grid_h}x{cfg.grid_w}")
-    return FeatureMap(f, cfg.grid_h, cfg.grid_w)
+    (:func:`sarl.tensor.conv_encoder`), after
+    :func:`check_image_shape`."""
+    check_image_shape(cfg, x.shape)
+    return FeatureMap(T.conv_encoder(x, params.kernels, params.biases),
+                      cfg.grid_h, cfg.grid_w)
 
 
 def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:

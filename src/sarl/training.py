@@ -38,7 +38,7 @@ from .losses import AslConfig, LossWeights
 from .metrics import (MetricReport, PredictionSet, check_cutoffs,
                       compute_report, format_report, report_entries,
                       write_predictions)
-from .representation import EncoderConfig
+from .representation import EncoderConfig, check_image_shape, patch_grid
 from .tensor import Tape
 from .transport import semantic_map
 
@@ -113,8 +113,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.seed < 0:
-            raise ValueError(f"seed={self.seed} must be >= 0")
         for name in ("lr", "batch_size", "epochs", "image_size", "channels"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive")
@@ -187,11 +185,9 @@ def synthetic_config(cfg: TrainConfig) -> SyntheticConfig:
 
 
 def model_config(cfg: TrainConfig) -> ModelConfig:
-    grid = cfg.image_size
-    for _ in range(cfg.conv_blocks):
-        grid = T.conv_output_size(grid)
+    grid_h, grid_w = patch_grid(cfg.conv_blocks, cfg.image_size, cfg.image_size)
     encoder = _by_name(EncoderConfig, cfg, in_channels=cfg.channels,
-                       grid_h=grid, grid_w=grid)
+                       grid_h=grid_h, grid_w=grid_w)
     return _by_name(ModelConfig, cfg, encoder=encoder)
 
 
@@ -475,22 +471,6 @@ def chunk_size(cfg: ModelConfig, image_shape) -> int:
     return max(1, CHUNK_ELEMENTS // largest)
 
 
-def _check_image_shape(cfg: ModelConfig, image_shape, what):
-    """Refuse (H, W, C) images that the model's encoder cannot take:
-    another channel count, or a size its conv blocks do not bring to the
-    model's patch grid. ``what`` names the images in the message."""
-    h, w, c_in = image_shape
-    enc = cfg.encoder
-    grid_h, grid_w = h, w
-    for _ in range(enc.conv_blocks):
-        grid_h, grid_w = T.conv_output_size(grid_h), T.conv_output_size(grid_w)
-    if c_in != enc.in_channels or (grid_h, grid_w) != (enc.grid_h, enc.grid_w):
-        raise ValueError(
-            f"{what} {h}x{w}x{c_in}, which the encoder makes a "
-            f"{grid_h}x{grid_w} grid; the model takes {enc.in_channels}-channel "
-            f"images to a {enc.grid_h}x{enc.grid_w} grid")
-
-
 def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
     """Score every sample (inference mode) and build the metric report.
 
@@ -508,7 +488,8 @@ def evaluate(model: ModelBundle, ds: Dataset, threshold=0.5, top_k=3):
     if ds.payload.ndim != 4:
         raise ValueError(f"evaluate needs (N, H, W, C) images, got payload "
                          f"shape {ds.payload.shape}")
-    _check_image_shape(model.config, ds.payload.shape[1:], "the split's images are")
+    check_image_shape(model.config.encoder, ds.payload.shape[1:],
+                      "the split's images are")
     step = chunk_size(model.config, ds.payload.shape[1:])
     scores = np.zeros((n, num_c))
     for lo in range(0, n, step):
@@ -533,7 +514,7 @@ def export_attention(model: ModelBundle, x, class_id, map_path, attn_path):
     if len(x.shape) != 3:
         raise ValueError(f"export_attention takes one (H, W, C) image, "
                          f"got shape {x.shape}")
-    _check_image_shape(model.config, x.shape, "the image is")
+    check_image_shape(model.config.encoder, x.shape)
     out = forward(x, model)
     grid_h, grid_w = out.features.h, out.features.w
     m = semantic_map(out.features.f, model.map_weights).data[:, class_id]

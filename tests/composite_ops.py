@@ -399,8 +399,6 @@ def scaled_softmax(a, scale, axis):
 LABEL_SIDE = {
     ("sarl.losses", "asl"): asl,
     ("sarl.transport", "cost_matrix"): cost_matrix,
-    ("sarl.transport", "forward_plan"): forward_plan,
-    ("sarl.transport", "backward_plan"): backward_plan,
     ("sarl.transport", "ct_loss"): ct_loss,
 }
 

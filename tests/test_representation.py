@@ -81,6 +81,23 @@ class TestEncode:
         with pytest.raises(ConfigError):
             encode(np.zeros((8, 8, 2)), cfg, params)
 
+    @pytest.mark.parametrize("shape,message", [
+        ((16, 16, 3), "the image is 16x16x3, which the encoder makes a 4x4 "
+                      "grid; the model takes 3-channel images to a 2x2 grid"),
+        ((8, 3), "the image is of shape (8, 3)"),
+    ], ids=["off-grid", "rank-2"])
+    def test_misfit_refused_before_the_conv(self, monkeypatch, shape, message):
+        # the right channel count, but no (H, W, C) image on the 2x2 grid
+        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)
+        params = init_encoder(np.random.default_rng(4), cfg, 5)
+
+        def conv(*args):
+            raise AssertionError("the conv ran")
+
+        monkeypatch.setattr(T, "conv_encoder", conv)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            encode(np.zeros(shape), cfg, params)
+
     def test_bad_mode_rejected(self, tmp_path):
         # the mode survives only as the fixed checkpoint line encoder.mode
         cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)

@@ -651,19 +651,19 @@ def concat_linear(a, table, weight, bias):
     the result is concat(a, table_c) weight + bias.
 
     a is (..., 1, d_a), one row per sample shared by every row of the
-    (C, d_t) table, or one (d_a,) row; weight is (d_a + d_t, n) and bias
-    (n,), so the result is (..., C, n). One tape record that computes the
-    chain it stands for (concat, product, bias) in the same order.
+    (C, d_t) table; weight is (d_a + d_t, n) and bias (n,), so the result
+    is (..., C, n). One tape record that computes the chain it stands for
+    (concat, product, bias) in the same order.
     """
     ad, at = _lift(a)
     td, tt = _lift(table)
     wd, wt = _lift(weight)
     bd, bt = _lift(bias)
-    if (ad.ndim < 1 or ad.shape[-2:-1] not in ((), (1,)) or td.ndim != 2
+    if (ad.ndim < 2 or ad.shape[-2] != 1 or td.ndim != 2
             or wd.ndim != 2 or wd.shape[0] != ad.shape[-1] + td.shape[1]
             or bd.shape != wd.shape[1:]):
-        raise DimensionError(f"concat_linear needs (...,1,d_a) or (d_a,), "
-                             f"(C,d_t), (d_a+d_t,n), (n,), got {ad.shape}, "
+        raise DimensionError(f"concat_linear needs (...,1,d_a), (C,d_t), "
+                             f"(d_a+d_t,n), (n,), got {ad.shape}, "
                              f"{td.shape}, {wd.shape}, {bd.shape}")
     d_a = ad.shape[-1]
     joined = np.empty((*ad.shape[:-2], td.shape[0], wd.shape[0]),

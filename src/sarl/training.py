@@ -5,12 +5,11 @@ float32 model and casts its label matrix once to that dtype, so every
 value and gradient of a step is float32, and a saved checkpoint reloads
 into an evaluation that is bit-identical to the one before saving.
 Tests build float64 models and pass float64 labels. Training records
-one tape per sample, gradients averaged over the batch, AdamW with
-decoupled weight decay, and an optional EMA shadow of every parameter.
-:func:`init_optimizer` lays the parameters out as views of one flat
-buffer, so the batch gradient sum, its finiteness check, AdamW and the
-EMA are each a few whole-buffer numpy calls, with the same float
-operations on each element as a loop over the parameters would do.
+one tape per sample, gradients averaged over the batch, and AdamW with
+decoupled weight decay. :func:`init_optimizer` lays the parameters out
+as views of one flat buffer, so the batch gradient sum, its finiteness
+check and AdamW are each a few whole-buffer numpy calls, with the same
+float operations on each element as a loop over the parameters would do.
 Shuffling draws from a dedicated seeded stream, so two runs with the
 same config produce identical epoch logs and identical checkpoints.
 
@@ -25,7 +24,7 @@ bits whatever the number of rows (checked at the default shape).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,8 +103,6 @@ class TrainConfig:
     gamma_pos: float = 0.0
     gamma_neg: float = 2.0
     clip: float = 0.05
-    use_ema: bool = True
-    ema_decay: float = 0.9997
     # ablations
     disable_self_attn: bool = False
     disable_ot: bool = False
@@ -118,16 +115,13 @@ class TrainConfig:
                 raise ValueError(f"{name}={getattr(self, name)} must be positive")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay={self.weight_decay} must be >= 0")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ValueError(f"ema_decay {self.ema_decay} outside [0, 1]")
         synthetic_config(self)
         asl_config(self)
         loss_weights(self)
         model_config(self)
 
 
-def config_from_file(path, base: TrainConfig = None,
-                     overrides=None) -> TrainConfig:
+def config_from_file(path, overrides=None) -> TrainConfig:
     """Read key=value lines into a TrainConfig.
 
     Values go through :func:`sarl.data.parse_value` by field type. An
@@ -139,7 +133,6 @@ def config_from_file(path, base: TrainConfig = None,
     values read so far fail as the whole config does: a check may read
     two fields, as n_heads must divide feature_dim.
     """
-    base = base if base is not None else TrainConfig()
     kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
     updates, lines = {}, {}
     for key, (lineno, value) in read_manifest_lines(path).items():
@@ -155,14 +148,14 @@ def config_from_file(path, base: TrainConfig = None,
         lines.pop(key, None)
         updates[key] = value
     try:
-        return replace(base, **updates)
+        return TrainConfig(**updates)
     except ValueError as exc:
         why = str(exc)
     read = {}
     for key, value in updates.items():  # the last pass reads them all
         read[key] = value
         try:
-            replace(base, **read)
+            TrainConfig(**read)
         except ValueError as exc:
             if str(exc) == why:
                 raise ValueError(lines.get(key, "") + why) from None
@@ -301,7 +294,7 @@ def adamw_step(params: dict, grads, state: OptimizerState, lr,
 
 def ema_update(shadow, state: OptimizerState, decay):
     """shadow <- decay * shadow + (1 - decay) * state.weights, in place on
-    the flat shadow buffer."""
+    shadow, a buffer laid out like the weights."""
     a = state.scratch[0]
     shadow *= decay
     np.multiply(state.weights, 1.0 - decay, out=a)
@@ -315,7 +308,6 @@ class TrainResult:
     history: list
     report: MetricReport
     predictions: PredictionSet
-    shadow: dict = None
 
 
 def _first_non_finite(tape: Tape, state: OptimizerState) -> str:
@@ -334,14 +326,13 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
 
     Logs one line per epoch with the total loss and its three
     components, all averaged over the epoch's samples. When out_dir is
-    given, writes model.ckpt (and model_ema.ckpt), predictions.txt and
-    metrics.txt there. A non-finite sample loss, or a non-finite batch
-    gradient before the optimizer step, aborts with a TrainingError that
-    names the epoch, the training rows and the first bad tensor or
-    parameter. An empty split, a split whose class count or (H, W, C)
-    images differ from ``cfg``, a test split without a positive label
-    and a training row without one are refused before anything is
-    logged.
+    given, writes model.ckpt, predictions.txt and metrics.txt there. A
+    non-finite sample loss, or a non-finite batch gradient before the
+    optimizer step, aborts with a TrainingError that names the epoch,
+    the training rows and the first bad tensor or parameter. An empty
+    split, a split whose class count or (H, W, C) images differ from
+    ``cfg``, a test split without a positive label and a training row
+    without one are refused before anything is logged.
     """
     say = log if log is not None else (lambda line: None)
     mcfg = model_config(cfg)
@@ -351,7 +342,6 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
     model = build_model(mcfg, seed=cfg.seed, dtype=dtype)
     params = model.parameters()
     state = init_optimizer(params)
-    shadow = state.weights.copy() if cfg.use_ema else None
     # each sample's leaf gradients add into their views of the batch sum;
     # an unused parameter (p.grad None) adds nothing, as its zeros would
     # to a sum that starts at +0
@@ -417,8 +407,6 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
             grad_sum /= len(batch)
             adamw_step(params, grad_sum, state, cfg.lr,
                        weight_decay=cfg.weight_decay)
-            if shadow is not None:
-                ema_update(shadow, state, cfg.ema_decay)
         means = {key: value / n for key, value in sums.items()}
         history.append({"epoch": epoch, **means})
         say(f"epoch {epoch:3d}  loss {means['total']:.6f}  "
@@ -427,29 +415,15 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
 
     report, preds = evaluate(model, test_ds)
     say(f"final test mAP {report.mean_ap:.4f}")
-    if shadow is not None:
-        shadow = state.views(shadow)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "model.ckpt"), model)
-        if shadow is not None:
-            ema = shadow_model(model, shadow)
-            save_checkpoint(os.path.join(out_dir, "model_ema.ckpt"), ema)
         write_predictions(os.path.join(out_dir, "predictions.txt"), preds)
         write_manifest(os.path.join(out_dir, "metrics.txt"),
                        report_entries(report))
         say(format_report(report))
-    return TrainResult(model, history, report, preds, shadow)
-
-
-def shadow_model(model: ModelBundle, shadow: dict) -> ModelBundle:
-    """A fresh bundle carrying the EMA weights; training weights untouched."""
-    twin = build_model(model.config, seed=0,
-                       dtype=next(iter(shadow.values())).dtype)
-    for name, p in twin.parameters().items():
-        p.data = shadow[name].copy()
-    return twin
+    return TrainResult(model, history, report, preds)
 
 
 def chunk_size(cfg: ModelConfig, image_shape) -> int:

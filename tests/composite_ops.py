@@ -55,9 +55,9 @@ gradients alike.
 
 :func:`train_by_parameter` is the training loop as it was before the
 parameters shared one flat buffer: a dict of per-parameter gradient
-sums, a finiteness check and AdamW and EMA updates that loop over the
+sums, a finiteness check and an AdamW update that loop over the
 parameters by name (:func:`adamw_step_by_parameter`,
-:func:`ema_update_by_parameter`, :func:`first_non_finite_by_parameter`).
+:func:`first_non_finite_by_parameter`).
 :func:`sarl.training.train` must give its bits.
 """
 
@@ -601,11 +601,6 @@ def adamw_step_by_parameter(params, grads, state, lr, weight_decay=0.0):
         p.data = (p.data - lr * update).astype(p.data.dtype, copy=False)
 
 
-def ema_update_by_parameter(shadow, params, decay):
-    for name, p in params.items():
-        shadow[name] = decay * shadow[name] + (1.0 - decay) * p.data
-
-
 def first_non_finite_by_parameter(grads):
     """The first name, in dict order, whose gradient holds a non-finite
     value, or None."""
@@ -617,15 +612,13 @@ def first_non_finite_by_parameter(grads):
 
 def train_by_parameter(cfg, train_ds, test_ds):
     """sarl.training.train's loop with the per-parameter bookkeeping:
-    returns the trained parameters, the EMA shadow (None without EMA),
-    the per-epoch loss history and the test scores."""
+    returns the trained parameters, the per-epoch loss history and the
+    test scores."""
     model = build_model(Tr.model_config(cfg), seed=cfg.seed, dtype=np.float32)
     params = model.parameters()
     state = {"m": {name: np.zeros_like(p.data) for name, p in params.items()},
              "v": {name: np.zeros_like(p.data) for name, p in params.items()},
              "step": 0}
-    shadow = ({name: p.data.copy() for name, p in params.items()}
-              if cfg.use_ema else None)
     acfg, weights = Tr.asl_config(cfg), Tr.loss_weights(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5EED])
     labels = train_ds.labels.astype(np.float32)
@@ -652,10 +645,8 @@ def train_by_parameter(cfg, train_ds, test_ds):
             grads = {name: g / len(batch) for name, g in grad_sum.items()}
             adamw_step_by_parameter(params, grads, state, cfg.lr,
                                     weight_decay=cfg.weight_decay)
-            if shadow is not None:
-                ema_update_by_parameter(shadow, params, cfg.ema_decay)
         history.append({"epoch": epoch,
                         **{key: value / n for key, value in sums.items()}})
     _, preds = Tr.evaluate(model, test_ds)
-    return ({name: p.data for name, p in params.items()}, shadow, history,
+    return ({name: p.data for name, p in params.items()}, history,
             preds.scores)

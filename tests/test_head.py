@@ -429,7 +429,7 @@ class TestAblations:
         model = build_model(tiny_config(disable_gsp_fusion=True), seed=19)
         rng = np.random.default_rng(20)
         out = forward(rng.normal(size=(8, 8, 2)), model)
-        expect = fuse_semantic(Tensor(np.zeros(8)), model.labels, model.fusion)
+        expect = fuse_semantic(Tensor(np.zeros((1, 8))), model.labels, model.fusion)
         np.testing.assert_allclose(out.semantic_features.data, expect.data,
                                    atol=1e-12)
 

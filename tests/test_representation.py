@@ -263,7 +263,7 @@ class TestFuseSemantic:
         rng = np.random.default_rng(10)
         table = rng.normal(size=(3, d))
         p = FusionParams(Tensor(weight), Tensor(np.zeros(d)))
-        out = fuse_semantic(Tensor(rng.normal(size=d)), Tensor(table), p)
+        out = fuse_semantic(Tensor(rng.normal(size=(1, d))), Tensor(table), p)
         np.testing.assert_allclose(out.data, table, atol=1e-15)
 
     def test_single_class_is_one_affine_map(self):
@@ -273,7 +273,7 @@ class TestFuseSemantic:
         weight = rng.normal(size=(8, 5))
         bias = rng.normal(size=5)
         p = FusionParams(Tensor(weight), Tensor(bias))
-        out = fuse_semantic(Tensor(f_g), Tensor(table), p)
+        out = fuse_semantic(Tensor(f_g[None]), Tensor(table), p)
         expect = np.concatenate([f_g, table[0]]) @ weight + bias
         np.testing.assert_allclose(out.data, expect[None, :], atol=1e-12)
 
@@ -285,13 +285,13 @@ class TestFuseSemantic:
             weight = rng.normal(size=(14, 8))
             bias = rng.normal(size=8)
             p = FusionParams(Tensor(weight), Tensor(bias))
-            out = fuse_semantic(Tensor(f_g), Tensor(table), p)
+            out = fuse_semantic(Tensor(f_g[None]), Tensor(table), p)
             np.testing.assert_allclose(
                 out.data, fusion_oracle(f_g, table, weight, bias), atol=1e-12)
 
     def test_linear_in_label_table(self):
         rng = np.random.default_rng(12)
-        f_g = Tensor(rng.normal(size=6))
+        f_g = Tensor(rng.normal(size=(1, 6)))
         p = FusionParams(Tensor(rng.normal(size=(10, 6))),
                          Tensor(rng.normal(size=6)))
         t1, t2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
@@ -304,7 +304,7 @@ class TestFuseSemantic:
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
-        f_g = Tensor(rng.normal(size=5))
+        f_g = Tensor(rng.normal(size=(1, 5)))
         table = Tensor(rng.normal(size=(3, 4)))
         p = FusionParams(Tensor(rng.normal(size=(9, 5))),
                          Tensor(rng.normal(size=5)))
@@ -313,6 +313,15 @@ class TestFuseSemantic:
             return T.sum_(T.pow_const(fuse_semantic(f_g, table, p), 2))
 
         check_gradients(loss, [f_g, table, p.weight, p.bias], tol=1e-4)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5)], ids=["no-row-axis",
+                                                           "two-rows"])
+    def test_global_feature_without_one_row_axis_refused(self, shape):
+        p = FusionParams(Tensor(np.ones((9, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(DimensionError, match=re.escape(
+                f"concat_linear needs (...,1,d_a), (C,d_t), (d_a+d_t,n), "
+                f"(n,), got {shape}")):
+            fuse_semantic(Tensor(np.ones(shape)), Tensor(np.ones((3, 4))), p)
 
 
 class TestEncoderGradients:

@@ -1,6 +1,8 @@
 """Autodiff core: forward semantics, tape replay, gradient checks."""
 
 import ast
+import importlib.util
+import inspect
 import math
 import pathlib
 import re
@@ -405,31 +407,78 @@ class TestGradcheckSuite:
 SCALAR_PRIMITIVES = {"sub", "pow_const", "sum_"}
 
 
-def library_calls():
-    """The sarl.tensor functions called from src/sarl outside tensor.py
-    and gradcheck.py, by name."""
+SARL = pathlib.Path(T.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def sarl_module(path):
+    """The imported sarl module of a file in src/sarl."""
+    return importlib.import_module(
+        "sarl" if path.stem == "__init__" else f"sarl.{path.stem}")
+
+
+def import_bindings(tree):
+    """Local name -> object for each import of sarl in a module's AST:
+    ``import sarl.m``, ``from sarl.m import f`` and the relative forms
+    ``from . import m`` and ``from .m import f``, at any depth."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "sarl":
+                    bound[a.asname or "sarl"] = importlib.import_module(
+                        a.name if a.asname else "sarl")
+        elif isinstance(node, ast.ImportFrom):
+            parts = ["sarl"] if node.level == 1 else []
+            parts += [node.module] if node.module else []
+            if not parts or parts[0] != "sarl":
+                continue
+            base = ".".join(parts)
+            for a in node.names:
+                try:
+                    obj = importlib.import_module(f"{base}.{a.name}")
+                except ImportError:
+                    obj = getattr(importlib.import_module(base), a.name)
+                bound[a.asname or a.name] = obj
+    return bound
+
+
+def called_functions(paths):
+    """(module, name) of every function that the code in ``paths`` calls
+    as ``f(...)``, ``m.f(...)`` or ``sarl.m.f(...)``, resolved through its
+    imports or, in a sarl module, its own globals."""
     called = set()
-    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
-        if path.name in ("tensor.py", "gradcheck.py"):
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text())
-        imports = [node for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.level == 1]
-        # `from . import tensor as T` and `from .tensor import name`
-        modules = {a.asname or a.name for node in imports if node.module is None
-                   for a in node.names if a.name == "tensor"}
-        names = {a.asname or a.name: a.name for node in imports
-                 if node.module == "tensor" for a in node.names}
+        names = {}
+        if path.parent == SARL and path.stem != "__main__":  # it runs the CLI
+            names = dict(vars(sarl_module(path)))
+        names.update(import_bindings(tree))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            f = node.func
-            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                    and f.value.id in modules):
-                called.add(f.attr)
-            elif isinstance(f, ast.Name) and f.id in names:
-                called.add(names[f.id])
+            chain, f = [], node.func
+            while isinstance(f, ast.Attribute):
+                chain.append(f.attr)
+                f = f.value
+            if not isinstance(f, ast.Name) or f.id not in names:
+                continue
+            obj = names[f.id]
+            for attr in reversed(chain):
+                obj = getattr(obj, attr, None)
+            if inspect.isfunction(obj):
+                called.add((obj.__module__, obj.__name__))
     return called
+
+
+def tracer_targets(monkeypatch):
+    """perfbench/tracer.py's TARGETS, loaded as the benchmark loads it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracer.py imports costs
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
 
 
 class TestExports:
@@ -437,8 +486,32 @@ class TestExports:
         # an op that only tests and `sarl gradcheck` call fails by name
         funcs = {name for name in T.__all__
                  if not isinstance(getattr(T, name), type)}
+        paths = [p for p in SARL.glob("*.py")
+                 if p.name not in ("tensor.py", "gradcheck.py")]
+        calls = {name for module, name in called_functions(paths)
+                 if module == "sarl.tensor"}
         assert SCALAR_PRIMITIVES <= funcs
-        assert funcs - SCALAR_PRIMITIVES - library_calls() == set()
+        assert funcs - SCALAR_PRIMITIVES - calls == set()
+
+    def test_every_exported_function_has_a_caller(self, monkeypatch):
+        # a function in a sarl module's __all__ that no code in src/sarl
+        # or perfbench calls fails by name, bar the functions the
+        # benchmark's tracer times and the readers of files sarl writes
+        exported = set()
+        for path in SARL.glob("*.py"):
+            if path.stem == "__main__":
+                continue
+            module = sarl_module(path)
+            for name in getattr(module, "__all__", ()):
+                obj = getattr(module, name)
+                if inspect.isfunction(obj):
+                    exported.add((obj.__module__, obj.__name__))
+        called = called_functions([*SARL.glob("*.py"), *PERFBENCH.glob("*.py")])
+        allowed = {(module, name) for module, name, _ in
+                   tracer_targets(monkeypatch)}
+        allowed |= {("sarl.data", "read_manifest"),
+                    ("sarl.metrics", "load_predictions")}
+        assert sorted(exported - called - allowed) == []
 
 
 class TestConv2d:

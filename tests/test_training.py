@@ -1,4 +1,4 @@
-"""Optimizer, EMA, training-loop, and export checks.
+"""Optimizer, training-loop, and export checks.
 
 The AdamW reference below is an independent transcription of the
 decoupled-weight-decay update, kept dumb on purpose: plain loops, no
@@ -25,8 +25,7 @@ from sarl.tensor import Tape, Tensor
 from sarl.training import (TrainConfig, TrainingError, adamw_step,
                            config_entries, config_from_file, ema_update,
                            evaluate, export_attention, init_optimizer,
-                           model_config, shadow_model,
-                           synthetic_config, train, write_pgm)
+                           model_config, synthetic_config, train, write_pgm)
 from sarl import training as Tr
 
 import composite_ops
@@ -130,17 +129,6 @@ class TestEma:
         ema_update(shadow, state, 0.5)
         assert_allclose(shadow, [1.0], atol=1e-15)
 
-    def test_shadow_model_does_not_touch_training_weights(self):
-        cfg = tiny_config(epochs=1)
-        train_ds, test_ds = generate(synthetic_config(cfg))
-        res = train(cfg, train_ds, test_ds)
-        raw = {k: p.data.copy() for k, p in res.model.parameters().items()}
-        twin = shadow_model(res.model, res.shadow)
-        for key, p in res.model.parameters().items():
-            assert_array_equal(p.data, raw[key])
-        for key, p in twin.parameters().items():
-            assert_array_equal(p.data, res.shadow[key])
-
 
 # small runs at the default shape: 40 samples make batches of 16, 16, 8
 GATE_CONFIGS = {
@@ -149,7 +137,6 @@ GATE_CONFIGS = {
     "disable_self_attn": {"disable_self_attn": True},
     "disable_gsp_fusion": {"disable_gsp_fusion": True},
     "gsp_max": {"gsp_mode": "max"},
-    "no_ema": {"use_ema": False},
 }
 
 # (parameter, index into its flattened gradient): flat offset 0, the two
@@ -162,18 +149,15 @@ class TestFlatBuffer:
     @pytest.mark.parametrize("overrides", GATE_CONFIGS.values(),
                              ids=GATE_CONFIGS.keys())
     def test_train_matches_per_parameter_loop(self, overrides):
-        # the whole-buffer gradient sum, AdamW and EMA give the bits of
-        # the loops over the parameter dict they replaced
+        # the whole-buffer gradient sum and AdamW give the bits of the
+        # loops over the parameter dict they replaced
         cfg = TrainConfig(n_train=40, n_test=20, epochs=3, **overrides)
         train_ds, test_ds = generate(synthetic_config(cfg))
         res = train(cfg, train_ds, test_ds)
-        params, shadow, history, scores = composite_ops.train_by_parameter(
+        params, history, scores = composite_ops.train_by_parameter(
             cfg, train_ds, test_ds)
         for name, p in res.model.parameters().items():
             assert_array_equal(p.data, params[name], err_msg=name)
-        assert (res.shadow is None) == (shadow is None) == (not cfg.use_ema)
-        for name, s in (shadow or {}).items():
-            assert_array_equal(res.shadow[name], s, err_msg=name)
         assert res.history == history
         assert_array_equal(res.predictions.scores, scores)
 
@@ -182,7 +166,7 @@ class TestFlatBuffer:
             self, monkeypatch, name, index):
         # the name read from the offset of the first bad value is the one
         # the loop over the parameter dict finds first
-        cfg = tiny_config(use_ema=False, epochs=1)
+        cfg = tiny_config(epochs=1)
         model = build_model(model_config(cfg), dtype=np.float32)
         state = init_optimizer(model.parameters())
         flat = np.zeros_like(state.weights)
@@ -222,16 +206,6 @@ class TestFlatBuffer:
         adamw_step(params, np.ones_like(state.weights), state, lr=0.1)
         for name, p in params.items():
             assert not np.array_equal(p.data, before[name]), name
-
-    def test_shadow_arrays_do_not_alias_live_weights(self):
-        cfg = tiny_config(epochs=1)
-        res = train(cfg, *generate(synthetic_config(cfg)))
-        live = [p.data for p in res.model.parameters().values()]
-        twin = shadow_model(res.model, res.shadow)
-        for arrays in (res.shadow.values(),
-                       [p.data for p in twin.parameters().values()]):
-            for a in arrays:
-                assert not any(np.shares_memory(a, w) for w in live)
 
     def test_reloaded_model_trains(self, tmp_path):
         cfg = tiny_config(epochs=1)
@@ -277,8 +251,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(ema_decay=1.5)
 
     @pytest.mark.parametrize("value", [-1.0, -1e-12, math.nan])
     def test_negative_weight_decay_rejected(self, value):
@@ -401,31 +373,27 @@ class TestConfig:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nlr=0.5\nepochs=7\nuse_ema=false\n"
+        path.write_text("# comment\nlr=0.5\nepochs=7\ndisable_ot=true\n"
                         "gsp_mode=max\n")
         cfg = config_from_file(path)
         assert cfg.lr == 0.5
         assert cfg.epochs == 7
-        assert cfg.use_ema is False
+        assert cfg.disable_ot is True
         assert cfg.gsp_mode == "max"
         assert cfg.batch_size == TrainConfig().batch_size
 
-    def test_file_overrides_base(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("lr=0.25\n")
-        cfg = config_from_file(path, base=TrainConfig(lr=9e-5, batch_size=64))
-        assert cfg.lr == 0.25
-        assert cfg.batch_size == 64
-
     def test_unknown_key_rejected(self, tmp_path):
+        # use_ema and ema_decay set an EMA shadow that nothing evaluated
         path = tmp_path / "run.cfg"
-        path.write_text("momentum=0.9\n")
-        with pytest.raises(ValueError, match="momentum"):
-            config_from_file(path)
+        for key in ("momentum", "use_ema", "ema_decay"):
+            path.write_text(f"lr=0.1\n{key}=0.9\n")
+            with pytest.raises(ValueError,
+                               match=f"^line 2: unknown config key '{key}'$"):
+                config_from_file(path)
 
     def test_bad_bool_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("use_ema=maybe\n")
+        path.write_text("disable_ot=maybe\n")
         with pytest.raises(ValueError, match="boolean"):
             config_from_file(path)
 
@@ -573,7 +541,7 @@ class TestTrainLoop:
 
     def test_nan_aborts_with_diagnostic(self):
         # an absurd learning rate overflows float32 within a step or two
-        cfg = tiny_config(lr=1e20, epochs=2, use_ema=False)
+        cfg = tiny_config(lr=1e20, epochs=2)
         train_ds, test_ds = generate(synthetic_config(cfg))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="non-finite"):
@@ -582,7 +550,7 @@ class TestTrainLoop:
     def test_nan_loss_names_epoch_and_row(self, monkeypatch):
         # the sixth sample of epoch 2 sees a NaN image, so its loss is NaN;
         # its training row sits at position 5 of epoch 2's shuffle
-        cfg = tiny_config(use_ema=False)
+        cfg = tiny_config()
         train_ds, test_ds = generate(synthetic_config(cfg))
         n = len(train_ds)
         shuffle = np.random.default_rng([cfg.seed, 0x5EED])
@@ -604,7 +572,7 @@ class TestTrainLoop:
     def test_nan_gradient_names_parameter_epoch_and_rows(self, monkeypatch):
         # a NaN lands in one parameter's gradient while the loss stays
         # finite; the batch is refused before the optimizer step
-        cfg = tiny_config(use_ema=False, batch_size=8)
+        cfg = tiny_config(batch_size=8)
         train_ds, test_ds = generate(synthetic_config(cfg))
         n = len(train_ds)
         shuffle = np.random.default_rng([cfg.seed, 0x5EED])
@@ -726,8 +694,6 @@ class TestTrainLoop:
             q = runs[1].model.parameters()[name]
             assert p.dtype == q.dtype == np.float32, name
             assert_array_equal(p.data, q.data, err_msg=name)
-        for name, shadow in runs[0].shadow.items():
-            assert_array_equal(shadow, runs[1].shadow[name], err_msg=name)
 
     def test_unknown_gsp_mode_rejected_before_training(self):
         # TrainConfig refuses it, so no run can start with it
@@ -788,15 +754,8 @@ class TestTrainLoop:
         res = train(cfg, train_ds, test_ds, out_dir=tmp_path)
         entries = read_manifest(tmp_path / "metrics.txt")
         assert float(entries["mAP"]) == pytest.approx(res.report.mean_ap)
-        assert os.path.exists(tmp_path / "model_ema.ckpt")
-
-    def test_ema_checkpoint_holds_shadow(self, tmp_path):
-        cfg = tiny_config(epochs=1)
-        train_ds, test_ds = generate(synthetic_config(cfg))
-        res = train(cfg, train_ds, test_ds, out_dir=tmp_path)
-        ema = load_checkpoint(tmp_path / "model_ema.ckpt")
-        for key, p in ema.parameters().items():
-            assert_array_equal(p.data, res.shadow[key])
+        assert sorted(os.listdir(tmp_path)) == ["metrics.txt", "model.ckpt",
+                                                "predictions.txt"]
 
     def test_mismatched_classes_rejected(self):
         cfg = tiny_config(epochs=1)

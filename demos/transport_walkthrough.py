@@ -13,7 +13,8 @@ Run: python3 demos/transport_walkthrough.py
 import numpy as np
 
 from sarl.data import SyntheticConfig, generate
-from sarl.head import ModelConfig, build_model, forward, sample_losses
+from sarl.head import (ModelConfig, build_model, forward, label_terms,
+                       sample_losses)
 from sarl.losses import AslConfig, LossWeights
 from sarl.representation import EncoderConfig
 
@@ -40,27 +41,28 @@ def main():
                       bilinear_dim=8, bilinear_out=4, n_heads=2,
                       encoder=encoder)
     model = build_model(cfg, seed=12)
-    out = forward(image, model, labels=labels)
+    out = forward(image, model)
+    terms = label_terms(out, labels, model)
 
     show("patch features F", out.features.f.data,
          "(4 patches from a 2x2 grid)")
     show("semantic features F_S", out.semantic_features.data,
          "(one row per class)")
 
-    show("semantic map M", out.semantic_map.data,
+    show("semantic map M", terms.semantic_map.data,
          "(patch-class evidence logits)")
-    theta = out.theta.data
-    beta = out.beta.data
+    theta = terms.theta.data
+    beta = terms.beta.data
     show("source distribution theta", theta,
          f"sum = {theta.sum():.12f}, min = {theta.min():.4f}")
     show("target distribution beta", beta,
          f"sum = {beta.sum():.12f}")
 
-    co = out.cost.data
+    co = terms.cost.data
     show("cost matrix CO", co,
          f"range [{co.min():.4f}, {co.max():.4f}] inside [0, 2]")
 
-    fwd, bwd = out.plans
+    fwd, bwd = terms.plans
     show("forward plan", fwd.data,
          "rows should sum to theta")
     print("row sums  :", fwd.data.sum(axis=1))
@@ -78,7 +80,8 @@ def main():
     show("logits z", out.logits.data)
 
     total, l_cls, l_m, l_ot = sample_losses(
-        out, labels, AslConfig(), LossWeights(lambda1=0.04, lambda2=0.5))
+        out.logits, terms, labels, AslConfig(),
+        LossWeights(lambda1=0.04, lambda2=0.5))
     print(f"\nlosses: total {total.item():.4f} = cls {l_cls.item():.4f}"
           f" + 0.04 * map {l_m.item():.4f}"
           f" + 0.5 * transport {l_ot.item():.4f}")

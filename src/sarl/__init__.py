@@ -7,7 +7,8 @@ score aggregation, ranking metrics, synthetic data, and a trainer.
 
 from .data import Dataset, SyntheticConfig, generate, load_dataset, save_dataset
 from .head import (ModelBundle, ModelConfig, build_model, forward,
-                   load_checkpoint, sample_losses, save_checkpoint)
+                   label_terms, load_checkpoint, sample_losses,
+                   save_checkpoint)
 from .losses import AslConfig, LossWeights, asl, total_loss
 from .metrics import (MetricReport, PredictionSet, average_precision,
                       compute_report, mean_ap)
@@ -20,7 +21,7 @@ __all__ = [
     "Tape", "Tensor",
     "Dataset", "SyntheticConfig", "generate", "load_dataset", "save_dataset",
     "ModelBundle", "ModelConfig", "build_model", "forward",
-    "load_checkpoint", "sample_losses", "save_checkpoint",
+    "label_terms", "load_checkpoint", "sample_losses", "save_checkpoint",
     "AslConfig", "LossWeights", "asl", "total_loss",
     "MetricReport", "PredictionSet", "average_precision", "compute_report",
     "mean_ap",

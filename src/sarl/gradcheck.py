@@ -79,7 +79,7 @@ def run_suite(verbose=True):
     from . import losses, transport
     from . import tensor as T
     from .head import (ClassifierParams, ModelConfig, build_model, forward,
-                       region_score_aggregate, sample_losses)
+                       label_terms, region_score_aggregate, sample_losses)
     from .representation import EncoderConfig
 
     rng = np.random.default_rng(7)
@@ -232,8 +232,9 @@ def run_suite(verbose=True):
     acfg = losses.AslConfig(gamma_pos=1.0, gamma_neg=2.0, clip=0.05)
 
     def full():
-        out = forward(image, model, labels=y_full)
-        return sample_losses(out, y_full, acfg, weights)[0]
+        out = forward(image, model)
+        return sample_losses(out.logits, label_terms(out, y_full, model),
+                             y_full, acfg, weights)[0]
 
     check("full_model", full, [image] + list(model.parameters().values()),
           tol=1e-3)

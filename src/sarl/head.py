@@ -3,10 +3,12 @@
 The forward pass chains the representation stage (encode, self-attend,
 pool, fuse) into the transport stage (bilinear scores, attention,
 aligned features) and finishes with region score aggregation, which
-turns per-patch class scores into one logit per class. Training mode
-additionally produces the semantic map, the two mass distributions and
-the transport loss; inference mode never touches labels. Inference also
-takes an (N, H, W, C) stack of images in one call, through the same ops.
+turns per-patch class scores into one logit per class. It never touches
+labels, and takes an (N, H, W, C) stack of images in one call, through
+the same ops. Training adds the label side to one image's forward
+output (:func:`label_terms`): the semantic map, the two mass
+distributions, the cost matrix and the transport loss, which
+:func:`sample_losses` turns into the sample's losses.
 
 Checkpoints hold every parameter tensor as named 32-bit little-endian
 payloads after a key=value manifest of the architecture, so a saved
@@ -43,8 +45,10 @@ __all__ = [
     "ModelConfig",
     "ModelBundle",
     "ForwardOutput",
+    "LabelTerms",
     "build_model",
     "forward",
+    "label_terms",
     "region_score_aggregate",
     "sample_losses",
     "save_checkpoint",
@@ -97,25 +101,36 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Everything one forward pass produces.
+    """Everything one forward pass produces, for an image or a stack.
 
-    attention and aligned exist whenever transport is enabled;
-    semantic_map, theta, beta, cost, plans and transport_cost exist only
-    when forward was given the labels. plans, the forward and backward
-    plan, hold values only: no tape records them.
+    mass holds the bilinear scores, whose per-class softmax over patches
+    is the attention. Both are None only with transport disabled, where
+    aligned is the features' own rows.
     """
 
     logits: Tensor
     features: FeatureMap
     semantic_features: Tensor
     aligned: Tensor
-    attention: Tensor = None
-    semantic_map: Tensor = None
-    theta: Tensor = None
-    beta: Tensor = None
-    cost: Tensor = None
-    plans: tuple = None
-    transport_cost: Tensor = None
+    attention: Tensor | None
+    mass: Tensor | None
+
+
+@dataclass
+class LabelTerms:
+    """What training adds to one image's forward output.
+
+    theta and beta are the source and target distributions, cost the
+    cosine cost matrix. plans, the forward and backward plan, hold
+    values only: no tape records them.
+    """
+
+    semantic_map: Tensor
+    theta: Tensor
+    beta: Tensor
+    cost: Tensor
+    plans: tuple
+    transport_cost: Tensor
 
 
 @dataclass
@@ -193,7 +208,7 @@ def region_score_aggregate(f_r: Tensor, cls: ClassifierParams) -> Tensor:
     return T.softmax_pool(f_r, cls.weights, cls.bias)
 
 
-def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
+def forward(x, model: ModelBundle) -> ForwardOutput:
     """Run one sample, or a stack of samples, through the full head.
 
     x is an (H, W, channels) image or an (N, H, W, channels) stack. A
@@ -205,30 +220,17 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
 
     An image array is cast once here to the parameters' dtype, so an
     integer or float64 image runs a float32 model in float32; a Tensor
-    image is left as it is, to keep its gradient. Given one image's
-    binary label vector, cast likewise, the forward pass also builds the
-    transport terms training needs: source and target distributions,
-    cost matrix, plans and transport cost. The transport cost and both
-    plans are one tape record, which reuses the attention as the forward
-    plan's softmax and gives the plans as values off the tape, so a
-    default training sample records 13 ops. Training still records one
-    tape per sample, so labels go with one image only.
+    image is left as it is, to keep its gradient. A default image
+    records 8 ops.
     """
     cfg = model.config
-    dtype = model.labels.dtype
     if not isinstance(x, Tensor):
-        x = np.asarray(x, dtype=dtype)
+        x = np.asarray(x, dtype=model.labels.dtype)
     shape = x.shape
     if len(shape) not in (3, 4) or not all(shape):
         raise ConfigError(f"forward takes an (H, W, C) image or an "
                           f"(N, H, W, C) stack, none of its axes empty, "
                           f"got shape {shape}")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=dtype)
-        if len(shape) != 3 or labels.shape != (cfg.num_classes,):
-            raise ConfigError(
-                f"labels go with one (H, W, C) image and {cfg.num_classes} "
-                f"classes, got labels {labels.shape} for images {shape}")
 
     # self_attention and bilinear_mass take a stack as they are, but are
     # called once per sample: perfbench's tracer prices every call of
@@ -252,8 +254,7 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
 
     if cfg.disable_ot:
         logits = region_score_aggregate(fm.f, model.classifier)
-        return ForwardOutput(logits=logits, features=fm,
-                             semantic_features=f_s, aligned=fm.f)
+        return ForwardOutput(logits, fm, f_s, fm.f, None, None)
 
     masses = [bilinear_mass(f, s, model.bilinear) for f, s in
               zip(rows, T.unstack(f_s) if stacked else [f_s])]
@@ -261,36 +262,58 @@ def forward(x, model: ModelBundle, labels=None) -> ForwardOutput:
     attn = semantic_attention(mass)
     aligned = semantic_repr(attn, f_s)
     logits = region_score_aggregate(aligned, model.classifier)
-    out = ForwardOutput(logits=logits, features=fm, semantic_features=f_s,
-                        aligned=aligned, attention=attn)
-    if labels is not None:
-        out.semantic_map = semantic_map(fm.f, model.map_weights)
-        out.theta = source_distribution(out.semantic_map, labels)
-        out.beta = target_distribution(labels)
-        out.cost = cost_matrix(fm.f, f_s)
-        out.transport_cost, out.plans = ct_loss(mass, attn, out.theta,
-                                                out.beta.data, out.cost)
-    return out
+    return ForwardOutput(logits, fm, f_s, aligned, attn, mass)
 
 
-def sample_losses(out: ForwardOutput, labels, asl_cfg: AslConfig,
-                  weights: LossWeights):
-    """Per-sample (total, l_cls, l_m, l_ot) given a training-mode forward.
+def label_terms(out: ForwardOutput, labels,
+                model: ModelBundle) -> LabelTerms | None:
+    """The transport terms training adds to one image's forward output,
+    or None with transport disabled.
+
+    labels, the image's binary label vector, is cast once to the
+    parameters' dtype. The transport cost and both plans are one tape
+    record, which reuses the attention as the forward plan's softmax and
+    gives the plans off the tape: 4 records here, 13 in a default
+    training sample. Training records one tape per sample, so a stack's
+    output is refused.
+    """
+    num_c = model.config.num_classes
+    labels = np.asarray(labels, dtype=model.labels.dtype)
+    if len(out.logits.shape) != 1 or labels.shape != (num_c,):
+        raise ConfigError(
+            f"labels go with one image and {num_c} classes, got labels "
+            f"{labels.shape} for logits {out.logits.shape}")
+    if model.config.disable_ot:
+        return None
+    f = out.features.f
+    smap = semantic_map(f, model.map_weights)
+    theta = source_distribution(smap, labels)
+    beta = target_distribution(labels)
+    cost = cost_matrix(f, out.semantic_features)
+    transport_cost, plans = ct_loss(out.mass, out.attention, theta,
+                                    beta.data, cost)
+    return LabelTerms(smap, theta, beta, cost, plans, transport_cost)
+
+
+def sample_losses(logits: Tensor, terms: LabelTerms | None, labels,
+                  asl_cfg: AslConfig, weights: LossWeights):
+    """Per-sample (total, l_cls, l_m, l_ot) from one image's logits and
+    its :func:`label_terms`.
 
     One tape record (:func:`sarl.tensor.asl_objective`), bit-identical to
     the :mod:`sarl.losses` chain; l_cls and l_m are values off the tape.
-    With transport disabled the map and transport terms are zero and the
-    total is the classification loss alone (two records).
+    With transport disabled (terms None) the map and transport terms are
+    zero and the total is the classification loss alone (two records).
     """
-    if out.transport_cost is None:
-        l_cls = classification_loss(out.logits, labels, asl_cfg)
-        zero = Tensor(np.zeros((), dtype=out.logits.dtype))
+    if terms is None:
+        l_cls = classification_loss(logits, labels, asl_cfg)
+        zero = Tensor(np.zeros((), dtype=logits.dtype))
         return l_cls, l_cls, zero, zero
     total, (l_cls, l_m) = T.asl_objective(
-        out.logits, out.semantic_map, out.transport_cost, labels,
+        logits, terms.semantic_map, terms.transport_cost, labels,
         asl_cfg.gamma_pos, asl_cfg.gamma_neg, asl_cfg.clip,
         losses.PROB_FLOOR, weights.lambda1, weights.lambda2)
-    return total, Tensor(l_cls), Tensor(l_m), out.transport_cost
+    return total, Tensor(l_cls), Tensor(l_m), terms.transport_cost
 
 
 def _manifest_text(cfg: ModelConfig) -> str:

@@ -32,7 +32,7 @@ from . import tensor as T
 from .data import (Dataset, SyntheticConfig, check_fields, check_int,
                    parse_value, read_manifest_lines, write_manifest)
 from .head import (ModelBundle, ModelConfig, build_model, forward,
-                   sample_losses, save_checkpoint)
+                   label_terms, sample_losses, save_checkpoint)
 from .losses import AslConfig, LossWeights
 from .metrics import (MetricReport, PredictionSet, check_cutoffs,
                       compute_report, format_report, report_entries,
@@ -375,43 +375,47 @@ def train(cfg: TrainConfig, train_ds: Dataset, test_ds: Dataset,
         say(f"config {key}={value}")
 
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        sums = {"total": 0.0, "cls": 0.0, "map": 0.0, "ot": 0.0}
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            grad_sum.fill(0.0)
-            for i in batch:
-                with Tape() as tape:
-                    out = forward(images[i], model, labels=labels[i])
-                    total, l_cls, l_m, l_ot = sample_losses(
-                        out, labels[i], acfg, weights)
-                    if not np.isfinite(total.data):
-                        raise TrainingError(
-                            f"non-finite loss at epoch {epoch}, training row "
-                            f"{i}; first bad tensor: "
-                            + _first_non_finite(tape, state))
-                    tape.backward(total)
-                for p, view in leaves:
-                    if p.grad is not None:
-                        view += p.grad
-                sums["total"] += total.item()
-                sums["cls"] += l_cls.item()
-                sums["map"] += l_m.item()
-                sums["ot"] += l_ot.item()
-            bad = state.first_non_finite(grad_sum)
-            if bad is not None:
-                raise TrainingError(
-                    f"non-finite gradient of parameter {bad} at epoch "
-                    f"{epoch}, training rows {', '.join(map(str, batch))}")
-            grad_sum /= len(batch)
-            adamw_step(params, grad_sum, state, cfg.lr,
-                       weight_decay=cfg.weight_decay)
-        means = {key: value / n for key, value in sums.items()}
-        history.append({"epoch": epoch, **means})
-        say(f"epoch {epoch:3d}  loss {means['total']:.6f}  "
-            f"cls {means['cls']:.6f}  map {means['map']:.6f}  "
-            f"ot {means['ot']:.6f}")
+    # a diverging step overflows before the checks below name it; numpy
+    # would print its warnings ahead of the TrainingError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            sums = {"total": 0.0, "cls": 0.0, "map": 0.0, "ot": 0.0}
+            for lo in range(0, n, cfg.batch_size):
+                batch = order[lo:lo + cfg.batch_size]
+                grad_sum.fill(0.0)
+                for i in batch:
+                    with Tape() as tape:
+                        out = forward(images[i], model)
+                        terms = label_terms(out, labels[i], model)
+                        total, l_cls, l_m, l_ot = sample_losses(
+                            out.logits, terms, labels[i], acfg, weights)
+                        if not np.isfinite(total.data):
+                            raise TrainingError(
+                                f"non-finite loss at epoch {epoch}, training "
+                                f"row {i}; first bad tensor: "
+                                + _first_non_finite(tape, state))
+                        tape.backward(total)
+                    for p, view in leaves:
+                        if p.grad is not None:
+                            view += p.grad
+                    sums["total"] += total.item()
+                    sums["cls"] += l_cls.item()
+                    sums["map"] += l_m.item()
+                    sums["ot"] += l_ot.item()
+                bad = state.first_non_finite(grad_sum)
+                if bad is not None:
+                    raise TrainingError(
+                        f"non-finite gradient of parameter {bad} at epoch "
+                        f"{epoch}, training rows {', '.join(map(str, batch))}")
+                grad_sum /= len(batch)
+                adamw_step(params, grad_sum, state, cfg.lr,
+                           weight_decay=cfg.weight_decay)
+            means = {key: value / n for key, value in sums.items()}
+            history.append({"epoch": epoch, **means})
+            say(f"epoch {epoch:3d}  loss {means['total']:.6f}  "
+                f"cls {means['cls']:.6f}  map {means['map']:.6f}  "
+                f"ot {means['ot']:.6f}")
 
     report, preds = evaluate(model, test_ds)
     say(f"final test mAP {report.mean_ap:.4f}")

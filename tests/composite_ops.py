@@ -68,7 +68,7 @@ import numpy as np
 from sarl import losses
 from sarl import tensor as T
 from sarl import training as Tr
-from sarl.head import build_model, forward, sample_losses
+from sarl.head import build_model, forward, label_terms
 from sarl.losses import PROB_FLOOR
 from sarl.representation import FeatureMap
 from sarl.transport import NORM_EPS
@@ -560,14 +560,14 @@ def source_distribution(m, y):
     return T.softmax(T.reshape(pooled, (m.shape[0],)), axis=0)
 
 
-def sample_losses(out, labels, asl_cfg, weights):
-    l_cls = losses.classification_loss(out.logits, labels, asl_cfg)
-    if out.transport_cost is None:
-        zero = T.Tensor(np.zeros((), dtype=out.logits.dtype))
+def sample_losses(logits, terms, labels, asl_cfg, weights):
+    l_cls = losses.classification_loss(logits, labels, asl_cfg)
+    if terms is None:
+        zero = T.Tensor(np.zeros((), dtype=logits.dtype))
         return l_cls, l_cls, zero, zero
-    l_m = losses.semantic_map_loss(out.semantic_map, labels, asl_cfg)
-    total = losses.total_loss(l_cls, l_m, out.transport_cost, weights)
-    return total, l_cls, l_m, out.transport_cost
+    l_m = losses.semantic_map_loss(terms.semantic_map, labels, asl_cfg)
+    total = losses.total_loss(l_cls, l_m, terms.transport_cost, weights)
+    return total, l_cls, l_m, terms.transport_cost
 
 
 def transport_plans(mass, attention, theta, beta, co):
@@ -633,8 +633,10 @@ def train_by_parameter(cfg, train_ds, test_ds):
                         for name, p in params.items()}
             for i in batch:
                 with T.Tape() as tape:
-                    out = forward(train_ds.payload[i], model, labels=labels[i])
-                    losses = sample_losses(out, labels[i], acfg, weights)
+                    out = forward(train_ds.payload[i], model)
+                    terms = label_terms(out, labels[i], model)
+                    losses = sample_losses(out.logits, terms, labels[i], acfg,
+                                           weights)
                     tape.backward(losses[0])
                 for name, p in params.items():
                     if p.grad is not None:

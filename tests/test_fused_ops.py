@@ -374,11 +374,10 @@ def loss_case(dtype, rng):
     return floor, clip, z, m, np.asarray(rng.random() * 2.0, dtype), labels
 
 
-def label_outputs(z, m, cost):
-    """The parts of a training-mode forward that sample_losses reads."""
-    return head.ForwardOutput(logits=z, features=None, semantic_features=None,
-                              aligned=None, semantic_map=m,
-                              transport_cost=cost)
+def label_outputs(m, cost):
+    """The label terms that sample_losses reads; the rest are None."""
+    return head.LabelTerms(semantic_map=m, theta=None, beta=None, cost=None,
+                           plans=None, transport_cost=cost)
 
 
 class TestSampleLosses:
@@ -399,23 +398,24 @@ class TestSampleLosses:
         cfg = AslConfig(gamma_pos, gamma_neg, clip)
         weights = LossWeights(0.04, 0.5)
         leaves = [Tensor(z), Tensor(m), Tensor(cost)]
-        out = label_outputs(*leaves)
+        terms = label_outputs(*leaves[1:])
         upstream = np.asarray(1.7, dtype)
         for y in (labels, np.ones_like(labels), np.zeros_like(labels)):
-            got = self.losses_and_grads(head.sample_losses, out, y, cfg,
+            got = self.losses_and_grads(head.sample_losses, terms, y, cfg,
                                         weights, leaves, upstream)
-            want = self.losses_and_grads(composite_ops.sample_losses, out, y,
-                                         cfg, weights, leaves, upstream)
+            want = self.losses_and_grads(composite_ops.sample_losses, terms,
+                                         y, cfg, weights, leaves, upstream)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype == dtype and a.shape == b.shape
                 np.testing.assert_array_equal(a, b)
 
     @staticmethod
-    def losses_and_grads(impl, out, y, cfg, weights, leaves, upstream):
+    def losses_and_grads(impl, terms, y, cfg, weights, leaves, upstream):
+        # leaves[0] is the logits
         for t in leaves:
             t.grad = None
         with Tape() as tape:
-            parts = impl(out, y, cfg, weights)
+            parts = impl(leaves[0], terms, y, cfg, weights)
             tape.backward(T.mul(parts[0], upstream))
         return [t.data.copy() for t in parts] + [t.grad.copy() for t in leaves]
 
@@ -448,7 +448,7 @@ class TestSampleLosses:
                                           cfg.clip, losses.PROB_FLOOR)))
         leaves = [Tensor(z.astype(dtype)), Tensor(m.astype(dtype)),
                   Tensor(np.asarray(0.7, dtype))]
-        out = label_outputs(*leaves)
+        terms = label_outputs(*leaves[1:])
         labels = (rng.random(len(z)) < 0.5).astype(dtype)
         upstream = np.asarray(1.7, dtype)
         for gamma_pos, gamma_neg in itertools.product(GAMMAS, GAMMAS):
@@ -458,10 +458,10 @@ class TestSampleLosses:
             for y in (labels, np.ones_like(labels), np.zeros_like(labels)):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     got = self.losses_and_grads(
-                        head.sample_losses, out, y, cfg, LossWeights(), leaves,
-                        upstream)
+                        head.sample_losses, terms, y, cfg, LossWeights(),
+                        leaves, upstream)
                     want = self.losses_and_grads(
-                        composite_ops.sample_losses, out, y, cfg,
+                        composite_ops.sample_losses, terms, y, cfg,
                         LossWeights(), leaves, upstream)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype == dtype and a.shape == b.shape
@@ -714,8 +714,10 @@ def training_sample(variant, dtype):
     labels[0] = 1.0
 
     def sample(asl_cfg):
-        out = head.forward(image.astype(dtype), model, labels=labels)
-        return head.sample_losses(out, labels, asl_cfg, weights)[0]
+        out = head.forward(image.astype(dtype), model)
+        terms = head.label_terms(out, labels, model)
+        return head.sample_losses(out.logits, terms, labels, asl_cfg,
+                                  weights)[0]
 
     return params, sample
 
@@ -827,7 +829,7 @@ class TestRecordsAndDtype:
         cost = Tensor(0.5)
         with Tape() as tape:
             source_distribution(m, np.ones(6))
-            head.sample_losses(label_outputs(z, m, cost), np.ones(6),
+            head.sample_losses(z, label_outputs(m, cost), np.ones(6),
                                AslConfig(), LossWeights())
         assert [t.op for t in tape.tensors()] == ["matvec_softmax",
                                                   "asl_objective"]
@@ -854,7 +856,7 @@ class TestRecordsAndDtype:
             theta = source_distribution(m, labels)
             l_ot, _ = ct_loss(co, T.softmax(co.data, axis=1), theta, beta, co)
             total, l_cls, l_m, _ = head.sample_losses(
-                label_outputs(z, m, T.add(l_asl, l_ot)), labels, AslConfig(),
+                z, label_outputs(m, T.add(l_asl, l_ot)), labels, AslConfig(),
                 LossWeights())
             assert l_cls.dtype == l_m.dtype == np.float32
             tape.backward(total)

@@ -1,5 +1,6 @@
 """Region score aggregation, full forward pass, and checkpoints."""
 
+import dataclasses
 import math
 import re
 import struct
@@ -11,8 +12,8 @@ from sarl import head
 from sarl import tensor as T
 from sarl.data import FormatError
 from sarl.head import (ClassifierParams, ModelConfig, build_model, forward,
-                       load_checkpoint, region_score_aggregate, sample_losses,
-                       save_checkpoint)
+                       label_terms, load_checkpoint, region_score_aggregate,
+                       sample_losses, save_checkpoint)
 from sarl.representation import ConfigError, EncoderConfig, encode
 from sarl.tensor import Tape, Tensor
 from sarl.training import TrainConfig, asl_config, loss_weights, model_config
@@ -254,24 +255,26 @@ class TestForward:
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(8, 8, 2))
             y = np.array([1.0, 0.0, 1.0])
-            out = forward(x, model, labels=y)
+            out = forward(x, model)
+            terms = label_terms(out, y, model)
             z, l_ot = forward_oracle(x, model, y)
             np.testing.assert_allclose(out.logits.data, z, atol=1e-9)
-            np.testing.assert_allclose(out.transport_cost.item(), l_ot, atol=1e-9)
+            np.testing.assert_allclose(terms.transport_cost.item(), l_ot,
+                                       atol=1e-9)
 
     def test_train_mode_invariants(self):
         model = build_model(tiny_config(), seed=8)
         rng = np.random.default_rng(9)
-        out = forward(rng.normal(size=(8, 8, 2)), model,
-                      labels=np.array([0.0, 1.0, 1.0]))
-        theta, beta = out.theta.data, out.beta.data
+        out = forward(rng.normal(size=(8, 8, 2)), model)
+        terms = label_terms(out, np.array([0.0, 1.0, 1.0]), model)
+        theta, beta = terms.theta.data, terms.beta.data
         assert theta.min() >= 0 and beta.min() >= 0
         np.testing.assert_allclose(theta.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(beta.sum(), 1.0, atol=1e-9)
-        fwd, bwd = out.plans
+        fwd, bwd = terms.plans
         np.testing.assert_allclose(fwd.data.sum(axis=1), theta, atol=1e-9)
         np.testing.assert_allclose(bwd.data.sum(axis=0), beta, atol=1e-9)
-        co = out.cost.data
+        co = terms.cost.data
         assert co.min() >= 0.0 and co.max() <= 2.0
         np.testing.assert_allclose(out.attention.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -284,11 +287,13 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
     def test_infer_needs_no_labels(self):
+        # forward has no label side: every field it returns is built
         model = build_model(tiny_config(), seed=13)
         out = forward(np.random.default_rng(14).normal(size=(8, 8, 2)), model)
         assert out.logits.shape == (3,)
-        assert out.transport_cost is None
-        assert out.semantic_map is None
+        assert out.mass.shape == out.attention.shape == (4, 3)
+        assert [f.name for f in dataclasses.fields(out)
+                if getattr(out, f.name) is None] == []
 
     def test_stack_gives_one_logit_row_per_image(self):
         model = build_model(tiny_config(), seed=13)
@@ -303,9 +308,11 @@ class TestForward:
     def test_labels_take_the_parameters_dtype(self, labels):
         model = build_model(tiny_config(), seed=13, dtype=np.float32)
         x = np.random.default_rng(14).normal(size=(8, 8, 2)).astype(np.float32)
-        out = forward(x, model, labels=labels)
-        for name in ("logits", "theta", "beta", "transport_cost"):
-            assert getattr(out, name).dtype == np.float32, name
+        out = forward(x, model)
+        terms = label_terms(out, labels, model)
+        assert out.logits.dtype == np.float32
+        for name in ("theta", "beta", "transport_cost"):
+            assert getattr(terms, name).dtype == np.float32, name
 
     @pytest.mark.parametrize("shape", [(8, 8, 2), (3, 8, 8, 2)],
                              ids=["image", "stack3"])
@@ -334,17 +341,19 @@ class TestForward:
             forward(np.zeros(shape), model)
 
     def test_labels_with_a_stack_rejected(self):
-        # the label branch is per sample: training records one tape per image
+        # the label side is per sample: training records one tape per image
         model = build_model(tiny_config(), seed=13)
+        out = forward(np.zeros((2, 8, 8, 2)), model)
         with pytest.raises(ConfigError, match=re.escape(
-                "got labels (3,) for images (2, 8, 8, 2)")):
-            forward(np.zeros((2, 8, 8, 2)), model, labels=np.array([1.0, 0.0, 1.0]))
+                "got labels (3,) for logits (2, 3)")):
+            label_terms(out, np.array([1.0, 0.0, 1.0]), model)
 
     def test_labels_of_the_wrong_length_rejected(self):
         model = build_model(tiny_config(), seed=13)
+        out = forward(np.zeros((8, 8, 2)), model)
         with pytest.raises(ConfigError, match=re.escape(
-                "got labels (4,) for images (8, 8, 2)")):
-            forward(np.zeros((8, 8, 2)), model, labels=np.ones(4))
+                "got labels (4,) for logits (3,)")):
+            label_terms(out, np.ones(4), model)
 
 
 class TestFusedBilinearGate:
@@ -365,9 +374,9 @@ class TestFusedBilinearGate:
         cfg = TrainConfig()
         monkeypatch.setattr(head, "bilinear_mass", recorded)
         with Tape() as tape:
-            out = forward(image, model, labels=labels)
-            losses = sample_losses(out, labels, asl_config(cfg),
-                                   loss_weights(cfg))
+            out = forward(image, model)
+            losses = sample_losses(out.logits, label_terms(out, labels, model),
+                                   labels, asl_config(cfg), loss_weights(cfg))
             tape.backward(losses[0])
         a = masses[0].data
         values = {"softmax_rows": np_softmax(a, 1),
@@ -408,10 +417,10 @@ class TestAblations:
         model = build_model(tiny_config(disable_ot=True), seed=15)
         rng = np.random.default_rng(16)
         x = rng.normal(size=(8, 8, 2))
-        out = forward(x, model, labels=np.array([1.0, 0.0, 0.0]))
+        out = forward(x, model)
+        assert label_terms(out, np.array([1.0, 0.0, 0.0]), model) is None
         assert out.attention is None
-        assert out.transport_cost is None
-        assert out.semantic_map is None
+        assert out.mass is None
         assert out.aligned is out.features.f
         expect = region_score_aggregate(out.features.f, model.classifier).data
         np.testing.assert_array_equal(out.logits.data, expect)

@@ -25,7 +25,7 @@ import pytest
 
 from sarl import tensor as T
 from sarl import training as Tr
-from sarl.head import build_model, forward, sample_losses
+from sarl.head import build_model, forward, label_terms, sample_losses
 from sarl.losses import PROB_FLOOR
 from sarl.tensor import Tape, Tensor
 from sarl.training import TrainConfig, model_config
@@ -179,8 +179,9 @@ ALLOWED_PYTHON_LEVEL = {"_methods._sum", "_methods._amax", "einsumfunc.einsum",
 
 def test_training_sample_calls_no_python_level_helper():
     # one default training sample, recorded as train() does: forward,
-    # sample_losses and backward, with every numpy Python function it
-    # enters watched for; any helper outside the allowed set fails by name
+    # label_terms, sample_losses and backward, with every numpy Python
+    # function it enters watched for; any helper outside the allowed set
+    # fails by name
     cfg = TrainConfig()
     model = build_model(model_config(cfg), seed=cfg.seed, dtype=np.float32)
     rng = np.random.default_rng(0)
@@ -200,9 +201,10 @@ def test_training_sample_calls_no_python_level_helper():
     sys.setprofile(watch)
     try:
         with Tape() as tape:
-            out = forward(image, model, labels=labels)
-            total = sample_losses(out, labels, Tr.asl_config(cfg),
-                                  Tr.loss_weights(cfg))[0]
+            out = forward(image, model)
+            terms = label_terms(out, labels, model)
+            total = sample_losses(out.logits, terms, labels,
+                                  Tr.asl_config(cfg), Tr.loss_weights(cfg))[0]
             tape.backward(total)
     finally:
         sys.setprofile(None)

@@ -8,6 +8,7 @@ shared helpers with the implementation.
 import math
 import os
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from sarl.data import (Dataset, SyntheticConfig, generate, load_dataset,
                        read_manifest)
-from sarl.head import (ModelConfig, build_model, forward, load_checkpoint,
-                       sample_losses)
+from sarl.head import (ModelConfig, build_model, forward, label_terms,
+                       load_checkpoint, sample_losses)
 from sarl.losses import AslConfig, LossWeights
 from sarl.metrics import load_predictions, compute_report
 from sarl.representation import ConfigError, EncoderConfig
@@ -492,8 +493,12 @@ class TestTrainLoop:
         labels = np.zeros(cfg.num_classes)
         labels[[0, 2]] = 1.0
         with Tape() as tape:
-            out = forward(image, model, labels=labels)
-            sample_losses(out, labels, Tr.asl_config(cfg), Tr.loss_weights(cfg))
+            out = forward(image, model)
+            assert len(tape) == 8
+            terms = label_terms(out, labels, model)
+            assert len(tape) == 12
+            sample_losses(out.logits, terms, labels, Tr.asl_config(cfg),
+                          Tr.loss_weights(cfg))
         assert len(tape) == 13
 
     def test_float32_step_stays_float32(self, monkeypatch):
@@ -540,10 +545,12 @@ class TestTrainLoop:
         assert res.history[-1]["total"] < res.history[0]["total"]
 
     def test_nan_aborts_with_diagnostic(self):
-        # an absurd learning rate overflows float32 within a step or two
+        # an absurd learning rate overflows float32 within a step or two;
+        # train's own message comes first, with no numpy warning before it
         cfg = tiny_config(lr=1e20, epochs=2)
         train_ds, test_ds = generate(synthetic_config(cfg))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(TrainingError, match="non-finite"):
                 train(cfg, train_ds, test_ds)
 
@@ -557,11 +564,11 @@ class TestTrainLoop:
         row = [shuffle.permutation(n) for _ in range(2)][1][5]
         real_forward, calls = Tr.forward, []
 
-        def poisoned(x, model, labels=None):
+        def poisoned(x, model):
             calls.append(None)
             if len(calls) == n + 6:
                 x = np.full_like(x, np.nan)
-            return real_forward(x, model, labels=labels)
+            return real_forward(x, model)
 
         monkeypatch.setattr(Tr, "forward", poisoned)
         with pytest.raises(TrainingError, match=f"^non-finite loss at epoch 2, "
@@ -634,8 +641,10 @@ class TestTrainLoop:
 
         def grad_norms(image):
             with Tape() as tape:
-                out = forward(image, model, labels=labels)
-                total = sample_losses(out, labels, Tr.asl_config(cfg),
+                out = forward(image, model)
+                terms = label_terms(out, labels, model)
+                total = sample_losses(out.logits, terms, labels,
+                                      Tr.asl_config(cfg),
                                       Tr.loss_weights(cfg))[0]
                 tape.backward(total)
             return {name: float(np.linalg.norm(p.grad))
@@ -850,9 +859,9 @@ class TestChunkedEvaluate:
         model = build_model(model_config(cfg), dtype=np.float32)
         sizes, real_forward = [], Tr.forward
 
-        def counting(x, model, labels=None):
+        def counting(x, model):
             sizes.append(len(x))
-            return real_forward(x, model, labels=labels)
+            return real_forward(x, model)
 
         monkeypatch.setattr(Tr, "forward", counting)
         evaluate(model, test_ds)

@@ -282,7 +282,7 @@ def read_manifest(path) -> dict:
 
 
 def parse_value(key, text: str, kind: type):
-    """The value ``text`` of ``key`` as an int, float, bool or str.
+    """The value ``text`` of ``key`` as ``kind``: bool, int or float.
 
     int() and float() also take signs, spaces, '_' separators, 'nan' and
     'inf'. Here an integer is plain ASCII digits, a float is finite and
@@ -299,15 +299,13 @@ def parse_value(key, text: str, kind: type):
         if not (text.isascii() and text.isdigit()):
             raise ValueError(f"{key!r} is {text!r}, not an integer")
         return int(text)
-    if kind is float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if "_" in text or not math.isfinite(value):
-            raise ValueError(f"{key!r} is {text!r}, not a finite number")
-        return value
-    return text
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if "_" in text or not math.isfinite(value):
+        raise ValueError(f"{key!r} is {text!r}, not a finite number")
+    return value
 
 
 def check_int(name, value):

@@ -164,9 +164,6 @@ def run_suite(verbose=True):
     st = rt(2, 3, 4)
     check("mean_axis-2_keepdims",
           lambda: T.sum_(T.pow_const(T.mean(st, axis=-2, keepdims=True), 2)), [st])
-    check("max_axis-2_keepdims",
-          lambda: T.sum_(T.pow_const(T.max_reduce(st, axis=-2, keepdims=True), 2)),
-          [st])
     check("sum_axis1", lambda: T.sum_(T.pow_const(T.sum_(st, axis=1), 2)), [st])
     # two conv blocks, so the ReLU between them too
     enc = [rt(18, 3, scale=0.5), rt(27, 3, scale=0.5)]

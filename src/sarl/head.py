@@ -56,10 +56,9 @@ __all__ = [
 ]
 
 CKPT_MAGIC = b"SARLCKPT"
-# version 1 also held bilinear.bias; such files are refused, not converted
-CKPT_VERSION = 2
-# a fixed manifest line: the conv encoder is the only encoder
-ENCODER_MODE = "tiny-conv"
+# version 1 also held bilinear.bias, version 2 a pooling mode and an
+# encoder name; such files are refused, not converted
+CKPT_VERSION = 3
 
 
 @dataclass
@@ -81,7 +80,6 @@ class ModelConfig:
     bilinear_dim: int = 32
     bilinear_out: int = 16
     n_heads: int = 8
-    gsp_mode: str = "avg"
     disable_self_attn: bool = False
     disable_ot: bool = False
     disable_gsp_fusion: bool = False
@@ -95,8 +93,6 @@ class ModelConfig:
         if self.n_heads < 1 or self.feature_dim % self.n_heads:
             raise ConfigError(f"n_heads={self.n_heads} must be >= 1 and "
                               f"divide d_v={self.feature_dim}")
-        if self.gsp_mode not in ("avg", "max"):
-            raise ConfigError(f"gsp_mode={self.gsp_mode!r} must be 'avg' or 'max'")
 
 
 @dataclass
@@ -249,7 +245,7 @@ def forward(x, model: ModelBundle) -> ForwardOutput:
         f_g = Tensor(np.zeros((*fm.f.shape[:-2], 1, cfg.feature_dim),
                               dtype=fm.f.dtype))
     else:
-        f_g = global_spatial_pool(fm, cfg.gsp_mode)
+        f_g = global_spatial_pool(fm)
     f_s = fuse_semantic(f_g, model.labels, model.fusion)
 
     if cfg.disable_ot:
@@ -317,12 +313,11 @@ def sample_losses(logits: Tensor, terms: LabelTerms | None, labels,
 
 
 def _manifest_text(cfg: ModelConfig) -> str:
-    """ModelConfig fields, then encoder.* EncoderConfig fields, then the mode."""
+    """ModelConfig fields, then encoder.* EncoderConfig fields."""
     pairs = [(f.name, getattr(cfg, f.name))
              for f in fields(ModelConfig) if f.name != "encoder"]
     pairs += [("encoder." + f.name, getattr(cfg.encoder, f.name))
               for f in fields(EncoderConfig)]
-    pairs.append(("encoder.mode", ENCODER_MODE))
     return "".join(f"{k}={int(v) if isinstance(v, bool) else v}\n"
                    for k, v in pairs)
 
@@ -336,7 +331,7 @@ def _config_from_manifest(text: str) -> ModelConfig:
                 raise FormatError(f"checkpoint manifest key {key!r} appears twice")
             entries[key] = value
 
-    def take(key, kind=str):
+    def take(key, kind):
         if key not in entries:
             raise FormatError(f"checkpoint manifest missing {key!r}")
         value = entries.pop(key)
@@ -354,11 +349,6 @@ def _config_from_manifest(text: str) -> ModelConfig:
         return {f.name: take(prefix + f.name, kinds[f.name])
                 for f in fields(cls) if f.name != "encoder"}
 
-    # the mode says what the other keys mean, so it is checked first
-    mode = take("encoder.mode")
-    if mode != ENCODER_MODE:
-        raise FormatError(f"checkpoint manifest key 'encoder.mode' is "
-                          f"{mode!r}, expected {ENCODER_MODE!r}")
     model = values(ModelConfig, "")
     encoder = values(EncoderConfig, "encoder.")
     if entries:

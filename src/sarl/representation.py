@@ -1,10 +1,11 @@
 """Patch features, global pooling, label embeddings, and semantic fusion.
 
 One image becomes a grid of patch features F (P x d_v) through a small
-strided conv encoder. Global spatial pooling compresses F into a single
-row F_G (1 x d_v), and fusing F_G with a learnable label-embedding table
-gives one semantic-related feature row per class, F_S (C x d_v). F, F_G
-and F_S are everything the transport stage downstream needs.
+strided conv encoder. Global spatial pooling, the columnwise mean,
+compresses F into a single row F_G (1 x d_v), and fusing F_G with a
+learnable label-embedding table gives one semantic-related feature row
+per class, F_S (C x d_v). F, F_G and F_S are everything the transport
+stage downstream needs.
 
 An (N, H, W, C) stack of images runs through the same functions: F, F_G
 and F_S gain a leading sample axis, (N, P, d_v), (N, 1, d_v) and
@@ -187,14 +188,10 @@ def self_attention(fm: FeatureMap, p: SelfAttentionParams) -> FeatureMap:
                       fm.h, fm.w)
 
 
-def global_spatial_pool(fm: FeatureMap, mode="avg") -> Tensor:
-    """Columnwise mean (or max) over each sample's patches:
+def global_spatial_pool(fm: FeatureMap) -> Tensor:
+    """Columnwise mean over each sample's patches:
     F (P x d_v) -> F_G (1 x d_v), or (N, 1, d_v) for a stack."""
-    if mode == "avg":
-        return T.mean(fm.f, axis=-2, keepdims=True)
-    if mode == "max":
-        return T.max_reduce(fm.f, axis=-2, keepdims=True)
-    raise ConfigError(f"unknown pooling mode {mode!r}")
+    return T.mean(fm.f, axis=-2, keepdims=True)
 
 
 def fuse_semantic(f_g: Tensor, table: Tensor, p: FusionParams) -> Tensor:

@@ -724,7 +724,7 @@ def _to_first_argmax(g, ad, axis):
     return gz
 
 
-def max_reduce(a, axis, keepdims=False):
+def max_reduce(a, axis):
     """Max along an axis; gradient routes to the first argmax on ties."""
     ad, at = _lift(a)
     axis %= ad.ndim
@@ -732,7 +732,7 @@ def max_reduce(a, axis, keepdims=False):
     def backward_fn(g):
         _accumulate(at, _to_first_argmax(g, ad, axis))
 
-    return _make(ad.max(axis=axis, keepdims=keepdims), "max", (at,), backward_fn)
+    return _make(ad.max(axis=axis), "max", (at,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,6 @@ class TrainConfig:
     bilinear_dim: int = 32
     bilinear_out: int = 16
     n_heads: int = 8
-    gsp_mode: str = "avg"
     conv_blocks: int = 2
     # optimization
     lr: float = 2e-3

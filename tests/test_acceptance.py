@@ -251,6 +251,19 @@ class TestAcceptance:
                     f"plain {neither:.4f}, margins >= 0.01")
         criterion(capsys, "ablation-direction", body)
 
+    def test_gsp_fusion_direction(self, capsys):
+        # the label features without the pooled image row: 0.926 against
+        # 0.413 mean test mAP when measured, so a 0.10 margin leaves room
+        def body():
+            seeds = (0, 1, 2)
+            full = np.mean([training_map(s) for s in seeds])
+            no_fusion = np.mean([training_map(s, disable_gsp_fusion=True)
+                                 for s in seeds])
+            assert full >= no_fusion + 0.10, f"{full:.4f} vs {no_fusion:.4f}"
+            return (f"full {full:.4f} >= no-gsp-fusion {no_fusion:.4f}, "
+                    f"margin >= 0.10")
+        criterion(capsys, "gsp-fusion-direction", body)
+
     def test_determinism(self, capsys, tmp_path):
         def body():
             cfg = TrainConfig(seed=9, n_train=60, n_test=30, num_classes=4,

@@ -110,7 +110,6 @@ class TestTrainVerb:
         assert "config feature_dim=12\n" in log and "config n_heads=6\n" in log
 
     @pytest.mark.parametrize("flags,why", [
-        (["--gsp-mode", "sum"], "gsp_mode='sum' must be 'avg' or 'max'"),
         (["--feature-dim", "30"], "n_heads=8 must be >= 1 and divide d_v=30"),
         (["--batch-size", "0"], "batch_size=0 must be positive"),
         (["--n-train", "0"], "n_train=0 must be >= 1"),
@@ -127,7 +126,7 @@ class TestTrainVerb:
         (["--conv-blocks", "0"], "conv_blocks=0 must be >= 1"),
         (["--image-size", "2"], "height=2, width=2 must be >= 3"),
         (["--channels", "0"], "channels=0 must be positive"),
-    ], ids=["gsp-mode", "feature-dim", "batch-size", "n-train", "noise",
+    ], ids=["feature-dim", "batch-size", "n-train", "noise",
             "epochs", "lr", "weight-decay", "lambda1", "gamma-neg", "clip",
             "label-dim", "bilinear-dim", "bilinear-out", "conv-blocks",
             "image-size", "channels"])
@@ -137,6 +136,15 @@ class TestTrainVerb:
             main(["train", "--out", str(run), "--n-train", "20", "--n-test",
                   "10", "--epochs", "1", "--quiet", *flags])
         assert not (run / "run.log").exists()
+
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # a deleted option is an argparse usage error, not a `sarl train:` line
+        run = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--out", str(run), "--gsp-mode", "avg", *TINY_TRAIN])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --gsp-mode avg" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_negative_weight_decay_line_refused_before_run_log(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -694,8 +694,8 @@ def swap_in(monkeypatch, impls):
 
 VARIANTS = pytest.mark.parametrize("variant", [
     {}, {"disable_self_attn": True}, {"disable_ot": True},
-    {"disable_gsp_fusion": True}, {"gsp_mode": "max"},
-], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "gsp-max"])
+    {"disable_gsp_fusion": True},
+], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion"])
 
 
 def training_sample(variant, dtype):

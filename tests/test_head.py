@@ -24,10 +24,12 @@ import composite_ops
 # and spelling of these lines are part of the checkpoint format
 DEFAULT_MANIFEST = (
     "num_classes=6\nfeature_dim=32\nlabel_dim=16\nbilinear_dim=32\n"
-    "bilinear_out=16\nn_heads=8\ngsp_mode=avg\ndisable_self_attn=0\n"
+    "bilinear_out=16\nn_heads=8\ndisable_self_attn=0\n"
     "disable_ot=0\ndisable_gsp_fusion=0\nencoder.in_channels=3\n"
-    "encoder.grid_h=2\nencoder.grid_w=2\nencoder.conv_blocks=2\n"
-    "encoder.mode=tiny-conv\n")
+    "encoder.grid_h=2\nencoder.grid_w=2\nencoder.conv_blocks=2\n")
+# versions 1 and 2 also wrote the pool and the encoder's name
+OLD_MANIFEST = DEFAULT_MANIFEST.replace(
+    "\nn_heads=8\n", "\nn_heads=8\ngsp_mode=avg\n") + "encoder.mode=tiny-conv\n"
 
 
 def np_softmax(a, axis):
@@ -454,7 +456,7 @@ class TestCheckpoint:
         model = build_model(model_config(TrainConfig()), seed=5, dtype=np.float32)
         params = model.parameters()
         assert len(params) == 17
-        raw = checkpoint_bytes(2, DEFAULT_MANIFEST,
+        raw = checkpoint_bytes(3, DEFAULT_MANIFEST,
                                {name: t.data for name, t in params.items()})
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
@@ -467,20 +469,23 @@ class TestCheckpoint:
 
     def test_version_1_file_refused(self, tmp_path):
         # version 1 held one more tensor: bilinear.bias (bilinear_out,)
-        # sat between bilinear.mix and bilinear.score
+        # sat between bilinear.mix and bilinear.score; version 2 held
+        # today's tensors
         model = build_model(model_config(TrainConfig()), seed=5, dtype=np.float32)
-        named = {}
-        for name, t in model.parameters().items():
+        v2 = {name: t.data for name, t in model.parameters().items()}
+        v1 = {}
+        for name, data in v2.items():
             if name == "bilinear.score":
-                named["bilinear.bias"] = np.zeros(16, dtype=np.float32)
-            named[name] = t.data
-        assert len(named) == 18
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(checkpoint_bytes(1, DEFAULT_MANIFEST, named))
-        with pytest.raises(FormatError, match="^checkpoint version 1 is not "
-                                              "supported: this build reads "
-                                              "version 2$"):
-            load_checkpoint(path)
+                v1["bilinear.bias"] = np.zeros(16, dtype=np.float32)
+            v1[name] = data
+        assert len(v1) == 18
+        for version, named in ((1, v1), (2, v2)):
+            path = tmp_path / f"v{version}.ckpt"
+            path.write_bytes(checkpoint_bytes(version, OLD_MANIFEST, named))
+            with pytest.raises(FormatError, match=f"^checkpoint version {version} "
+                                                  f"is not supported: this build "
+                                                  f"reads version 3$"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_refused(self, tmp_path, value):
@@ -508,13 +513,11 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a, b)
 
     def test_config_flags_roundtrip(self, tmp_path):
-        cfg = tiny_config(disable_ot=True, disable_gsp_fusion=True,
-                          gsp_mode="max")
+        cfg = tiny_config(disable_ot=True, disable_gsp_fusion=True)
         _, loaded = self.roundtrip(tmp_path, cfg)
         assert loaded.config.disable_ot is True
         assert loaded.config.disable_gsp_fusion is True
         assert loaded.config.disable_self_attn is False
-        assert loaded.config.gsp_mode == "max"
         assert loaded.config.encoder.grid_h == 2
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -616,11 +619,6 @@ class TestCheckpoint:
                                               f"{field}=0 must be >= 1$"):
             load_checkpoint(path)
 
-    def test_unknown_gsp_mode_rejected(self, tmp_path):
-        path, _ = self.edited(tmp_path, b"\ngsp_mode=avg\n", b"\ngsp_mode=sum\n")
-        with pytest.raises(FormatError, match="gsp_mode='sum'"):
-            load_checkpoint(path)
-
     def test_ablation_flag_must_be_zero_or_one(self, tmp_path):
         path, _ = self.edited(tmp_path, b"\ndisable_self_attn=0\n",
                               b"\ndisable_self_attn=8\n")
@@ -629,16 +627,21 @@ class TestCheckpoint:
 
     def test_only_newline_ends_a_manifest_line(self, tmp_path):
         # a vertical tab is part of the value, not a line break
-        path, _ = self.edited(tmp_path, b"\nencoder.mode=", b"\x0bencoder.mode=")
-        with pytest.raises(FormatError, match="missing 'encoder.mode'"):
+        path, _ = self.edited(tmp_path, b"\nencoder.conv_blocks=",
+                              b"\x0bencoder.conv_blocks=")
+        with pytest.raises(FormatError, match=re.escape(
+                "'encoder.grid_w' is '2\\x0bencoder.conv_blocks=2', not an integer")):
             load_checkpoint(path)
 
     def test_unknown_manifest_key_rejected(self, tmp_path):
-        path, _ = self.edited(tmp_path, b"\nencoder.mode=",
-                              b"\nencoder.stride=2\nencoder.mode=")
-        with pytest.raises(FormatError, match="unknown checkpoint manifest key "
-                                              "'encoder.stride'"):
-            load_checkpoint(path)
+        # the last two are version 2's lines
+        for line in (b"encoder.stride=2", b"gsp_mode=avg", b"encoder.mode=tiny-conv"):
+            path, _ = self.edited(tmp_path, b"\nencoder.conv_blocks=",
+                                  b"\n" + line + b"\nencoder.conv_blocks=")
+            key = line.partition(b"=")[0].decode()
+            with pytest.raises(FormatError, match=f"unknown checkpoint manifest "
+                                                  f"key '{key}'"):
+                load_checkpoint(path)
 
     def test_repeated_manifest_key_rejected(self, tmp_path):
         path, _ = self.edited(tmp_path, b"\nn_heads=2\n", b"\nn_heads=2\nn_heads=1\n")

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from sarl import tensor as T
-from sarl.data import FormatError
 from sarl.gradcheck import check_gradients
-from sarl.head import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from sarl.representation import (ConfigError, EncoderConfig, FeatureMap,
                                  FusionParams, SelfAttentionParams, encode, fuse_semantic,
                                  global_spatial_pool, init_encoder,
@@ -97,20 +95,6 @@ class TestEncode:
         monkeypatch.setattr(T, "conv_encoder", conv)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             encode(np.zeros(shape), cfg, params)
-
-    def test_bad_mode_rejected(self, tmp_path):
-        # the mode survives only as the fixed checkpoint line encoder.mode
-        cfg = EncoderConfig(in_channels=3, grid_h=2, grid_w=2)
-        model = build_model(ModelConfig(num_classes=2, feature_dim=8,
-                                        n_heads=2, encoder=cfg))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
-        raw = path.read_bytes()
-        assert b"\nencoder.mode=tiny-conv\n" in raw
-        path.write_bytes(raw.replace(b"encoder.mode=tiny-conv",
-                                     b"encoder.mode=resnet-18"))
-        with pytest.raises(FormatError, match="'encoder.mode' is 'resnet-18'"):
-            load_checkpoint(path)
 
 
 class TestSelfAttention:
@@ -209,49 +193,36 @@ class TestGlobalSpatialPool:
     def test_identical_rows_pass_through(self):
         row = np.array([1.5, -2.0, 0.25])
         fm = feature_map(np.tile(row, (4, 1)), 2, 2)
-        for mode in ("avg", "max"):
-            np.testing.assert_allclose(
-                global_spatial_pool(fm, mode).data, [row], atol=1e-15)
+        np.testing.assert_allclose(global_spatial_pool(fm).data, [row], atol=1e-15)
 
     def test_avg(self):
         fm = feature_map(np.array([[1.0, 3.0], [3.0, 1.0]]), 1, 2)
-        np.testing.assert_array_equal(global_spatial_pool(fm, "avg").data, [[2.0, 2.0]])
-
-    def test_max(self):
-        fm = feature_map(np.array([[1.0, 3.0], [3.0, 1.0]]), 1, 2)
-        np.testing.assert_array_equal(global_spatial_pool(fm, "max").data, [[3.0, 3.0]])
+        np.testing.assert_array_equal(global_spatial_pool(fm).data, [[2.0, 2.0]])
 
     def test_stack_pools_each_sample(self):
         # two samples' 1x2 grids pool to one row each
         f = Tensor(np.array([[[1.0, 3.0], [3.0, 1.0]], [[0.0, 2.0], [4.0, 2.0]]]))
         fm = FeatureMap(f, 1, 2)
-        np.testing.assert_array_equal(global_spatial_pool(fm, "avg").data,
+        np.testing.assert_array_equal(global_spatial_pool(fm).data,
                                       [[[2.0, 2.0]], [[2.0, 2.0]]])
-        np.testing.assert_array_equal(global_spatial_pool(fm, "max").data,
-                                      [[[3.0, 3.0]], [[4.0, 2.0]]])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             f = rng.normal(size=(6, 4))
             perm = rng.permutation(6)
-            for mode in ("avg", "max"):
-                a = global_spatial_pool(feature_map(f, 2, 3), mode).data
-                b = global_spatial_pool(feature_map(f[perm], 2, 3), mode).data
-                np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            global_spatial_pool(feature_map(np.ones((2, 2)), 1, 2), "sum")
+            a = global_spatial_pool(feature_map(f, 2, 3)).data
+            b = global_spatial_pool(feature_map(f[perm], 2, 3)).data
+            np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_gradients(self):
         rng = np.random.default_rng(9)
         f = Tensor(rng.normal(size=(5, 3)))
-        for mode in ("avg", "max"):
-            def loss():
-                pooled = global_spatial_pool(FeatureMap(f, 1, 5), mode)
-                return T.sum_(T.pow_const(pooled, 2))
-            check_gradients(loss, [f], tol=1e-4)
+
+        def loss():
+            pooled = global_spatial_pool(FeatureMap(f, 1, 5))
+            return T.sum_(T.pow_const(pooled, 2))
+        check_gradients(loss, [f], tol=1e-4)
 
 
 class TestFuseSemantic:

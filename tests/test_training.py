@@ -21,7 +21,7 @@ from sarl.head import (ModelConfig, build_model, forward, label_terms,
                        load_checkpoint, sample_losses)
 from sarl.losses import AslConfig, LossWeights
 from sarl.metrics import load_predictions, compute_report
-from sarl.representation import ConfigError, EncoderConfig
+from sarl.representation import EncoderConfig
 from sarl.tensor import Tape, Tensor
 from sarl.training import (TrainConfig, TrainingError, adamw_step,
                            config_entries, config_from_file, ema_update,
@@ -137,7 +137,6 @@ GATE_CONFIGS = {
     "disable_ot": {"disable_ot": True},
     "disable_self_attn": {"disable_self_attn": True},
     "disable_gsp_fusion": {"disable_gsp_fusion": True},
-    "gsp_max": {"gsp_mode": "max"},
 }
 
 # (parameter, index into its flattened gradient): flat offset 0, the two
@@ -243,7 +242,7 @@ def out_of_range(field, value, why):
 OTHER = TrainConfig(
     seed=3, n_train=40, n_test=30, num_classes=4, image_size=24, channels=2,
     signal=2.0, noise=0.25, cardinality=2.0, feature_dim=12, label_dim=4,
-    bilinear_dim=8, bilinear_out=4, n_heads=3, gsp_mode="max", conv_blocks=3,
+    bilinear_dim=8, bilinear_out=4, n_heads=3, conv_blocks=3,
     lambda1=0.1, lambda2=0.2, gamma_pos=1.0, gamma_neg=4.0, clip=0.1,
     disable_self_attn=True, disable_ot=True, disable_gsp_fusion=True)
 
@@ -305,10 +304,9 @@ class TestConfig:
         ("num_classes=0", "num_classes=0 must be >= 1"),
         ("channels=0", "channels=0 must be positive"),
         ("image_size=0", "image_size=0 must be positive"),
-        ("gsp_mode=sum", "gsp_mode='sum' must be 'avg' or 'max'"),
         ("n_heads=5", "n_heads=5 must be >= 1 and divide d_v=32"),
     ], ids=["feature-dim", "num-classes", "channels", "image-size",
-            "gsp-mode", "n-heads"])
+            "n-heads"])
     def test_architecture_line_refused_by_number(self, tmp_path, line, why):
         # each passed config_from_file, to fail later in train
         path = tmp_path / "run.cfg"
@@ -375,18 +373,19 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nlr=0.5\nepochs=7\ndisable_ot=true\n"
-                        "gsp_mode=max\n")
+                        "n_heads=4\n")
         cfg = config_from_file(path)
         assert cfg.lr == 0.5
         assert cfg.epochs == 7
         assert cfg.disable_ot is True
-        assert cfg.gsp_mode == "max"
+        assert cfg.n_heads == 4
         assert cfg.batch_size == TrainConfig().batch_size
 
     def test_unknown_key_rejected(self, tmp_path):
-        # use_ema and ema_decay set an EMA shadow that nothing evaluated
+        # use_ema and ema_decay set an EMA shadow that nothing evaluated;
+        # gsp_mode chose a max pool that no 3 seeds told from the mean
         path = tmp_path / "run.cfg"
-        for key in ("momentum", "use_ema", "ema_decay"):
+        for key in ("momentum", "use_ema", "ema_decay", "gsp_mode"):
             path.write_text(f"lr=0.1\n{key}=0.9\n")
             with pytest.raises(ValueError,
                                match=f"^line 2: unknown config key '{key}'$"):
@@ -444,7 +443,7 @@ class TestConfig:
             num_classes=cfg.num_classes, feature_dim=cfg.feature_dim,
             label_dim=cfg.label_dim, bilinear_dim=cfg.bilinear_dim,
             bilinear_out=cfg.bilinear_out, n_heads=cfg.n_heads,
-            gsp_mode=cfg.gsp_mode, encoder=encoder,
+            encoder=encoder,
             disable_self_attn=cfg.disable_self_attn,
             disable_ot=cfg.disable_ot,
             disable_gsp_fusion=cfg.disable_gsp_fusion)
@@ -704,11 +703,6 @@ class TestTrainLoop:
             assert p.dtype == q.dtype == np.float32, name
             assert_array_equal(p.data, q.data, err_msg=name)
 
-    def test_unknown_gsp_mode_rejected_before_training(self):
-        # TrainConfig refuses it, so no run can start with it
-        with pytest.raises(ConfigError, match="gsp_mode='sum'"):
-            tiny_config(gsp_mode="sum")
-
     @pytest.mark.parametrize("split,change,why", [
         ("test", {"num_classes": 5}, "8x8x2 with 5 classes"),
         ("training", {"num_classes": 5}, "8x8x2 with 5 classes"),
@@ -811,9 +805,8 @@ class TestChunkedEvaluate:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"disable_self_attn": True}, {"disable_ot": True},
-        {"disable_gsp_fusion": True}, {"gsp_mode": "max"}, {"image_size": 16},
-    ], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "gsp-max",
-            "image-16"])
+        {"disable_gsp_fusion": True}, {"image_size": 16},
+    ], ids=["default", "no-self-attn", "no-ot", "no-gsp-fusion", "image-16"])
     def test_stack_matches_per_sample_float64(self, overrides):
         cfg = TrainConfig(**overrides)
         model = build_model(model_config(cfg), seed=5)
